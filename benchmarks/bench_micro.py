@@ -160,39 +160,6 @@ def test_batched_kappa_vs_scalar(benchmark):
     )
 
 
-def test_stacked_hmac_vs_per_message(benchmark):
-    """One stacked tag comparison vs a thousand scheme.verify calls,
-    with the speedup printed — verdicts asserted identical."""
-    from repro.crypto.batch import verify_stacked
-
-    scheme = HmacScheme()
-    store = build_keystore(scheme, 8, seed=0)
-    rng = random.Random(1)
-    items = []
-    for index in range(1000):
-        pair = store.key_pair_of(index % 8)
-        message = bytes(rng.randrange(256) for _ in range(132))
-        items.append((pair.public_key, message, scheme.sign(pair, message)))
-    # A tampered tail exercises the per-item fallback attribution.
-    tampered = items[:-1] + [(items[-1][0], items[-1][1], b"\0" * 32)]
-
-    def per_message(batch):
-        return [scheme.verify(k, m, s) for k, m, s in batch]
-
-    loop_wall, loop_verdicts = _time(lambda: per_message(items))
-    stacked_wall, stacked_verdicts = _time(lambda: verify_stacked(scheme, items))
-    assert loop_verdicts == stacked_verdicts == [True] * len(items)
-    assert verify_stacked(scheme, tampered) == per_message(tampered)
-    print(
-        f"\nstacked-hmac: per-message {loop_wall * 1e3:.1f}ms -> "
-        f"stacked {stacked_wall * 1e3:.1f}ms "
-        f"({loop_wall / stacked_wall:.1f}x)"
-    )
-    benchmark.pedantic(
-        lambda: verify_stacked(scheme, items), rounds=1, iterations=1
-    )
-
-
 def test_full_validation_cache_hit_rate(benchmark):
     """Perf-regression guard: on a relay-heavy d-regular topology most
     signature lookups must be served by the verification cache."""

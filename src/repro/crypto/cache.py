@@ -236,74 +236,6 @@ class VerificationCache:
         self._bound(self._chains, "chain_evictions")
         return result
 
-    # ------------------------------------------------------------------
-    # Batch priming (repro.crypto.batch)
-    # ------------------------------------------------------------------
-    def has_proof(self, proof: NeighborhoodProof) -> bool:
-        """Whether this proof's verdict is already memoised."""
-        return (proof.edge, proof.signature_lo, proof.signature_hi) in self._proofs
-
-    def prime_proof(self, proof: NeighborhoodProof, verdict: bool) -> None:
-        """Insert a proof verdict computed by the stacked batch pass.
-
-        The verification work happened outside the cache, so this
-        counts as the miss the scalar path would have paid on first
-        sight; the per-message lookup that follows becomes a hit.
-        """
-        self.stats.proof_misses += 1
-        self._proofs[(proof.edge, proof.signature_lo, proof.signature_hi)] = verdict
-        self._bound(self._proofs, "proof_evictions")
-
-    def has_chain(self, payload: bytes, links: tuple[ChainLink, ...]) -> bool:
-        """Whether this chain's verdict is already memoised."""
-        return (payload, links) in self._chains
-
-    def chain_prefix_valid(self, payload: bytes, links: tuple[ChainLink, ...]) -> bool:
-        """Whether ``links[:-1]`` is empty or memoised as valid.
-
-        When true, the chain's verdict is decided by its outermost
-        link alone — the batch primer stacks exactly those link
-        checks.
-        """
-        prefix = links[:-1]
-        return not prefix or self._chains.get((payload, prefix)) is True
-
-    def pop_outer_message(
-        self, payload: bytes, links: tuple[ChainLink, ...]
-    ) -> bytes | None:
-        """Claim the signed-message handoff for a chain, if one exists.
-
-        The batch primer verifies outer links in place of
-        :meth:`_verify_outer_link`, so it takes over the handoff entry
-        (the relayer's signing pass shared the exact message bytes).
-        Identity-validated like every handoff lookup.
-        """
-        entry = self._outer_messages.pop(id(links), None)
-        if entry is not None and entry[0] is links and entry[1] is payload:
-            return entry[2]
-        return None
-
-    def prime_chain(
-        self,
-        payload: bytes,
-        links: tuple[ChainLink, ...],
-        verdict: bool,
-        *,
-        prefix_hit: bool,
-    ) -> None:
-        """Insert a chain verdict computed by the stacked batch pass."""
-        prefix_key = (payload, links[:-1])
-        if prefix_hit and prefix_key in self._chains:
-            self.stats.chain_prefix_hits += 1
-            self._touch(self._chains, prefix_key)
-        else:
-            # Either a genuinely prefix-less chain, or a bounded cache
-            # evicted the prefix between collection and priming — the
-            # scalar path would have paid a full-chain miss there too.
-            self.stats.chain_misses += 1
-        self._chains[(payload, links)] = verdict
-        self._bound(self._chains, "chain_evictions")
-
     def extend_chain(
         self,
         scheme: SignatureScheme,

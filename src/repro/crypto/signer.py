@@ -72,22 +72,6 @@ class SignatureScheme(abc.ABC):
     def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
         """Check ``signature`` over ``data`` against ``public_key``."""
 
-    def verify_stacked(
-        self, items: "list[tuple[bytes, bytes, bytes]]"
-    ) -> list[bool]:
-        """Verify many ``(public_key, data, signature)`` triples at once.
-
-        The base implementation is the per-item loop; schemes with a
-        cheaper batched check (see :class:`HmacScheme`) override it.
-        The per-item verdicts are always identical to calling
-        :meth:`verify` item by item — batching is an accelerator, not
-        a semantic change.
-        """
-        return [
-            self.verify(public_key, data, signature)
-            for public_key, data, signature in items
-        ]
-
 
 class HmacScheme(SignatureScheme):
     """Unforgeable-signature model backed by HMAC-SHA256.
@@ -132,43 +116,6 @@ class HmacScheme(SignatureScheme):
             return False
         expected = hmac.digest(secret, data, "sha256")
         return hmac.compare_digest(signature[: self._TAG_LEN], expected)
-
-    def verify_stacked(
-        self, items: list[tuple[bytes, bytes, bytes]]
-    ) -> list[bool]:
-        """Batched verify: one constant-time compare over stacked tags.
-
-        The expected tags are computed per item (each has its own key
-        and message) but compared as ONE contiguous block: the given
-        and recomputed 32-byte tags are concatenated and checked with a
-        single ``hmac.compare_digest``.  Fixed-width segments make the
-        block comparison equivalent to comparing every segment — equal
-        iff all items verify.  Only on a mismatch (or on items that
-        fail the structural checks: wrong length, unknown key) does it
-        fall back to per-item verification, preserving exact per-item
-        attribution of failures.
-        """
-        stacked_given: list[bytes] = []
-        stacked_expected: list[bytes] = []
-        clean = True
-        for public_key, data, signature in items:
-            if len(signature) != self.signature_size:
-                clean = False
-                break
-            secret = self._secret_by_public.get(public_key)
-            if secret is None:
-                clean = False
-                break
-            stacked_given.append(signature[: self._TAG_LEN])
-            stacked_expected.append(hmac.digest(secret, data, "sha256"))
-        if clean and hmac.compare_digest(
-            b"".join(stacked_given), b"".join(stacked_expected)
-        ):
-            return [True] * len(items)
-        return [
-            self.verify(public_key, data, signature)
-            for public_key, data, signature in items
-        ]
 
 
 class NullScheme(SignatureScheme):

@@ -29,7 +29,7 @@ from repro.graphs.analysis import correct_subgraph_partitioned
 from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.graph import Graph
 from repro.net.channel import resolve_backend
-from repro.net.simulator import RoundProtocol, SyncNetwork
+from repro.net.simulator import RoundProtocol
 from repro.net.stats import TrafficStats
 from repro import perf
 from repro.types import Edge, GroundTruth, NodeId
@@ -267,38 +267,6 @@ def compute_ground_truth(
     )
 
 
-def _maybe_attach_primer(network, graph, protocols, deployment, cache) -> None:
-    """Attach the stacked-HMAC round primer where the prediction is exact.
-
-    Honest FULL-mode NECTAR over a reliable synchronous channel with a
-    shared cache and an HMAC scheme: every collected message arrives,
-    every node's dedup behaviour is the honest one, and the primer's
-    one stacked pass per round replaces thousands of per-call verifies
-    (DESIGN.md §15).  Gated on the perf layer so REPRO_NO_NUMPY=1 runs
-    exercise the untouched scalar path.
-    """
-    if not perf.kernels_enabled():
-        return
-    if cache is None or not isinstance(network, SyncNetwork):
-        return
-    if not network.channel_always_delivers:
-        return
-    if not isinstance(deployment.scheme, HmacScheme):
-        return
-    for p in protocols.values():
-        if type(p) is not NectarNode or not p._batching:
-            return
-        if p._validator.mode is not ValidationMode.FULL:
-            return
-        if p._validator.cache is not cache:
-            return
-    from repro.crypto.batch import RoundPrimer
-
-    network.delivery_prepass = RoundPrimer(
-        graph, cache, deployment.scheme, deployment.key_store.directory
-    )
-
-
 def run_trial(
     graph: Graph,
     t: int = 0,
@@ -448,7 +416,6 @@ def run_trial(
             seed=seed,
             quiescence_skip=env.quiescence_skip,
         )
-        _maybe_attach_primer(network, graph, protocols, deployment, cache)
         verdicts = network.run(rounds)
         stats = network.stats
         rounds_executed = getattr(network, "rounds_executed", None)

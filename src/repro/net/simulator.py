@@ -140,13 +140,6 @@ class SyncNetwork:
         self.channel = channel
         self._channel_state = channel.state(graph, loss_seed)
         self._quiescence_skip = quiescence_skip
-        #: optional per-round hook, called with ``(round_number,
-        #: deliveries)`` after sends are collected and before any
-        #: delivery happens.  The batched-verification primer
-        #: (:mod:`repro.crypto.batch`) uses it to warm the
-        #: verification cache with one stacked HMAC pass per round;
-        #: the hook must not mutate the deliveries.
-        self.delivery_prepass = None
         self.stats = TrafficStats()
         #: rounds asked for / actually iterated by the last :meth:`run`.
         self.rounds_requested = 0
@@ -157,15 +150,6 @@ class SyncNetwork:
     def rounds_skipped(self) -> int:
         """Provably-no-op rounds elided by quiescence short-circuiting."""
         return self.rounds_requested - self.rounds_executed
-
-    @property
-    def channel_always_delivers(self) -> bool:
-        """Whether the channel state never drops a message.
-
-        The batched-verification primer keys off this: priming is only
-        exact when every collected message actually arrives.
-        """
-        return self._channel_state.always_delivers
 
     def run(self, rounds: int) -> dict[NodeId, Any]:
         """Execute ``rounds`` synchronous rounds and collect verdicts.
@@ -204,8 +188,6 @@ class SyncNetwork:
                     sent_count += 1
                     deliveries.append((envelope, outgoing.destination, size))
                 self.stats.record_send_bulk(node_id, sent_bytes, sent_count)
-            if self.delivery_prepass is not None and deliveries:
-                self.delivery_prepass(round_number, deliveries)
             # Synchrony: everything sent in this round arrives before
             # the next round starts (unless the channel model drops
             # it).  The channel's drop decisions are drawn first, in

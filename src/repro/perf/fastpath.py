@@ -128,8 +128,7 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
                 uses_cache = True
         if uses_cache and not has_two_faced:
             # FULL honest runs with a shared cache keep the scalar
-            # path: their cache-hit observability is pinned by tests,
-            # and the stacked-HMAC primer accelerates them instead.
+            # path: their cache-hit observability is pinned by tests.
             return None
         return "nectar"
     if kinds <= {MtgNode, SaturatingMtgNode, TwoFacedMtgNode}:
