@@ -48,13 +48,14 @@ Under the ``fork`` start method a parent-side warm-up
 (:meth:`~repro.experiments.spec.SweepEngine.run`) is inherited by every
 worker for free; under ``spawn`` the engine replays a snapshot through
 ``parallel_map``'s per-worker initializer.  Workers fill their private
-misses locally and report them back: each sharded cell returns the
-worker's :meth:`ArtifactCache.drain_delta` alongside its value, and
-the parent folds the deltas in with :meth:`ArtifactCache.merge_delta`
-(DESIGN.md §10.3).  The on-disk layer (:meth:`ArtifactCache.save` /
-:meth:`load`) persists snapshots under ``benchmarks/out/`` keyed by
-resolved-sweep digest; snapshots are written by the parent after the
-merge, so they cover everything the process tree computed.
+misses locally and report them back per shard: each artifact shard's
+result carries the executing process's :meth:`ArtifactCache.drain_delta`
+and ``origin``, and the collector merges a delta
+(:meth:`ArtifactCache.merge_delta`) only when its origin is another
+process (DESIGN.md §10.3).  The on-disk layer (:meth:`ArtifactCache.save`
+/ :meth:`load`) persists snapshots under ``benchmarks/out/`` keyed by
+resolved-sweep digest, written after the merge, so they cover
+everything the process tree computed.
 """
 
 from __future__ import annotations
@@ -375,8 +376,8 @@ class ArtifactCache:
         """Entries and counter increments since the last drain/adopt.
 
         The worker side of the delta protocol (DESIGN.md §9.2): each
-        sharded cell returns the store entries its worker added since
-        its previous report, so the parent can fold worker-computed
+        artifact shard returns the store entries its process added since
+        its previous report, so the collector can fold worker-computed
         artifacts (connectivity certificates, lazily-built key pools)
         and hit/miss counters back into its own cache — which is what
         makes ``--artifact-store`` snapshots and the surfaced cache

@@ -10,10 +10,12 @@ from ambient RNG state.  ``tests/test_parallel.py`` pins serial ≡
 parallel for every worker count.
 
 The primary client is the declarative sweep engine
-(:mod:`repro.experiments.spec`): every registered figure expands into
-:class:`~repro.experiments.spec.TrialSpec` cells that one shared
-module-level executor maps over — which is why *all* sweeps, not just
-the grid-shaped ones, shard through here.
+(:mod:`repro.experiments.spec`): :func:`colocation_chunks` plans every
+sweep's cells into shards and one call maps the shard executor
+(:func:`~repro.experiments.spec.execute_cells`) over them.  Artifact
+shards return their process's cache delta tagged with its ``origin``;
+the collector merges only deltas from other processes, exactly as on
+the fabric queue (:mod:`repro.fabric`), which shares all three.
 
 Worker-count resolution (:func:`resolve_workers`):
 
@@ -86,18 +88,6 @@ def trial_seeds(base_seed: int, count: int) -> list[int]:
     return seeds
 
 
-def will_shard(workers: int | None, item_count: int) -> bool:
-    """Whether :func:`parallel_map` would use a worker pool at all.
-
-    The single source of truth for the pool-vs-inline decision —
-    callers that must behave differently per path (the sweep engine's
-    worker-delta protocol only makes sense when cells really run in
-    worker processes) branch on this instead of re-deriving the rule,
-    so the two can never desynchronise.
-    """
-    return min(resolve_workers(workers), item_count) > 1
-
-
 def _apply_chunk(payload: tuple) -> list:
     """Run one colocated chunk in a single worker, in item order.
 
@@ -153,8 +143,10 @@ def parallel_map(
     """Apply ``fn`` to every item, optionally across worker processes.
 
     Results are returned in item order regardless of completion order
-    or worker count.  With one resolved worker (the default) the pool
-    is bypassed and this is a plain in-process loop.
+    or worker count.  With one resolved worker (the default), or a
+    single chunk to run, the pool is bypassed and this is a plain
+    in-process loop.  Otherwise items travel to the pool as chunks:
+    :func:`colocation_chunks` groups, singletons when no key is set.
 
     Args:
         fn: a picklable (module-level) function; each call must be
@@ -172,39 +164,29 @@ def parallel_map(
             ``spawn`` start method).
         colocate: optional key function for shard planning: items with
             equal non-``None`` keys are guaranteed to execute in one
-            worker process, in submission order (the mission sweeps use
-            this so the measure series of one mission hit a single
-            worker's memo instead of re-flying the mission per series).
+            worker process, in submission order (so, e.g., the measure
+            series of one mission hit a single worker's memo instead of
+            re-flying the mission per series).
             ``None`` keys opt out.  Purely a placement hint — results
             are bit-identical with or without it, because ``fn`` calls
             stay self-contained.
     """
     sequence: Sequence[_Item] = list(items)
-    if not will_shard(workers, len(sequence)):
+    chunks = colocation_chunks(sequence, colocate or (lambda item: None))
+    count = min(resolve_workers(workers), len(chunks))
+    if count <= 1:
         return [fn(item) for item in sequence]
-    count = min(resolve_workers(workers), len(sequence))
     # fork is cheapest and inherits sys.path; fall back to the default
     # start method (spawn) where fork is unavailable.
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    if colocate is not None:
-        chunks = colocation_chunks(sequence, colocate)
-        if len(chunks) < len(sequence):
-            count = min(count, len(chunks))
-            payloads = [
-                (fn, [sequence[index] for index in chunk]) for chunk in chunks
-            ]
-            with context.Pool(
-                processes=count, initializer=initializer, initargs=initargs
-            ) as pool:
-                chunk_results = pool.map(_apply_chunk, payloads, chunksize=1)
-            results: list = [None] * len(sequence)
-            for chunk, values in zip(chunks, chunk_results):
-                for index, value in zip(chunk, values):
-                    results[index] = value
-            return results
-        # Every chunk is a singleton: plain per-item sharding below.
+    payloads = [(fn, [sequence[index] for index in chunk]) for chunk in chunks]
     with context.Pool(
         processes=count, initializer=initializer, initargs=initargs
     ) as pool:
-        return pool.map(fn, sequence, chunksize=1)
+        chunk_results = pool.map(_apply_chunk, payloads, chunksize=1)
+    results: list = [None] * len(sequence)
+    for chunk, values in zip(chunks, chunk_results):
+        for index, value in zip(chunk, values):
+            results[index] = value
+    return results

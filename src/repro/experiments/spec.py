@@ -43,10 +43,12 @@ independent per-trial seeds via
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
+import socket
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro import perf
 from repro.adversary.behaviors import (
@@ -84,7 +86,7 @@ from repro.experiments.envspec import (
     environment_axis_names,
     environment_from_overrides,
 )
-from repro.experiments.parallel import parallel_map, trial_seeds, will_shard
+from repro.experiments.parallel import colocation_chunks, parallel_map, trial_seeds
 from repro.experiments.persistence import spec_digest
 from repro.experiments.report import FigureData
 from repro.experiments.runner import (
@@ -646,10 +648,10 @@ def _cell_colocation_key(cell: object) -> object | None:
 
     Cells that expose a ``colocation_key`` (the mission cells — every
     measure series of one mission shares its
-    :class:`~repro.experiments.mission.MissionSpec`) are placed on one
-    worker by ``parallel_map``, so the per-process mission memo serves
-    all series from a single flight.  Plain :class:`TrialSpec` cells
-    return ``None`` and shard item-by-item exactly as before.
+    :class:`~repro.experiments.mission.MissionSpec`) are planned into
+    one shard, so one process's mission memo serves all series from a
+    single flight.  Plain :class:`TrialSpec` cells return ``None`` and
+    form one-cell shards.
     """
     return getattr(cell, "colocation_key", None)
 
@@ -755,21 +757,41 @@ def execute_trial(spec: TrialSpec) -> float:
     raise ExperimentError(f"unknown adversary {spec.adversary!r}")
 
 
-def _execute_cell_with_delta(spec) -> tuple[float, dict]:
-    """Execute one cell and report the worker's artifact-cache delta.
+def _process_origin() -> str:
+    """The host-pid identity of the process executing a shard."""
+    return f"{socket.gethostname()}-{os.getpid()}"
 
-    The sharded-artifact executor: the value is exactly
-    :func:`execute_trial`'s, and the delta carries whatever store
-    entries and counters this worker accumulated since its previous
-    report (cells run sequentially within a worker, so draining after
-    every cell partitions the worker's additions without overlap).
-    The parent merges the deltas back into :data:`ARTIFACTS`, which is
-    what lets ``--artifact-store`` snapshots persist worker-computed
-    certificates and key pools, and sweep output report whole-tree hit
-    rates (DESIGN.md §9.2).
+
+def execute_cells(cells: Iterable) -> dict:
+    """The one shard executor: run ``cells`` in order, in this process.
+
+    Returns ``{"values": [...]}``; when a cell enables ``env.artifacts``
+    the result also carries this process's artifact ``delta``
+    (:meth:`~repro.experiments.artifacts.ArtifactCache.drain_delta`)
+    and its ``origin`` (DESIGN.md §9.2).  ``cells`` may be a generator.
     """
-    value = execute_trial(spec)
-    return value, ARTIFACTS.drain_delta()
+    values: list = []
+    artifacts = False
+    for cell in cells:
+        artifacts = artifacts or cell.env.artifacts
+        values.append(execute_trial(cell))
+    result: dict = {"values": values}
+    if artifacts:
+        result["delta"] = ARTIFACTS.drain_delta()
+        result["origin"] = _process_origin()
+    return result
+
+
+def absorb_shard(values: list, indices: Sequence[int], result: dict) -> None:
+    """The one collector: scatter a shard's values into ``values``.
+
+    Its delta is merged only when it ran in another process; a shard
+    that ran here is already in this process's cache and counters.
+    """
+    for index, value in zip(indices, result["values"]):
+        values[index] = value
+    if result.get("origin") not in (None, _process_origin()):
+        ARTIFACTS.merge_delta(result["delta"])
 
 
 def attack_rates(
@@ -854,8 +876,8 @@ class FigurePlan:
         figure: pre-filled id/title/labels/notes (scale and skip notes
             included); series may be pre-created to pin display order.
         groups: ordered cell groups; the engine executes all cells of
-            all groups through one :func:`parallel_map` call and then
-            aggregates group by group.
+            all groups in one sharded pass and then aggregates group by
+            group.
         finalize: optional post-assembly hook (e.g. ratio notes).
     """
 
@@ -1900,20 +1922,34 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-def artifact_store_path(
-    resolved: "ResolvedSweep", artifact_store: str | pathlib.Path
-) -> pathlib.Path:
-    """The on-disk artifact snapshot path for one resolved sweep.
+@contextlib.contextmanager
+def artifact_scope(
+    resolved: "ResolvedSweep",
+    cells: Sequence[object],
+    artifact_store: str | pathlib.Path | None = None,
+) -> Iterator[dict | None]:
+    """One sweep's artifact lifetime: load the store, warm, yield the
+    warm snapshot (``None`` without artifact cells), save after the body.
 
-    One convention shared by every execution substrate (the in-process
-    engine and the fabric client), so a warm snapshot written by a
-    local ``--artifact-store`` run is found by a queue-backed run of
-    the same resolved spec, and vice versa.
+    Every substrate (the local engine, the fabric client) runs inside
+    it, so a snapshot one writes under ``artifact_store`` — one file per
+    resolved spec digest — is the one the other loads.
     """
-    return pathlib.Path(artifact_store) / (
-        f"artifacts-{resolved.spec.figure_id}-"
-        f"{spec_digest(resolved.payload())[:12]}.pkl"
-    )
+    artifact_cells = [cell for cell in cells if cell.env.artifacts]
+    if not artifact_cells:
+        yield None
+        return
+    store_path = None
+    if artifact_store is not None:
+        store_path = pathlib.Path(artifact_store) / (
+            f"artifacts-{resolved.spec.figure_id}-"
+            f"{spec_digest(resolved.payload())[:12]}.pkl"
+        )
+        ARTIFACTS.load(store_path)
+    _warm_artifacts(artifact_cells)
+    yield ARTIFACTS.snapshot()
+    if store_path is not None:
+        ARTIFACTS.save(store_path)
 
 
 class SweepEngine:
@@ -2038,29 +2074,26 @@ class SweepEngine:
     ) -> FigureData:
         """Execute one sweep and return its figure.
 
-        All cells of all groups go through :func:`execute_trial` via a
-        single :func:`parallel_map` call, so ``workers`` shards every
-        registered figure; rows are bit-identical for any worker count
-        because each cell's randomness is explicit in its spec.
+        The cells of all groups are planned into shards by
+        :func:`~repro.experiments.parallel.colocation_chunks` (the
+        fabric's planner too) and executed by :func:`execute_cells`
+        through a single :func:`parallel_map` call, so ``workers``
+        shards every registered figure; rows are bit-identical for any
+        worker count because each cell's randomness is explicit in its
+        spec.
 
-        When any cell enables the artifact layer (``env.artifacts``),
-        the engine warms :data:`ARTIFACTS` in the parent before
-        sharding — interned topologies/scenarios, plus signer key pools
-        for ``env.scheme`` cells — and installs the warm snapshot in
-        every worker through ``parallel_map``'s initializer, so the
-        expensive trial-invariant work happens once per sweep rather
-        than once per cell or once per worker (DESIGN.md §9.2).
+        When any cell enables ``env.artifacts``, the sweep runs inside
+        :func:`artifact_scope`: the parent warms :data:`ARTIFACTS`
+        once, every worker installs the warm snapshot through
+        ``parallel_map``'s initializer, and :func:`absorb_shard` merges
+        the workers' deltas back (DESIGN.md §9.2).
 
         Args:
             artifact_store: opt-in on-disk artifact layer: a directory
                 (conventionally ``benchmarks/out/``) holding one cache
-                snapshot per resolved sweep, keyed by spec digest.
-                Loaded before the run, saved after; ignored unless some
-                cell enables ``env.artifacts``.  The snapshot is saved
-                from the parent process after worker deltas are merged
-                back, so sharded runs persist everything the process
-                tree computed — warm-up set, worker-computed
-                certificates and lazily-built key pools alike
+                snapshot per resolved sweep, keyed by spec digest,
+                loaded before the run and saved after the merge — so
+                it persists everything the process tree computed
                 (DESIGN.md §10.3; pinned by ``tests/test_artifacts.py``).
         """
         if isinstance(spec, ResolvedSweep):
@@ -2084,46 +2117,18 @@ class SweepEngine:
                 base_seed=base_seed,
             )
         plan, cells = self.prepare(resolved)
-        artifact_cells = [cell for cell in cells if cell.env.artifacts]
-        store_path: pathlib.Path | None = None
-        if artifact_cells:
-            if artifact_store is not None:
-                store_path = artifact_store_path(resolved, artifact_store)
-                ARTIFACTS.load(store_path)
-            _warm_artifacts(artifact_cells)
-            if will_shard(workers, len(cells)):
-                # Sharded: cells report their worker's cache delta so
-                # the parent cache (and therefore the on-disk snapshot
-                # and the surfaced stats) covers worker-computed
-                # artifacts too, not just the warm-up set.
-                outcomes = parallel_map(
-                    _execute_cell_with_delta,
-                    cells,
-                    workers=workers,
-                    initializer=install_artifacts,
-                    initargs=(ARTIFACTS.snapshot(),),
-                    colocate=_cell_colocation_key,
-                )
-                values = []
-                for value, delta in outcomes:
-                    ARTIFACTS.merge_delta(delta)
-                    values.append(value)
-            else:
-                values = parallel_map(
-                    execute_trial,
-                    cells,
-                    workers=workers,
-                    colocate=_cell_colocation_key,
-                )
-            if store_path is not None:
-                ARTIFACTS.save(store_path)
-        else:
-            values = parallel_map(
-                execute_trial,
-                cells,
+        shards = colocation_chunks(cells, _cell_colocation_key)
+        values: list = [None] * len(cells)
+        with artifact_scope(resolved, cells, artifact_store) as snapshot:
+            results = parallel_map(
+                execute_cells,
+                [[cells[index] for index in shard] for shard in shards],
                 workers=workers,
-                colocate=_cell_colocation_key,
+                initializer=install_artifacts,
+                initargs=(snapshot,),
             )
+            for shard, result in zip(shards, results):
+                absorb_shard(values, shard, result)
         return self.assemble(plan, values)
 
     @staticmethod
@@ -2208,9 +2213,11 @@ __all__ = [
     "SweepSpec",
     "TopologySpec",
     "TrialSpec",
-    "artifact_store_path",
+    "absorb_shard",
+    "artifact_scope",
     "attack_rates",
     "environment_axis_names",
+    "execute_cells",
     "execute_trial",
     "paper_scale",
     "profile_name",

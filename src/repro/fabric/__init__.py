@@ -27,6 +27,7 @@ from repro.fabric.chaos import (
     JitteredBackoff,
     PLAN_ENV,
     RetryPolicy,
+    STALL_ENV,
 )
 from repro.fabric.client import (
     FabricRun,
@@ -46,7 +47,7 @@ from repro.fabric.queue import (
     worker_identity,
 )
 from repro.fabric.supervisor import Supervisor, SupervisorReport, run_supervisor
-from repro.fabric.worker import STALL_ENV, WorkerStats, execute_shard, run_worker
+from repro.fabric.worker import WorkerStats, execute_shard, run_worker
 
 __all__ = [
     "DEFAULT_LEASE_TTL",

@@ -31,7 +31,6 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
-from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.parallel import colocation_chunks
 from repro.experiments.persistence import spec_digest
 from repro.experiments.report import FigureData
@@ -39,9 +38,9 @@ from repro.experiments.spec import (
     SWEEP_ENGINE,
     ResolvedSweep,
     _cell_colocation_key,
-    _warm_artifacts,
-    artifact_store_path,
-    execute_trial,
+    absorb_shard,
+    artifact_scope,
+    execute_cells,
 )
 from repro.fabric import chaos
 from repro.fabric.chaos import JitteredBackoff
@@ -125,12 +124,6 @@ class FabricRun:
         }
 
 
-def _execute_locally(plan, cells) -> FigureData:
-    """The degraded path: the serial executor, cell by cell, in order."""
-    values = [execute_trial(cell) for cell in cells]
-    return SWEEP_ENGINE.assemble(plan, values)
-
-
 def run_sweep_via_queue(
     resolved: ResolvedSweep,
     queue_root,
@@ -150,15 +143,6 @@ def run_sweep_via_queue(
     """
     plan, cells = SWEEP_ENGINE.prepare(resolved)
     job_id = job_id_of(resolved)
-    shards = colocation_chunks(cells, _cell_colocation_key)
-    record = JobRecord(
-        job_id=job_id,
-        figure_id=resolved.spec.figure_id,
-        payload=resolved.payload(),
-        shards=tuple(tuple(shard) for shard in shards),
-        cell_count=len(cells),
-        artifacts=False,
-    )
     if not cells:
         return FabricRun(
             figure=SWEEP_ENGINE.assemble(plan, []),
@@ -167,25 +151,24 @@ def run_sweep_via_queue(
             resumed_shards=0,
             client_shards=0,
         )
-
-    artifact_cells = [cell for cell in cells if cell.env.artifacts]
-    snapshot_bytes: bytes | None = None
-    store_path = None
-    if artifact_cells:
-        if artifact_store is not None:
-            store_path = artifact_store_path(resolved, artifact_store)
-            ARTIFACTS.load(store_path)
-        _warm_artifacts(artifact_cells)
-        snapshot_bytes = pickle.dumps(ARTIFACTS.snapshot())
+    with artifact_scope(resolved, cells, artifact_store) as snapshot:
         record = JobRecord(
-            job_id=record.job_id,
-            figure_id=record.figure_id,
-            payload=record.payload,
-            shards=record.shards,
-            cell_count=record.cell_count,
-            artifacts=True,
+            job_id=job_id,
+            figure_id=resolved.spec.figure_id,
+            payload=resolved.payload(),
+            shards=tuple(
+                tuple(shard) for shard in colocation_chunks(cells, _cell_colocation_key)
+            ),
+            cell_count=len(cells),
+            artifacts=snapshot is not None,
         )
+        return _drive_job(plan, cells, record, snapshot, queue_root, work, poll)
 
+
+def _drive_job(plan, cells, record, snapshot, queue_root, work, poll) -> FabricRun:
+    """Submit one job, then collect, quarantine-execute and work its
+    shards until every result is in (or degrade to local execution)."""
+    job_id = record.job_id
     # Everything up to (and including) submission may raise
     # QueueUnreachable: nothing has executed yet, so the caller can
     # degrade wholesale.
@@ -202,19 +185,19 @@ def run_sweep_via_queue(
         record.figure_id,
         record.payload,
         cells,
-        [list(shard) for shard in shards],
-        artifact_snapshot=snapshot_bytes,
+        [list(shard) for shard in record.shards],
+        artifact_snapshot=None if snapshot is None else pickle.dumps(snapshot),
     )
     existing = queue.load_job(job_id)
     if existing is not None and existing.shards != record.shards:
         raise ExperimentError(
             f"job {job_id} exists with a different shard plan "
-            f"({existing.total_shards} vs {len(shards)} shards); the queue "
-            "was populated by a different code version — clear the job "
+            f"({existing.total_shards} vs {record.total_shards} shards); the "
+            "queue was populated by a different code version — clear the job "
             "directory or use a fresh queue root"
         )
 
-    total = len(shards)
+    total = record.total_shards
     # Anti-spin (DESIGN.md §14.2): when every remaining shard is leased
     # by someone else there is nothing to do but wait — with jittered
     # exponential backoff, reset on any progress, instead of a tight
@@ -241,17 +224,14 @@ def run_sweep_via_queue(
                         f"job {job_id} shard {shard_index} failed: "
                         f"{result['error']}"
                     )
-                for index, value in zip(record.shards[shard_index], result["values"]):
-                    values[index] = value
-                if record.artifacts:
-                    ARTIFACTS.merge_delta(result.get("delta") or {})
+                absorb_shard(values, record.shards[shard_index], result)
                 collected.add(shard_index)
                 progressed = True
             if len(collected) >= total:
                 break
             # Poison-shard quarantine (DESIGN.md §14.3): a dead-lettered
             # shard will never be claimed by a worker again, so the
-            # client runs its cells locally — once, through the serial
+            # client runs its cells locally — once, through the shard
             # executor, immune to the worker-side fault plan — and
             # publishes the result so the job still completes durably.
             for shard_index in sorted(
@@ -259,15 +239,17 @@ def run_sweep_via_queue(
             ):
                 quarantine_handled.add(shard_index)
                 indices = record.shards[shard_index]
-                payload: dict = {
-                    "shard": shard_index,
-                    "indices": list(indices),
-                    "values": [execute_trial(cells[index]) for index in indices],
-                    "quarantined": True,
-                }
-                if record.artifacts:
-                    payload["delta"] = ARTIFACTS.drain_delta()
-                queue.write_result(job_id, shard_index, payload)
+                result = execute_cells([cells[index] for index in indices])
+                queue.write_result(
+                    job_id,
+                    shard_index,
+                    {
+                        "shard": shard_index,
+                        "indices": list(indices),
+                        **result,
+                        "quarantined": True,
+                    },
+                )
                 queue.journal(
                     job_id,
                     client_id,
@@ -296,7 +278,7 @@ def run_sweep_via_queue(
         # locally rather than fail.  Cells are pure, so re-executing
         # shards whose results just became unreachable is safe.
         return FabricRun(
-            figure=_execute_locally(plan, cells),
+            figure=SWEEP_ENGINE.assemble(plan, execute_cells(cells)["values"]),
             job_id=job_id,
             total_shards=total,
             resumed_shards=0,
@@ -306,8 +288,6 @@ def run_sweep_via_queue(
             retries=queue.retries_used,
         )
 
-    if store_path is not None:
-        ARTIFACTS.save(store_path)
     try:
         quarantined = len(queue.quarantined_shards(job_id))
         lease_breaks = queue.total_lease_breaks(job_id)

@@ -3,19 +3,19 @@
 A worker is a plain process loop over the queue — no registration, no
 coordinator, no connection state.  Scale-out is starting more workers;
 scale-in is killing them (leases recover, results are durable).  The
-execution core is *exactly* the serial path's: every cell goes through
-:func:`repro.experiments.spec.execute_trial`, the one sweep-cell
-executor, so a queue-backed sweep is row-identical to a serial run by
-construction — the fabric moves work between processes, never changes
-what the work computes.
+execution core is *exactly* the serial path's: every shard goes through
+:func:`repro.experiments.spec.execute_cells`, the one shard executor
+the local pool uses too, so a queue-backed sweep is row-identical to a
+serial run by construction — the fabric moves work between processes,
+never changes what the work computes.
 
 Warm state: a job submitted with the artifact layer enabled carries the
 client's warmed :class:`~repro.experiments.artifacts.ArtifactCache`
 snapshot (the same ``--artifact-store`` format, DESIGN.md §9).  A worker
-adopts it once per job and reports its own additions back inside each
-shard result (the worker-delta protocol of §9.2 carried over the
-filesystem instead of a pipe), so the client's merged cache — and its
-on-disk snapshot — covers the whole fleet's work.
+adopts it once per job; each shard result carries the worker's cache
+delta and ``origin``, which the client merges because the origin is
+another process (DESIGN.md §9.2) — so the client's cache, and its
+on-disk snapshot, covers the whole fleet's work.
 
 Failure semantics: a cell that raises publishes an *error result* (the
 serial path would have raised the same error; retrying a deterministic
@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.experiments.artifacts import ARTIFACTS
-from repro.experiments.spec import execute_trial
+from repro.experiments.spec import execute_cells
 from repro.fabric import chaos
-from repro.fabric.chaos import STALL_ENV  # noqa: F401  (legacy re-export)
 from repro.fabric.queue import (
     DEFAULT_RETRY_POLICY,
     FabricQueue,
@@ -83,22 +82,22 @@ def execute_shard(
     """Execute one claimed shard and publish its result.
 
     The caller must hold the lease.  Cells run in shard order in this
-    process — the colocation contract — and, when the job carries
-    artifacts, the worker's cache delta since the previous drain rides
-    along in the result for the client to merge (DESIGN.md §9.2).
+    process — the colocation contract — through the shard executor,
+    with the chaos per-cell hook threaded in as a generator.
     """
     indices = record.shards[shard_index]
     injector = chaos.active()
     if injector is not None:
         injector.on_shard_start(record.job_id, shard_index)
 
-    def _run_cell(index: int):
-        if injector is not None:
-            injector.on_cell(record.job_id, shard_index)
-        return execute_trial(cells[index])
+    def shard_cells():
+        for index in indices:
+            if injector is not None:
+                injector.on_cell(record.job_id, shard_index)
+            yield cells[index]
 
     try:
-        values = [_run_cell(index) for index in indices]
+        result = execute_cells(shard_cells())
     except ExperimentError as exc:
         queue.write_result(
             record.job_id,
@@ -111,14 +110,11 @@ def execute_shard(
             {"event": "failed", "shard": shard_index, "error": str(exc)},
         )
         return
-    payload: dict = {
-        "shard": shard_index,
-        "indices": list(indices),
-        "values": values,
-    }
-    if record.artifacts:
-        payload["delta"] = ARTIFACTS.drain_delta()
-    queue.write_result(record.job_id, shard_index, payload)
+    queue.write_result(
+        record.job_id,
+        shard_index,
+        {"shard": shard_index, "indices": list(indices), **result},
+    )
     if injector is not None:
         injector.on_result_published(
             queue.result_path(record.job_id, shard_index),
@@ -259,4 +255,4 @@ def run_worker(
     return stats
 
 
-__all__ = ["STALL_ENV", "WorkerStats", "execute_shard", "run_worker"]
+__all__ = ["WorkerStats", "execute_shard", "run_worker"]

@@ -38,7 +38,7 @@ import pytest
 
 from repro import cli
 from repro.errors import ExperimentError
-from repro.experiments.artifacts import clear_artifact_cache
+from repro.experiments.artifacts import ARTIFACTS, clear_artifact_cache
 from repro.experiments.parallel import colocation_chunks
 from repro.experiments.persistence import dump_figure_json
 from repro.experiments.spec import SWEEP_ENGINE, _cell_colocation_key
@@ -354,6 +354,22 @@ class TestQuarantine:
         again = run_sweep_via_queue(_resolve(TINY), tmp_path / "q")
         assert again.resumed_shards == again.total_shards
         assert dump_figure_json(again.figure) == serial
+
+    def test_quarantined_artifact_shards_counted_once(self, tmp_path):
+        """The client executes quarantined shards in its own process:
+        their deltas must not be merged back on collection."""
+        overrides = {**SMALL, "env.artifacts": True}
+        SWEEP_ENGINE.run(_resolve(overrides))
+        serial = ARTIFACTS.stats.counters()
+        clear_artifact_cache()
+        queue = FabricQueue(tmp_path / "q")
+        job_id, _, _, shards = _submit_only(queue, _resolve(overrides))
+        for shard in range(len(shards)):
+            queue.quarantine(job_id, shard, breaks=3, worker_id="w-breaker")
+        run = run_sweep_via_queue(_resolve(overrides), tmp_path / "q")
+        assert run.quarantined == len(shards)
+        assert run.client_shards == 0
+        assert ARTIFACTS.stats.counters() == serial
 
     def test_reentrant_claim_recognises_own_lease(self, tmp_path):
         queue = FabricQueue(tmp_path / "q")

@@ -244,6 +244,35 @@ class TestQueueEqualsSerial:
         assert dump_figure_json(run.figure) == serial
         assert list((tmp_path / "store").glob("artifacts-fig3-*.pkl"))
 
+    def test_client_executed_artifact_counters_equal_serial(self, tmp_path):
+        """With no workers the client executes every shard itself; its
+        own deltas are already in its cache, so the surfaced counters
+        must equal the serial run's rather than double them."""
+        overrides = {"ns": (8, 10), "ks": (2, 4), "env.artifacts": True}
+        SWEEP_ENGINE.run(_resolve(overrides))
+        serial = ARTIFACTS.stats.counters()
+        clear_artifact_cache()
+        run = run_sweep_via_queue(_resolve(overrides), tmp_path / "q")
+        assert run.client_shards == run.total_shards
+        assert ARTIFACTS.stats.counters() == serial
+        assert serial["topology_misses"] > 0
+
+    @pytest.mark.parametrize(
+        "artifacts, extra", [(False, set()), (True, {"delta", "origin"})]
+    )
+    def test_result_files_carry_delta_and_origin_only_for_artifacts(
+        self, tmp_path, artifacts, extra
+    ):
+        queue = FabricQueue(tmp_path / "q")
+        run = run_sweep_via_queue(
+            _resolve({**TINY, "env.artifacts": artifacts}), queue
+        )
+        keys = {
+            frozenset(queue.read_result(run.job_id, shard))
+            for shard in range(run.total_shards)
+        }
+        assert keys == {frozenset({"shard", "indices", "values", "version"} | extra)}
+
     def test_worker_executes_submitted_job(self, tmp_path):
         queue = FabricQueue(tmp_path / "q")
         resolved = _resolve()
