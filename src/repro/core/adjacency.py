@@ -65,6 +65,13 @@ class DiscoveredGraph:
         self._adjacency.setdefault(v, set()).add(u)
         return True
 
+    def copy(self) -> DiscoveredGraph:
+        """An independent copy sharing the (immutable) proof objects."""
+        clone = DiscoveredGraph(self._n)
+        clone._proofs = dict(self._proofs)
+        clone._adjacency = {node: set(peers) for node, peers in self._adjacency.items()}
+        return clone
+
     def proof_of(self, u: NodeId, v: NodeId) -> NeighborhoodProof:
         """The recorded proof for an edge.
 

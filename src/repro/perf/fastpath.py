@@ -10,7 +10,12 @@ engine here evaluates those closed forms as numpy array passes, then
 materialises the per-node protocol end-state (discovered graphs,
 Bloom filters, known-id sets) and calls the real ``conclude()`` on
 every node — so verdicts are produced by the exact same decision code
-as the scalar path, and traffic is accounted byte-for-byte.
+as the scalar path, and traffic is accounted byte-for-byte.  A NECTAR
+node's discovered graph is the set of edges it knows when the last
+round ends, and few distinct sets occur per trial (Lemma 2: correct
+nodes of one connected group end with the same G_i), so each distinct
+set is built once through ``DiscoveredGraph.add`` and every node
+receives its own copy.
 
 Closed forms, with D the delivery digraph (graph adjacency minus a
 two-faced node's ``silent_towards`` arcs) and ``d_D`` directed hop
@@ -61,6 +66,7 @@ from repro.adversary.behaviors import (
 from repro.baselines.bloom import BloomFilter
 from repro.baselines.mtg import MtgNode
 from repro.baselines.mtgv2 import Mtgv2Node
+from repro.core.adjacency import DiscoveredGraph
 from repro.core.nectar import NectarNode
 from repro.crypto.sizes import WireProfile
 from repro.graphs.graph import Graph
@@ -121,7 +127,11 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
         has_two_faced = TwoFacedNectarNode in kinds
         uses_cache = False
         for node_id, p in protocols.items():
-            if not p._batching or p._neighbors != graph.neighbors(node_id):
+            if (
+                not p._batching
+                or p._n != graph.n
+                or p._neighbors != graph.neighbors(node_id)
+            ):
                 return None
             validator = p._validator
             if validator.mode.value == "full" and validator.cache is not None:
@@ -179,21 +189,32 @@ def _conclude_all(protocols: Mapping[NodeId, Any]) -> dict[NodeId, Any]:
     return {node_id: protocols[node_id].conclude() for node_id in sorted(protocols)}
 
 
+def _arrival_rounds(delivery, rounds: int):
+    """``directed_distances`` with the unreachable sentinel moved past
+    the last round, so a run of more than n rounds never reaches it."""
+    dist = directed_distances(delivery)
+    n = dist.shape[0]
+    dist[dist > n] = max(n, rounds) + 1
+    return dist
+
+
 def _acceptance_sources(np, delivery, acc_rows):
     """Per item-row, the smallest-id sender of each first acceptance.
 
     ``acc_rows[k, i]`` is the acceptance round of item k at node i;
     the source is the smallest s with an arc s→i and
     ``acc[s] == acc[i] - 1`` (deliveries arrive in sorted sender
-    order), or -1 for originators.
+    order), or -1 for originators.  One pass per receiver over its
+    in-neighbors' columns, for all items at once.
     """
-    items = acc_rows.shape[0]
     src = np.full(acc_rows.shape, -1, dtype=np.int64)
-    for k in range(items):
-        acc = acc_rows[k]
-        candidates = delivery & (acc[:, None] + 1 == acc[None, :])
-        has_candidate = candidates.any(axis=0)
-        src[k] = np.where(has_candidate, candidates.argmax(axis=0), -1)
+    for receiver in range(delivery.shape[0]):
+        senders = np.flatnonzero(delivery[:, receiver])  # ascending ids
+        if not senders.size:
+            continue
+        candidates = acc_rows[:, senders] + 1 == acc_rows[:, receiver, None]
+        first = candidates.argmax(axis=1)
+        src[:, receiver] = np.where(candidates.any(axis=1), senders[first], -1)
     return src
 
 
@@ -212,7 +233,7 @@ def _run_nectar(
     delivery = _delivery_matrix(np, graph, protocols)
     edges = sorted(graph.edges())
     m = len(edges)
-    dist = directed_distances(delivery)
+    dist = _arrival_rounds(delivery, rounds)
     lo = np.fromiter((edge[0] for edge in edges), dtype=np.int64, count=m)
     hi = np.fromiter((edge[1] for edge in edges), dtype=np.int64, count=m)
     acc = np.minimum(dist[lo], dist[hi]) if m else np.zeros((0, n), dtype=np.int32)
@@ -258,16 +279,26 @@ def _run_nectar(
 
     # Materialise each node's discovered graph from the shared proof
     # objects (the same objects the scalar run would have delivered),
-    # then decide with the real decision code.
+    # then decide with the real decision code.  A node's G_i is the
+    # set of edges it knows when the last round ends (its column of
+    # acc, own edges included at acc 0), and Lemma 2 leaves few
+    # distinct sets per trial: each is built once through add(), and
+    # every node gets its own copy.
     proof_by_edge = {}
     for p in protocols.values():
         for proof in p._neighbor_proofs.values():
             proof_by_edge[proof.edge] = proof
-    accepted = (acc >= 1) & (acc <= rounds_executed)
+    known = acc <= rounds_executed
+    views: dict[bytes, DiscoveredGraph] = {}
     for node_id in range(n):
-        discovered = protocols[node_id]._discovered
-        for item in np.flatnonzero(accepted[:, node_id]):
-            discovered.add(proof_by_edge[edges[int(item)]])
+        column = known[:, node_id]
+        key = column.tobytes()
+        view = views.get(key)
+        if view is None:
+            view = views[key] = DiscoveredGraph(n)
+            for item in np.flatnonzero(column):
+                view.add(proof_by_edge[edges[int(item)]])
+        protocols[node_id]._discovered = view.copy()
     return _conclude_all(protocols), stats, rounds_executed
 
 
@@ -366,7 +397,7 @@ def _run_mtgv2(
     n = graph.n
     delivery = _delivery_matrix(np, graph, protocols)
     # acc[v, i]: the epoch id v reaches node i (0 at its owner).
-    acc = directed_distances(delivery)
+    acc = _arrival_rounds(delivery, rounds)
     src = _acceptance_sources(np, delivery, acc)
 
     header = (

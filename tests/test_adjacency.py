@@ -67,3 +67,47 @@ class TestDiscoveredGraph:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             DiscoveredGraph(0)
+
+
+class TestCopy:
+    @pytest.fixture
+    def original(self, proof_for):
+        discovered = DiscoveredGraph(10)
+        for u, v in [(0, 1), (1, 2), (4, 5), (2, 7)]:
+            discovered.add(proof_for(u, v))
+        return discovered
+
+    def test_same_n_proofs_and_reachability(self, original):
+        clone = original.copy()
+        assert clone.n == original.n
+        assert clone.edges() == original.edges()
+        for u, v in original.edges():
+            assert clone.proof_of(u, v) is original.proof_of(u, v)
+        for source in range(original.n):
+            assert clone.reachable_from(source) == original.reachable_from(source)
+
+    def test_adding_to_the_copy_leaves_the_original(self, original, proof_for):
+        edges = original.edges()
+        reach = {source: original.reachable_from(source) for source in range(10)}
+        clone = original.copy()
+        assert clone.add(proof_for(5, 6))
+        assert clone.add(proof_for(0, 9))  # extends an existing adjacency set
+        assert original.edges() == edges
+        assert not original.knows(5, 6) and not original.knows(0, 9)
+        assert {s: original.reachable_from(s) for s in range(10)} == reach
+
+    def test_adding_to_the_original_leaves_the_copy(self, original, proof_for):
+        clone = original.copy()
+        edges = clone.edges()
+        reach = {source: clone.reachable_from(source) for source in range(10)}
+        assert original.add(proof_for(5, 6))
+        assert original.add(proof_for(0, 9))
+        assert clone.edges() == edges
+        assert not clone.knows(5, 6) and not clone.knows(0, 9)
+        assert {s: clone.reachable_from(s) for s in range(10)} == reach
+
+    def test_copy_keeps_the_id_range_check(self, proof_for):
+        small = DiscoveredGraph(4)
+        small.add(proof_for(0, 1))
+        with pytest.raises(ValueError):
+            small.copy().add(proof_for(2, 7))

@@ -6,7 +6,11 @@ pure-Python path; these tests pin the contract that makes that safe:
 * batched κ certification equals the scalar ``vertex_connectivity``
   over random graphs and cutoffs (property-based);
 * the closed-form trial fast path reproduces the scalar scheduler's
-  verdicts and traffic byte-for-byte;
+  verdicts and traffic byte-for-byte, and leaves every NECTAR node
+  with its own discovered graph equal to the scalar run's (random,
+  possibly disconnected graphs, two-faced nodes, truncated rounds);
+* its per-receiver acceptance-source search equals the per-item
+  reference loop;
 * an honest FULL-validation trial with a shared verification cache
   returns the same ``TrialResult`` (cache counters included) with and
   without the kernels;
@@ -16,15 +20,19 @@ pure-Python path; these tests pin the contract that makes that safe:
   bit-identical to the scalar leg.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import perf
+from repro.adversary.behaviors import TwoFacedMtgv2Node, TwoFacedNectarNode
 from repro.baselines.mtg import BloomPayload, mtg_epoch_count
-from repro.baselines.mtgv2 import SignedId, SignedIdsPayload
+from repro.baselines.mtgv2 import Mtgv2Node, SignedId, SignedIdsPayload
 from repro.core.decision import clear_connectivity_cache
 from repro.core.messages import EdgeAnnouncement, NectarBatch
+from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
 from repro.crypto.chain import extend_chain
 from repro.crypto.keys import build_keystore
@@ -33,6 +41,7 @@ from repro.crypto.signer import HmacScheme
 from repro.crypto.sizes import DEFAULT_PROFILE
 from repro.experiments.runner import (
     baseline_cost_trial,
+    build_deployment,
     honest_mtg_factory,
     honest_mtgv2_factory,
     nectar_cost_trial,
@@ -41,9 +50,15 @@ from repro.experiments.runner import (
 from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
+from repro.net.channel import RELIABLE_CHANNEL
 from repro.net.message import Envelope
+from repro.net.simulator import SyncNetwork
 from repro.perf import fastpath
-from repro.perf.kernels import certify_graphs, vertex_connectivity_kernel
+from repro.perf.kernels import (
+    certify_graphs,
+    directed_distances,
+    vertex_connectivity_kernel,
+)
 
 requires_numpy = pytest.mark.skipif(
     perf.numpy_or_none() is None,
@@ -268,6 +283,211 @@ def test_fastpath_lossy_channel_stays_scalar():
         lambda: nectar_cost_trial(graph, seed=4, env=env)
     )
     assert scalar == vectorized
+
+
+# ----------------------------------------------------------------------
+# Fast-path end state ≡ scalar end state, node by node
+# ----------------------------------------------------------------------
+@st.composite
+def silenced_trials(draw):
+    """A random graph (sparse draws leave it disconnected or with
+    isolated nodes), up to two two-faced nodes with random silent
+    sets, a round budget from 1 (truncated below the diameter) to
+    n + 2, and the quiescence skip on or off."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    ]
+    two_faced = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    silent = {
+        node: frozenset(draw(st.sets(st.integers(0, n - 1)))) for node in two_faced
+    }
+    rounds = draw(st.integers(min_value=1, max_value=n + 2))
+    return Graph(n, edges), silent, rounds, draw(st.booleans())
+
+
+def _nectar_nodes(graph, deployment, silent, n=None):
+    nodes = {}
+    for node_id in graph.nodes():
+        args = (
+            node_id,
+            graph.n if n is None else n,
+            2,
+            deployment.key_store.key_pair_of(node_id),
+            deployment.scheme,
+            deployment.key_store.directory,
+            deployment.proofs_of(node_id),
+        )
+        if node_id in silent:
+            nodes[node_id] = TwoFacedNectarNode(*args, silent_towards=silent[node_id])
+        else:
+            nodes[node_id] = NectarNode(*args)
+    return nodes
+
+
+def _mtgv2_nodes(graph, deployment, silent):
+    nodes = {}
+    for node_id in graph.nodes():
+        args = (
+            node_id,
+            graph.n,
+            graph.neighbors(node_id),
+            deployment.key_store.key_pair_of(node_id),
+            deployment.scheme,
+            deployment.key_store.directory,
+        )
+        if node_id in silent:
+            nodes[node_id] = TwoFacedMtgv2Node(*args, silent_towards=silent[node_id])
+        else:
+            nodes[node_id] = Mtgv2Node(*args)
+    return nodes
+
+
+def _end_state(verdicts, stats, rounds_executed, nodes):
+    known = {
+        node_id: node.discovered.edges()
+        if isinstance(node, NectarNode)
+        else frozenset(node._known)
+        for node_id, node in nodes.items()
+    }
+    return (
+        verdicts,
+        dict(stats.bytes_sent),
+        dict(stats.bytes_received),
+        dict(stats.messages_sent),
+        dict(stats.messages_received),
+        rounds_executed,
+        known,
+    )
+
+
+def _fast_and_scalar_end_states(graph, build_nodes, rounds, quiescence_skip):
+    """Run two fresh node sets, one per engine; return both end states
+    and the fast leg's nodes."""
+    fast_nodes = build_nodes()
+    fast = fastpath.try_run_trial(
+        graph,
+        fast_nodes,
+        profile=DEFAULT_PROFILE,
+        channel=RELIABLE_CHANNEL,
+        seed=0,
+        rounds=rounds,
+        quiescence_skip=quiescence_skip,
+    )
+    assert fast is not None, "the trial must be fast-path eligible"
+    scalar_nodes = build_nodes()
+    network = SyncNetwork(graph, scalar_nodes, quiescence_skip=quiescence_skip)
+    verdicts = network.run(rounds)
+    scalar = _end_state(verdicts, network.stats, network.rounds_executed, scalar_nodes)
+    return _end_state(*fast, fast_nodes), scalar, fast_nodes
+
+
+@requires_numpy
+@settings(max_examples=60, deadline=None)
+@given(silenced_trials())
+def test_fastpath_nectar_end_state_matches_scalar(trial):
+    graph, silent, rounds, quiescence_skip = trial
+    deployment = build_deployment(graph, scheme=HmacScheme())
+    fast, scalar, fast_nodes = _fast_and_scalar_end_states(
+        graph,
+        lambda: _nectar_nodes(graph, deployment, silent),
+        rounds,
+        quiescence_skip,
+    )
+    assert fast == scalar
+    # Nodes with equal views still own independent discovered graphs.
+    views = {id(node.discovered) for node in fast_nodes.values()}
+    assert len(views) == graph.n
+
+
+@requires_numpy
+@pytest.mark.parametrize("family", ["nectar", "mtgv2"])
+def test_fastpath_runs_longer_than_n_rounds_match_scalar(family):
+    """Unreachable pairs must stay unknown however many rounds run:
+    the distance kernel's n + 1 sentinel is a reachable round number
+    once the budget exceeds n."""
+    graph = Graph(5, [(0, 1), (1, 2)])  # nodes 3 and 4 are isolated
+    deployment = build_deployment(graph, scheme=HmacScheme())
+    build = _nectar_nodes if family == "nectar" else _mtgv2_nodes
+    fast, scalar, _ = _fast_and_scalar_end_states(
+        graph,
+        lambda: build(graph, deployment, {}),
+        graph.n + 3,
+        False,
+    )
+    assert fast == scalar
+
+
+@requires_numpy
+def test_fastpath_rejects_nectar_nodes_with_foreign_n():
+    """A node whose n differs from the graph's keeps the scalar path:
+    a shared view is sized by the graph, not by the node."""
+    graph = Graph(6, [(0, 1), (1, 2), (3, 4)])
+    deployment = build_deployment(graph, scheme=HmacScheme())
+    nodes = _nectar_nodes(graph, deployment, {}, graph.n + 2)
+    assert (
+        fastpath.try_run_trial(
+            graph,
+            nodes,
+            profile=DEFAULT_PROFILE,
+            channel=RELIABLE_CHANNEL,
+            seed=0,
+            rounds=graph.n - 1,
+            quiescence_skip=True,
+        )
+        is None
+    )
+    # The rejected nodes are untouched: the scheduler the caller falls
+    # back to decides exactly as on a fresh scalar leg.
+    fallback = SyncNetwork(graph, nodes).run(graph.n - 1)
+    fresh = _nectar_nodes(graph, deployment, {}, graph.n + 2)
+    with perf.force_kernels(False):
+        assert fallback == SyncNetwork(graph, fresh).run(graph.n - 1)
+
+
+# ----------------------------------------------------------------------
+# Acceptance sources: per-receiver search ≡ per-item reference loop
+# ----------------------------------------------------------------------
+def _acceptance_sources_reference(np, delivery, acc_rows):
+    """The fast path's original per-item loop: one n×n pass per row."""
+    src = np.full(acc_rows.shape, -1, dtype=np.int64)
+    for k in range(acc_rows.shape[0]):
+        acc = acc_rows[k]
+        candidates = delivery & (acc[:, None] + 1 == acc[None, :])
+        src[k] = np.where(candidates.any(axis=0), candidates.argmax(axis=0), -1)
+    return src
+
+
+@requires_numpy
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.sampled_from([0.0, 0.15, 0.4, 0.8]),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=30),
+)
+def test_acceptance_sources_match_per_item_reference(n, density, seed, items):
+    np = perf.numpy_or_none()
+    rng = np.random.default_rng(seed)
+    delivery = rng.random((n, n)) < density
+    np.fill_diagonal(delivery, False)
+    delivery[:, rng.integers(n)] = False  # a receiver with no in-arcs
+    dist = directed_distances(delivery)
+    assert (dist == n + 1).any()  # the unreachable sentinel is present
+    lo = rng.integers(0, n - 1, size=items)
+    hi = lo + 1 + (rng.integers(0, n, size=items) % (n - 1 - lo))
+    shapes = (
+        dist,  # MtGv2: one row per signed id
+        np.minimum(dist[lo], dist[hi]),  # NECTAR: one row per edge
+        fastpath._arrival_rounds(delivery, n + 4),  # sentinel lifted
+    )
+    for acc_rows in shapes:
+        assert np.array_equal(
+            fastpath._acceptance_sources(np, delivery, acc_rows),
+            _acceptance_sources_reference(np, delivery, acc_rows),
+        )
 
 
 # ----------------------------------------------------------------------
