@@ -6,11 +6,7 @@ useful when tuning and to catch performance regressions.
 """
 
 import random
-import time
 
-import pytest
-
-from repro import perf
 from repro.core.validation import ValidationMode
 from repro.crypto.chain import extend_chain, verify_chain
 from repro.crypto.keys import build_keystore
@@ -83,8 +79,8 @@ def test_vertex_connectivity_with_cutoff(benchmark):
 
 
 def test_local_connectivity_cutoff_2(benchmark):
-    """The cutoff <= 2 fast path: degree bound + at most two shortest-
-    path augmentations instead of full Dinic level phases."""
+    """A cutoff-2 κ(s, t) query: two-hop paths through common
+    neighbors first, then at most two augmenting-path searches."""
     graph = harary_graph(6, 40)
     benchmark(local_connectivity, graph, 0, 20, 2)
 
@@ -117,47 +113,6 @@ def _full_validation_trial(n: int, k: int):
 def test_full_validation_trial_n60(benchmark):
     """The Fig. 3 acceptance cell: FULL validation at n >= 60."""
     benchmark.pedantic(_full_validation_trial, args=(60, 6), rounds=1, iterations=1)
-
-
-def _time(fn, repeats: int = 3) -> tuple[float, object]:
-    """Best-of-``repeats`` wall time and the (stable) result of ``fn``."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
-
-
-def test_batched_kappa_vs_scalar(benchmark):
-    """Batched κ certification (repro.perf.kernels) vs the scalar pair
-    loop over a sweep-shaped request batch, with the speedup printed —
-    and the certified values asserted identical."""
-    if not perf.kernels_enabled():
-        pytest.skip("numpy unavailable: no vectorized leg to measure")
-    from repro.perf.kernels import certify_graphs
-
-    requests = [
-        (harary_graph(k, n), cutoff)
-        for k, n in ((4, 24), (6, 40), (6, 60))
-        for cutoff in (2, 3, 5)
-    ]
-
-    def scalar():
-        with perf.force_kernels(False):
-            return [vertex_connectivity(g, cutoff=c) for g, c in requests]
-
-    scalar_wall, scalar_values = _time(scalar)
-    vector_wall, vector_values = _time(lambda: list(certify_graphs(requests)))
-    assert list(scalar_values) == list(vector_values)
-    print(
-        f"\nbatched-kappa: scalar {scalar_wall * 1e3:.1f}ms -> "
-        f"vectorized {vector_wall * 1e3:.1f}ms "
-        f"({scalar_wall / vector_wall:.1f}x)"
-    )
-    benchmark.pedantic(
-        lambda: list(certify_graphs(requests)), rounds=1, iterations=1
-    )
 
 
 def test_full_validation_cache_hit_rate(benchmark):

@@ -266,10 +266,9 @@ class ArtifactCache:
     def has_connectivity(self, graph: Graph, cutoff: int | None) -> bool:
         """Whether a κ certificate is already stored (no counters touched).
 
-        The sweep warm-up uses this to decide which certificates still
-        need producing before it pays for a batched kernel pass; a
-        plain probe must not perturb the hit/miss accounting that
-        :meth:`connectivity` reports for real trial lookups.
+        The sweep warm-up uses this to certify only what is still
+        missing: a plain probe must not perturb the hit/miss accounting
+        that :meth:`connectivity` reports for real trial lookups.
         """
         key = (graph.digest(), cutoff)
         with self._lock:

@@ -50,7 +50,6 @@ import socket
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro import perf
 from repro.adversary.behaviors import (
     MIXED_ADVERSARY_CYCLE,
     SaturatingMtgNode,
@@ -107,6 +106,7 @@ from repro.experiments.scenarios import (
     split_topology_scenario,
 )
 from repro.graphs.analysis import diameter
+from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.generators.drone import drone_graph
 from repro.graphs.graph import Graph
 
@@ -591,22 +591,19 @@ def _warm_artifacts(cells: Sequence[object]) -> None:
     key pair another already has.  Cell types that are not plain trial
     specs (mission cells) bring their own ``warm_artifacts`` hook.
 
-    When the vectorized kernels are enabled, the warm-up also batches
-    κ certificate production: every adversarial artifact cell will ask
+    The warm-up also produces the κ certificates: every adversarial
+    artifact cell will ask
     :func:`~repro.experiments.runner.compute_ground_truth` for the
     truncated connectivity of its scenario graph at cutoff ``2t + 1``,
-    so the distinct ``(graph, cutoff)`` requests the sweep colocates
-    are certified in one :func:`repro.perf.kernels.certify_graphs`
-    pass here and inserted into the certificate store — the cells all
-    hit.  The scalar leg skips this entirely and pays its misses
-    in-trial exactly as before; either way the certified values are
-    identical, so rows and verdicts cannot move.
+    so each distinct ``(graph, cutoff)`` request is certified once here
+    and inserted into the certificate store — the cells all hit.  The
+    certificate is the same :func:`vertex_connectivity` value a cell
+    would compute, so rows and verdicts cannot move.
 
     Infeasible topology parameters are skipped silently here: warm-up
     is an accelerator, and the failing cell raises its real
     :class:`ExperimentError` with full context at execution time.
     """
-    kappa_requests: dict[tuple[str, int], Graph] = {}
     for cell in cells:
         if not isinstance(cell, TrialSpec):
             warm = getattr(cell, "warm_artifacts", None)
@@ -634,13 +631,9 @@ def _warm_artifacts(cells: Sequence[object]) -> None:
             t = getattr(artifact, "t", top.t)
             cutoff = 2 * t + 1
             if not ARTIFACTS.has_connectivity(graph, cutoff):
-                kappa_requests.setdefault((graph.digest(), cutoff), graph)
-    if kappa_requests and perf.kernels_enabled():
-        from repro.perf import kernels
-
-        batch = [(graph, cutoff) for (_, cutoff), graph in kappa_requests.items()]
-        for (graph, cutoff), value in zip(batch, kernels.certify_graphs(batch)):
-            ARTIFACTS.connectivity(graph, cutoff, lambda value=value: value)
+                ARTIFACTS.connectivity(
+                    graph, cutoff, lambda: vertex_connectivity(graph, cutoff=cutoff)
+                )
 
 
 def _cell_colocation_key(cell: object) -> object | None:

@@ -6,8 +6,12 @@ decision phase computes κ of the discovered graph (Algorithm 1 l. 17).
 
 We implement the classical algorithm used for exact node connectivity:
 
-* κ(s, t) for non-adjacent s, t is the max flow in the vertex-split
-  digraph (Menger's theorem [20]);
+* κ(s, t) for non-adjacent s, t is the number of internally
+  vertex-disjoint s–t paths (Menger's theorem [20]).  One engine,
+  :func:`_disjoint_paths`, counts them as unit augmenting paths in the
+  vertex-split digraph (Even & Tarjan, 1975) without building it: the
+  digraph's v_in/v_out states stay implicit in the graph's adjacency
+  sets, and the flow is one path-predecessor pointer per vertex;
 * κ(G) = min over a quadratic-free pair family built from a minimum
   degree vertex v: pairs (v, w) for w non-adjacent to v, plus pairs of
   non-adjacent neighbors of v.  Every minimum cut either excludes v
@@ -16,33 +20,167 @@ We implement the classical algorithm used for exact node connectivity:
 
 A ``cutoff`` argument allows early exit: callers that only need to
 compare κ against a threshold (NECTAR compares against t and the
-sensitivity bound 2t) can cap every max-flow at the threshold.
+sensitivity bound 2t) can cap every path count at the threshold.
+Each common neighbor of s and t is a two-hop path, so a pair with at
+least ``cutoff`` of them is decided without any search.
 """
 
 from __future__ import annotations
 
-from repro import perf
+from typing import Sequence
+
+from repro.errors import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.maxflow import INFINITY, FlowNetwork
+from repro.graphs.maxflow import INFINITY
 from repro.types import NodeId
 
+#: Final-search reach of :func:`_disjoint_paths`: ``(in_from, out_from)``.
+_Residual = tuple[list[int], list[int]]
 
-def _split_network(graph: Graph, source: NodeId, sink: NodeId) -> FlowNetwork:
-    """Build the vertex-split digraph for a κ(source, sink) query.
 
-    Vertex v becomes v_in = 2v and v_out = 2v + 1 with an internal arc
-    of capacity 1 (capacity INFINITY for the terminals, which may not
-    be counted in a separator).  Each undirected edge (u, v) becomes
-    u_out -> v_in and v_out -> u_in with infinite capacity.
+def _augmenting_search(
+    adjacency: Sequence[frozenset[NodeId]],
+    prev: list[int],
+    source: NodeId,
+    sink_adjacent: frozenset[NodeId],
+    in_from: list[int],
+    out_from: list[int],
+) -> int:
+    """Breadth-first search of the residual digraph from source_out.
+
+    Returns the first reached out-state adjacent to the sink (its arc
+    into sink_in is uncapacitated, so the search stops there), or -1
+    once everything reachable is explored.
     """
-    network = FlowNetwork(2 * graph.n)
-    for vertex in graph.nodes():
-        capacity = INFINITY if vertex in (source, sink) else 1
-        network.add_edge(2 * vertex, 2 * vertex + 1, capacity)
-    for u, v in graph.edges():
-        network.add_edge(2 * u + 1, 2 * v, INFINITY)
-        network.add_edge(2 * v + 1, 2 * u, INFINITY)
-    return network
+    queue = [source]
+    for v in queue:  # grows while iterated
+        p = prev[v]
+        if p != -1 and in_from[v] == -1:
+            # Back through v's own saturated internal arc, then
+            # backwards along the path's step p -> v.
+            in_from[v] = v
+            if out_from[p] == -1:
+                out_from[p] = v
+                if p in sink_adjacent:
+                    return p
+                queue.append(p)
+        for w in adjacency[v]:
+            if in_from[w] != -1:
+                continue
+            in_from[w] = v
+            p = prev[w]
+            if p == -1:  # w is free: on through its internal arc
+                out_from[w] = w
+                p = w
+            elif out_from[p] == -1:  # backwards along the step p -> w
+                out_from[p] = w
+            else:
+                continue
+            if p in sink_adjacent:
+                return p
+            queue.append(p)
+    return -1
+
+
+def _disjoint_paths(
+    adjacency: Sequence[frozenset[NodeId]], source: NodeId, sink: NodeId, cutoff: int
+) -> tuple[int, _Residual | None]:
+    """Count internally vertex-disjoint paths between non-adjacent terminals.
+
+    Returns ``(min(κ(source, sink), cutoff), residual)``.  ``residual``
+    is None when the count reached ``cutoff``; otherwise the flow is
+    maximum and ``residual`` is the reach of the final, failing search:
+    ``in_from[v]``/``out_from[v]`` are -1 exactly when v_in/v_out is
+    unreachable from the source in the residual digraph (both source
+    states count as reached).
+
+    The flow starts with the two-hop paths through common neighbors.
+    ``prev[v]`` is the vertex before v on the path through v (-1 when v
+    carries no flow); every residual arc follows from it:
+
+    * v_out -> w_in for every neighbor w (edge arcs are uncapacitated);
+    * v_in -> v_out when v is free, and v_out -> v_in when it is not;
+    * w_in -> prev[w]_out, cancelling the path's step into w.
+
+    A v_in state has exactly one residual successor, so the search
+    queues out-states only.  ``in_from[w]`` is the vertex whose out-state
+    reached w_in (w itself: its own reverse internal arc), and
+    ``out_from[v]`` the vertex whose in-state reached v_out (v itself:
+    its internal arc), so walking an augmenting path back from the sink
+    rewrites ``prev`` of each in-state on it in one step.
+    """
+    common = adjacency[source] & adjacency[sink]
+    if len(common) >= cutoff:
+        return cutoff, None
+    paths = len(common)
+    n = len(adjacency)
+    prev = [-1] * n
+    for vertex in common:
+        prev[vertex] = source
+    while True:
+        in_from = [-1] * n
+        out_from = [-1] * n
+        in_from[source] = out_from[source] = source
+        v = _augmenting_search(
+            adjacency, prev, source, adjacency[sink], in_from, out_from
+        )
+        if v == -1:
+            return paths, (in_from, out_from)
+        while v != source:
+            w = out_from[v]
+            u = in_from[w]
+            prev[w] = -1 if u == w else u
+            v = u
+        paths += 1
+        if paths == cutoff:
+            return cutoff, None
+
+
+def _adjacency(graph: Graph) -> list[frozenset[NodeId]]:
+    return [neighbors for _, neighbors in graph.iter_adjacency()]
+
+
+def _check_terminals(graph: Graph, source: NodeId, sink: NodeId) -> None:
+    for vertex in (source, sink):
+        if not 0 <= vertex < graph.n:
+            raise GraphError(f"node {vertex} outside range [0, {graph.n})")
+
+
+def _residual_cut(residual: _Residual) -> set[NodeId]:
+    """Vertices whose in-state the failing search reached but not their out-state.
+
+    These are the saturated internal arcs leaving the source side of
+    the residual digraph.  That side is the same for every maximum
+    flow, so the cut does not depend on which paths were found.
+    """
+    in_from, out_from = residual
+    return {
+        vertex
+        for vertex, (reached_in, reached_out) in enumerate(zip(in_from, out_from))
+        if reached_in != -1 and reached_out == -1
+    }
+
+
+def _pivot_pairs(graph: Graph) -> list[tuple[NodeId, NodeId]]:
+    """The Esfahanian–Hakimi pair families of a minimum-degree pivot."""
+    pivot = min(graph.nodes(), key=graph.degree)
+    pivot_adjacent = graph.neighbors(pivot)
+    pivot_neighbors = sorted(pivot_adjacent)
+    # Family 1: pivot against every non-neighbor.
+    pairs = [
+        (pivot, other)
+        for other in graph.nodes()
+        if other != pivot and other not in pivot_adjacent
+    ]
+    # Family 2: non-adjacent pairs of pivot's neighbors (covers minimum
+    # cuts that contain the pivot itself).
+    pairs.extend(
+        (x, y)
+        for i, x in enumerate(pivot_neighbors)
+        for y in pivot_neighbors[i + 1:]
+        if not graph.has_edge(x, y)
+    )
+    return pairs
 
 
 def local_connectivity(
@@ -55,14 +193,18 @@ def local_connectivity(
     when one is given).
 
     Raises:
+        GraphError: if either vertex is outside ``[0, n)``.
         ValueError: if ``source == sink``.
     """
+    _check_terminals(graph, source, sink)
     if source == sink:
         raise ValueError("local connectivity needs two distinct vertices")
     if graph.has_edge(source, sink):
         return INFINITY if cutoff is None else cutoff
-    network = _split_network(graph, source, sink)
-    return network.max_flow(2 * source + 1, 2 * sink, cutoff=cutoff)
+    paths, _ = _disjoint_paths(
+        _adjacency(graph), source, sink, graph.n if cutoff is None else cutoff
+    )
+    return paths
 
 
 def vertex_connectivity(graph: Graph, cutoff: int | None = None) -> int:
@@ -79,12 +221,6 @@ def vertex_connectivity(graph: Graph, cutoff: int | None = None) -> int:
         graph (including any graph with an isolated vertex) has κ = 0;
         the complete graph K_n has κ = n - 1 by convention.
     """
-    if perf.kernels_enabled():
-        from repro.perf import kernels
-
-        result = kernels.vertex_connectivity_kernel(graph, cutoff=cutoff)
-        if result is not None:
-            return result
     n = graph.n
     if n == 1:
         return 0 if cutoff is None else min(0, cutoff)
@@ -92,44 +228,20 @@ def vertex_connectivity(graph: Graph, cutoff: int | None = None) -> int:
         return 0
     if cutoff is not None and cutoff <= 1:
         # Connected ⇒ κ >= 1, so the truncation is already decided
-        # without any max-flow work (the cost sweeps run cutoff=1).
+        # without any path search (the cost sweeps run cutoff=1).
         return max(0, cutoff)
     if graph.edge_count == n * (n - 1) // 2:
         kappa = n - 1
         return kappa if cutoff is None else min(kappa, cutoff)
 
     # The minimum degree bounds κ from above, the user cutoff may bound
-    # it further.
+    # it further; every pair is capped at the running minimum.
     best = graph.min_degree()
     if cutoff is not None:
         best = min(best, cutoff)
-    if best == 0:
-        return 0
-
-    pivot = min(graph.nodes(), key=graph.degree)
-    pivot_neighbors = sorted(graph.neighbors(pivot))
-
-    # Family 1: pivot against every non-neighbor.
-    for other in graph.nodes():
-        if other == pivot or other in graph.neighbors(pivot):
-            continue
-        flow = local_connectivity(graph, pivot, other, cutoff=best)
-        if flow < best:
-            best = flow
-            if best == 0:
-                return 0
-
-    # Family 2: non-adjacent pairs of pivot's neighbors (covers minimum
-    # cuts that contain the pivot itself).
-    for i, x in enumerate(pivot_neighbors):
-        for y in pivot_neighbors[i + 1:]:
-            if graph.has_edge(x, y):
-                continue
-            flow = local_connectivity(graph, x, y, cutoff=best)
-            if flow < best:
-                best = flow
-                if best == 0:
-                    return 0
+    adjacency = _adjacency(graph)
+    for s, t in _pivot_pairs(graph):
+        best, _ = _disjoint_paths(adjacency, s, t, best)
     return best
 
 
@@ -141,21 +253,17 @@ def minimum_st_vertex_cut(graph: Graph, source: NodeId, sink: NodeId) -> set[Nod
     maximum flow.
 
     Raises:
+        GraphError: if either vertex is outside ``[0, n)``.
         ValueError: for adjacent (or identical) vertices, which no
             vertex set separates.
     """
+    _check_terminals(graph, source, sink)
     if source == sink or graph.has_edge(source, sink):
         raise ValueError("a vertex cut needs two distinct non-adjacent vertices")
-    network = _split_network(graph, source, sink)
-    network.max_flow(2 * source + 1, 2 * sink)
-    reachable = network.residual_reachable(2 * source + 1)
-    cut = set()
-    for vertex in graph.nodes():
-        if vertex in (source, sink):
-            continue
-        if 2 * vertex in reachable and 2 * vertex + 1 not in reachable:
-            cut.add(vertex)
-    return cut
+    # κ(source, sink) <= n - 2, so a cutoff of n always ends on a
+    # failing search.
+    _, residual = _disjoint_paths(_adjacency(graph), source, sink, graph.n)
+    return _residual_cut(residual)
 
 
 def minimum_vertex_cut(graph: Graph) -> set[NodeId]:
@@ -163,7 +271,9 @@ def minimum_vertex_cut(graph: Graph) -> set[NodeId]:
 
     Useful to place Byzantine nodes in the worst position the paper
     reasons about: |cut| = κ(G) nodes whose removal partitions the
-    correct remainder.
+    correct remainder.  Pairs are tried in :func:`vertex_connectivity`'s
+    order, and a pair's cut replaces the current one only when strictly
+    smaller, so later pairs only search up to the current cut's size.
 
     Raises:
         ValueError: for disconnected or complete graphs (no vertex cut
@@ -174,26 +284,13 @@ def minimum_vertex_cut(graph: Graph) -> set[NodeId]:
         raise ValueError("a disconnected graph has no minimum vertex cut")
     if graph.edge_count == n * (n - 1) // 2:
         raise ValueError("a complete graph has no vertex cut")
+    adjacency = _adjacency(graph)
     best_cut: set[NodeId] | None = None
-    pivot = min(graph.nodes(), key=graph.degree)
-    pivot_neighbors = sorted(graph.neighbors(pivot))
-    candidate_pairs = [
-        (pivot, other)
-        for other in graph.nodes()
-        if other != pivot and other not in graph.neighbors(pivot)
-    ]
-    candidate_pairs.extend(
-        (x, y)
-        for i, x in enumerate(pivot_neighbors)
-        for y in pivot_neighbors[i + 1:]
-        if not graph.has_edge(x, y)
-    )
-    for s, t in candidate_pairs:
-        cut = minimum_st_vertex_cut(graph, s, t)
-        if best_cut is None or len(cut) < len(best_cut):
-            best_cut = cut
-            if len(best_cut) == 0:
-                break
+    for s, t in _pivot_pairs(graph):
+        cap = n if best_cut is None else len(best_cut)
+        _, residual = _disjoint_paths(adjacency, s, t, cap)
+        if residual is not None:
+            best_cut = _residual_cut(residual)
     if best_cut is None:  # pragma: no cover - excluded by the guards above
         raise ValueError("no separable pair found")
     return best_cut

@@ -1,10 +1,13 @@
 """Dinic's maximum-flow algorithm on unit-capacity digraphs.
 
-This is the flow engine behind vertex-connectivity computation
-(:mod:`repro.graphs.connectivity`): local connectivity κ(s, t) equals
-the max flow in the standard vertex-split digraph by Menger's theorem
-[20 in the paper].  Capacities in that construction are 0/1/∞, so a
-compact adjacency-list Dinic with integer capacities suffices.
+Dolev's reliable broadcast (:mod:`repro.extensions.dolev`) delivers a
+message once the paths it arrived on contain t + 1 vertex-disjoint
+ones: a max flow in the vertex-split digraph of those paths (Menger's
+theorem [20 in the paper]).  The test suite also uses this network as
+the independent Menger reference for :mod:`repro.graphs.connectivity`,
+which counts disjoint paths on adjacency lists without building one.
+Capacities in that construction are 0/1/∞, so a compact adjacency-list
+Dinic with integer capacities suffices.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ class FlowNetwork:
         self._capacity: list[int] = []
         self._outgoing: list[list[int]] = [[] for _ in range(vertex_count)]
         # Scratch arrays for the Dinic phases, allocated once per
-        # network and reset in place via the matching templates: the
-        # vertex-connectivity sweeps build O(n²) flow networks and run
-        # several phases on each, so per-phase list allocation shows up.
+        # network and reset in place via the matching templates, so
+        # repeated phases do not reallocate them.
         self._levels = [-1] * vertex_count
         self._next_edge = [0] * vertex_count
         self._level_template = [-1] * vertex_count
@@ -54,37 +56,6 @@ class FlowNetwork:
         self._outgoing[target].append(len(self._to))
         self._to.append(source)
         self._capacity.append(0)
-
-    # ------------------------------------------------------------------
-    # Capacity snapshots (reusable networks)
-    # ------------------------------------------------------------------
-    def capacity_template(self) -> list[int]:
-        """A snapshot of the current residual capacities.
-
-        Callers that run many max-flow queries on the same arc
-        structure (the batched κ kernel re-terminalises one shared
-        vertex-split network per (s, t) pair) snapshot the pristine
-        capacities once and restore them with
-        :meth:`reset_capacities` instead of rebuilding the network.
-        """
-        return self._capacity.copy()
-
-    def reset_capacities(self, template: list[int]) -> None:
-        """Restore residual capacities from a template, in place."""
-        if len(template) != len(self._capacity):
-            raise ValueError("capacity template does not match edge count")
-        self._capacity[:] = template
-
-    def set_edge_capacity(self, edge_index: int, capacity: int) -> None:
-        """Overwrite one arc's residual capacity (template patching).
-
-        Arc indices follow insertion order: the i-th :meth:`add_edge`
-        call creates the forward arc ``2 * i`` and its residual twin
-        ``2 * i + 1``.
-        """
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self._capacity[edge_index] = capacity
 
     # ------------------------------------------------------------------
     # Dinic phases
@@ -172,8 +143,8 @@ class FlowNetwork:
             # residual out-degree of the source or in-degree of the
             # sink, and at most two shortest-path augmentations decide
             # a cutoff <= 2 query — skipping the Dinic level machinery
-            # entirely.  This is the regime NECTAR's decision phase
-            # lives in (κ compared against small t).
+            # entirely.  Dolev's delivery check lives in this regime
+            # (t + 1 disjoint paths for small t).
             capacity_bound = min(
                 self._residual_out_capacity(source, cutoff),
                 self._residual_in_capacity(sink, cutoff),

@@ -1,10 +1,10 @@
 """Vectorized verification core (DESIGN.md §15).
 
-This package hosts the numpy-accelerated kernels behind the hot paths
-of the reproduction — batched κ certification
-(:mod:`repro.perf.kernels`), the array-based trial fast path
-(:mod:`repro.perf.fastpath`) — plus the switchboard that decides
-whether they run at all.
+This package hosts the numpy-accelerated array-based trial fast path
+(:mod:`repro.perf.fastpath`, over the dense kernels of
+:mod:`repro.perf.kernels`) plus the switchboard that decides whether
+it runs at all.  κ certification is not accelerated here: it runs one
+pure-Python engine (:mod:`repro.graphs.connectivity`) on every leg.
 
 The contract is strict equivalence: every kernel is a drop-in for an
 existing pure-Python path and must produce bit-identical observable

@@ -1,42 +1,25 @@
-"""Batched κ certification kernels (DESIGN.md §15).
+"""Dense-matrix kernels of the trial fast path (DESIGN.md §15.4).
 
-The scalar :func:`repro.graphs.connectivity.vertex_connectivity` builds
-one vertex-split :class:`~repro.graphs.maxflow.FlowNetwork` per
-(s, t) pair and walks adjacency sets in pure Python.  In the cutoff ≤ 2
-decision regime the paper's hot loop lives in
-(:func:`~repro.graphs.connectivity.is_byzantine_partitionable`,
-Corollary 1) this dominates trial wall-clock.  The kernel here keeps
-the exact same mathematics — κ is a well-defined integer, so
-equivalence is exact, not approximate — but restructures the work as
-whole-graph array passes:
+:mod:`repro.perf.fastpath` evaluates a lock-step trial's closed forms
+as array passes over two shared kernels:
 
-* the connectivity precheck runs as boolean matrix-vector BFS fronts
-  on a dense adjacency matrix cached on the :class:`Graph`;
-* degree bounds come from one vectorised row sum;
-* common-neighbor counts (``A @ A``) lower-bound κ(s, t) for every
-  non-adjacent pair at once — each common neighbor is an internally
-  disjoint path — letting whole pair families skip their max-flow;
-* the pairs that do need a flow share ONE vertex-split network whose
-  capacities are restored from a snapshot template per query instead
-  of rebuilding the arc lists (the profiled ``add_edge`` hot spot).
+* :func:`adjacency_matrix` — the graph's dense boolean adjacency
+  matrix, built once per :class:`Graph` and cached on it;
+* :func:`directed_distances` — all-pairs hop distances along a
+  directed delivery matrix, one boolean matmul per BFS depth.
 
-Everything returns plain Python ints; numpy types never escape.
+κ certification has no kernel here: every κ query runs
+:mod:`repro.graphs.connectivity`'s one path-counting engine, with or
+without numpy.  Both kernels return numpy arrays that only the fast
+path consumes; numpy types never reach a row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from repro.graphs.graph import Graph
-from repro.graphs.maxflow import INFINITY, FlowNetwork
 from repro.perf import numpy_or_none
 
-__all__ = [
-    "adjacency_matrix",
-    "certify_graphs",
-    "directed_distances",
-    "vertex_connectivity_kernel",
-]
+__all__ = ["adjacency_matrix", "directed_distances"]
 
 
 def _build_dense(graph: Graph):
@@ -82,132 +65,3 @@ def directed_distances(matrix):
         dist[frontier] = depth
         reach |= frontier
     return dist
-
-
-def _is_connected(np, dense) -> bool:
-    """Whole-graph reachability from node 0 via boolean BFS fronts."""
-    n = dense.shape[0]
-    reach = np.zeros(n, dtype=bool)
-    reach[0] = True
-    frontier = reach.copy()
-    while frontier.any():
-        frontier = dense[frontier].any(axis=0) & ~reach
-        reach |= frontier
-    return bool(reach.all())
-
-
-class _PairFlowSolver:
-    """One reusable vertex-split flow network for a whole κ(G) sweep.
-
-    The arc structure (internal unit arcs plus infinite edge arcs)
-    depends only on the graph; each (s, t) query restores the pristine
-    capacity snapshot and lifts the two terminal internal arcs to
-    infinity — the scalar path's per-pair :func:`_split_network`
-    rebuild, without the list churn.
-    """
-
-    def __init__(self, graph: Graph) -> None:
-        network = FlowNetwork(2 * graph.n)
-        for vertex in graph.nodes():
-            network.add_edge(2 * vertex, 2 * vertex + 1, 1)
-        for u, v in graph.edges():
-            network.add_edge(2 * u + 1, 2 * v, INFINITY)
-            network.add_edge(2 * v + 1, 2 * u, INFINITY)
-        self._network = network
-        self._template = network.capacity_template()
-
-    def local_connectivity(self, source: int, sink: int, cutoff: int) -> int:
-        network = self._network
-        network.reset_capacities(self._template)
-        # The internal arc of vertex v is the v-th add_edge call, whose
-        # forward residual slot is 2v; terminals may not be counted in
-        # a separator, exactly as in the scalar _split_network.
-        network.set_edge_capacity(2 * source, INFINITY)
-        network.set_edge_capacity(2 * sink, INFINITY)
-        return network.max_flow(2 * source + 1, 2 * sink, cutoff=cutoff)
-
-
-def vertex_connectivity_kernel(graph: Graph, cutoff: int | None = None) -> int | None:
-    """κ(G) (truncated at ``cutoff``) via the batched pair-family pass.
-
-    Mirrors :func:`repro.graphs.connectivity.vertex_connectivity`
-    case-for-case; returns None when numpy is unavailable so the
-    caller falls through to the scalar body.
-    """
-    np = numpy_or_none()
-    if np is None:
-        return None
-    n = graph.n
-    if n == 1:
-        return 0 if cutoff is None else min(0, cutoff)
-    dense = adjacency_matrix(graph)
-    if not _is_connected(np, dense):
-        return 0
-    if cutoff is not None and cutoff <= 1:
-        return max(0, cutoff)
-    if graph.edge_count == n * (n - 1) // 2:
-        kappa = n - 1
-        return kappa if cutoff is None else min(kappa, cutoff)
-
-    degrees = dense.sum(axis=1)
-    best = int(degrees.min())
-    if cutoff is not None:
-        best = min(best, cutoff)
-    if best == 0:
-        return 0
-
-    # Common-neighbor counts lower-bound κ(s, t) for non-adjacent
-    # pairs: each common neighbor is an internally disjoint two-hop
-    # path, so a pair whose bound already reaches the running minimum
-    # cannot improve it and skips the flow entirely.
-    counts = dense.astype(np.int32)
-    common = counts @ counts
-
-    pivot = int(degrees.argmin())
-    pivot_row = dense[pivot]
-    solver = _PairFlowSolver(graph)
-
-    # Family 1: pivot against every non-neighbor.
-    for other in np.flatnonzero(~pivot_row):
-        other = int(other)
-        if other == pivot:
-            continue
-        if int(common[pivot, other]) >= best:
-            continue
-        flow = solver.local_connectivity(pivot, other, cutoff=best)
-        if flow < best:
-            best = flow
-            if best == 0:
-                return 0
-
-    # Family 2: non-adjacent pairs of pivot's neighbors.
-    pivot_neighbors = [int(v) for v in np.flatnonzero(pivot_row)]
-    for index, x in enumerate(pivot_neighbors):
-        for y in pivot_neighbors[index + 1:]:
-            if dense[x, y]:
-                continue
-            if int(common[x, y]) >= best:
-                continue
-            flow = solver.local_connectivity(x, y, cutoff=best)
-            if flow < best:
-                best = flow
-                if best == 0:
-                    return 0
-    return int(best)
-
-
-def certify_graphs(
-    requests: Iterable[tuple[Graph, int | None]],
-) -> Sequence[int]:
-    """Batched κ certification over colocated (graph, cutoff) requests.
-
-    One call amortises the dense-matrix builds and pair-family passes
-    across every certificate a sweep shard is about to miss on; the
-    artifact layer stores the results under the graphs' digests.  The
-    values are exactly :func:`vertex_connectivity` of each request —
-    computed through the kernel when numpy is present, through the
-    scalar path otherwise, with identical results either way.
-    """
-    from repro.graphs.connectivity import vertex_connectivity
-
-    return [vertex_connectivity(graph, cutoff=cutoff) for graph, cutoff in requests]

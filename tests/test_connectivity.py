@@ -1,10 +1,18 @@
-"""Tests for vertex connectivity — including property tests vs networkx."""
+"""Tests for vertex connectivity — including property tests vs networkx.
+
+The path-counting engine behind every function here is also pinned to
+two independent references: networkx, and a brute-force Menger
+reference built on :class:`FlowNetwork` (one vertex-split max flow per
+non-adjacent pair).
+"""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.connectivity import local_node_connectivity
 
+from repro.errors import GraphError
 from repro.graphs.connectivity import (
     is_byzantine_partitionable,
     is_vertex_cut,
@@ -22,7 +30,7 @@ from repro.graphs.generators.classic import (
     two_cliques_bridge,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.maxflow import INFINITY
+from repro.graphs.maxflow import INFINITY, FlowNetwork
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
@@ -95,6 +103,24 @@ class TestLocalConnectivity:
         edges = [(0, 1), (1, 2), (2, 7), (0, 3), (3, 4), (4, 7), (0, 5), (5, 6), (6, 7)]
         graph = Graph(8, edges)
         assert local_connectivity(graph, 0, 7) == 3
+
+
+class TestNodeRange:
+    """Ids outside [0, n) are rejected, never wrapped or indexed."""
+
+    graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+    def test_local_connectivity_rejects_large_id(self):
+        with pytest.raises(GraphError):
+            local_connectivity(self.graph, 0, 7)
+
+    def test_st_cut_rejects_large_id(self):
+        with pytest.raises(GraphError):
+            minimum_st_vertex_cut(self.graph, 0, 9)
+
+    def test_local_connectivity_rejects_negative_id(self):
+        with pytest.raises(GraphError):
+            local_connectivity(self.graph, -1, 2)
 
 
 class TestMinimumCuts:
@@ -198,3 +224,123 @@ def test_minimum_cut_is_a_cut_of_kappa_size(graph):
     cut = minimum_vertex_cut(graph)
     assert len(cut) == kappa
     assert is_vertex_cut(graph, cut)
+
+
+# ----------------------------------------------------------------------
+# The engine against a brute-force Menger reference and networkx
+# ----------------------------------------------------------------------
+def split_network(graph: Graph, source: int, sink: int) -> FlowNetwork:
+    """The vertex-split digraph of a κ(source, sink) query.
+
+    v becomes v_in = 2v and v_out = 2v + 1 joined by a unit arc
+    (uncapacitated for the terminals); each edge (u, v) becomes the
+    uncapacitated arcs u_out -> v_in and v_out -> u_in.
+    """
+    network = FlowNetwork(2 * graph.n)
+    for vertex in graph.nodes():
+        capacity = INFINITY if vertex in (source, sink) else 1
+        network.add_edge(2 * vertex, 2 * vertex + 1, capacity)
+    for u, v in graph.edges():
+        network.add_edge(2 * u + 1, 2 * v, INFINITY)
+        network.add_edge(2 * v + 1, 2 * u, INFINITY)
+    return network
+
+
+def reference_kappa(graph: Graph, cutoff: int | None) -> int:
+    """min over every non-adjacent pair of its split-graph max flow."""
+    n = graph.n
+    kappa = n - 1  # K_n by convention (and 0 for the single node)
+    for s in range(n):
+        for t in range(s + 1, n):
+            if not graph.has_edge(s, t):
+                flow = split_network(graph, s, t).max_flow(2 * s + 1, 2 * t)
+                kappa = min(kappa, flow)
+    return kappa if cutoff is None else min(kappa, cutoff)
+
+
+def reference_cut(graph: Graph, source: int, sink: int) -> set[int]:
+    """The cut read off FlowNetwork's residual after a maximum flow."""
+    network = split_network(graph, source, sink)
+    network.max_flow(2 * source + 1, 2 * sink)
+    reachable = network.residual_reachable(2 * source + 1)
+    return {
+        v
+        for v in graph.nodes()
+        if v not in (source, sink) and 2 * v in reachable and 2 * v + 1 not in reachable
+    }
+
+
+@st.composite
+def graphs_up_to_14(draw, min_nodes=1):
+    n = draw(st.integers(min_value=min_nodes, max_value=14))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not possible:
+        return Graph(n)
+    edges = draw(
+        st.lists(st.sampled_from(possible), max_size=len(possible), unique=True)
+    )
+    return Graph(n, edges)
+
+
+@st.composite
+def graph_with_pair(draw):
+    graph = draw(graphs_up_to_14(min_nodes=2))
+    source, sink = draw(
+        st.lists(
+            st.integers(0, graph.n - 1), min_size=2, max_size=2, unique=True
+        )
+    )
+    return graph, source, sink
+
+
+cutoffs = st.one_of(st.none(), st.integers(min_value=1, max_value=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_up_to_14(), cutoffs)
+def test_kappa_matches_brute_force_menger(graph, cutoff):
+    assert vertex_connectivity(graph, cutoff=cutoff) == reference_kappa(graph, cutoff)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_with_pair(), cutoffs)
+def test_local_connectivity_matches_networkx(drawn, cutoff):
+    graph, source, sink = drawn
+    ours = local_connectivity(graph, source, sink, cutoff=cutoff)
+    if graph.has_edge(source, sink):
+        assert ours == (INFINITY if cutoff is None else cutoff)
+        return
+    theirs = local_node_connectivity(to_networkx(graph), source, sink)
+    assert ours == (theirs if cutoff is None else min(theirs, cutoff))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_with_pair())
+def test_st_cut_matches_flow_network_residual_cut(drawn):
+    graph, source, sink = drawn
+    if graph.has_edge(source, sink):
+        return
+    assert minimum_st_vertex_cut(graph, source, sink) == reference_cut(
+        graph, source, sink
+    )
+
+
+def test_augmenting_path_cancels_an_earlier_path():
+    """The only shortest path s-a-b-c-t blocks both disjoint routes.
+
+    The second search must enter that path at c, run backwards through
+    b (freeing it) to a, and leave again: s-a-y1-y2-y3-t plus
+    s-x1-x2-x3-c-t.
+    """
+    s, a, b, c, t = 0, 1, 2, 3, 4
+    x1, x2, x3, y1, y2, y3 = 5, 6, 7, 8, 9, 10
+    edges = [
+        (s, a), (a, b), (b, c), (c, t),
+        (s, x1), (x1, x2), (x2, x3), (x3, c),
+        (a, y1), (y1, y2), (y2, y3), (y3, t),
+    ]
+    graph = Graph(11, edges)
+    assert local_connectivity(graph, s, t) == 2
+    assert local_connectivity(graph, s, t, cutoff=2) == 2
+    assert minimum_st_vertex_cut(graph, s, t) == reference_cut(graph, s, t)
+    assert vertex_connectivity(graph) == reference_kappa(graph, None) == 2

@@ -3,8 +3,6 @@
 Every kernel in :mod:`repro.perf` is a drop-in accelerator for a
 pure-Python path; these tests pin the contract that makes that safe:
 
-* batched κ certification equals the scalar ``vertex_connectivity``
-  over random graphs and cutoffs (property-based);
 * the closed-form trial fast path reproduces the scalar scheduler's
   verdicts and traffic byte-for-byte, and leaves every NECTAR node
   with its own discovered graph equal to the scalar run's (random,
@@ -16,8 +14,8 @@ pure-Python path; these tests pin the contract that makes that safe:
   without the kernels;
 * the fast path's wire-framing constants match the payloads' real
   ``encoded_size`` arithmetic;
-* the sweep warm-up's batched certificates leave figure rows
-  bit-identical to the scalar leg.
+* a warmed connectivity-resilience sweep yields the same rows with
+  and without the kernels.
 """
 
 import random
@@ -47,18 +45,13 @@ from repro.experiments.runner import (
     nectar_cost_trial,
     run_trial,
 )
-from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
 from repro.net.channel import RELIABLE_CHANNEL
 from repro.net.message import Envelope
 from repro.net.simulator import SyncNetwork
 from repro.perf import fastpath
-from repro.perf.kernels import (
-    certify_graphs,
-    directed_distances,
-    vertex_connectivity_kernel,
-)
+from repro.perf.kernels import directed_distances
 
 requires_numpy = pytest.mark.skipif(
     perf.numpy_or_none() is None,
@@ -67,45 +60,6 @@ requires_numpy = pytest.mark.skipif(
 
 _SCHEME = HmacScheme()
 _STORE = build_keystore(_SCHEME, 8, seed=41)
-
-
-# ----------------------------------------------------------------------
-# Batched κ certification ≡ scalar vertex_connectivity
-# ----------------------------------------------------------------------
-@st.composite
-def graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=9))
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(
-        st.sets(st.sampled_from(possible), min_size=0, max_size=len(possible))
-    )
-    return Graph(n, sorted(edges))
-
-
-@requires_numpy
-@settings(max_examples=80, deadline=None)
-@given(graphs(), st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
-def test_kappa_kernel_matches_scalar(graph, cutoff):
-    with perf.force_kernels(False):
-        expected = vertex_connectivity(graph, cutoff=cutoff)
-    assert vertex_connectivity_kernel(graph, cutoff=cutoff) == expected
-    # The public entry point dispatches to the kernel and agrees too.
-    assert vertex_connectivity(graph, cutoff=cutoff) == expected
-
-
-@requires_numpy
-@settings(max_examples=15, deadline=None)
-@given(
-    st.lists(
-        st.tuples(graphs(), st.one_of(st.none(), st.integers(1, 5))),
-        min_size=0,
-        max_size=6,
-    )
-)
-def test_certify_graphs_matches_scalar_batch(requests):
-    with perf.force_kernels(False):
-        expected = [vertex_connectivity(g, cutoff=c) for g, c in requests]
-    assert list(certify_graphs(requests)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +472,7 @@ def test_full_validation_shared_cache_matches_scalar():
 
 
 # ----------------------------------------------------------------------
-# Sweep warm-up: batched certificates leave rows bit-identical
+# Sweep warm-up: rows identical with and without the kernels
 # ----------------------------------------------------------------------
 @requires_numpy
 def test_warmed_sweep_rows_match_scalar_leg():
