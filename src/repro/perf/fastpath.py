@@ -14,12 +14,12 @@ as the scalar path, and traffic is accounted byte-for-byte.  A NECTAR
 node's discovered graph is the set of edges it knows when the last
 round ends, and few distinct sets occur per trial (Lemma 2: correct
 nodes of one connected group end with the same G_i), so each distinct
-set is built once through ``DiscoveredGraph.add`` and every node
-receives its own copy.
+set is built once through ``DiscoveredGraph.add`` and every NECTAR
+node receives its own copy.
 
 Closed forms, with D the delivery digraph (graph adjacency minus a
-two-faced node's ``silent_towards`` arcs) and ``d_D`` directed hop
-distances:
+two-faced node's ``silent_towards`` arcs and every out-arc of a silent
+node) and ``d_D`` directed hop distances:
 
 * **NECTAR** — announcement of edge (u, v) is accepted by node i at
   round ``acc(i) = min(d_D(u→i), d_D(v→i))`` (0 for endpoints); the
@@ -44,13 +44,23 @@ quiescence skip is on).
 
 Eligibility is strict — ``sync`` backend, an always-delivering channel
 state, and a protocol population drawn entirely from one family's
-closed-form-safe types.  Anything else returns None and the caller
-runs the scalar scheduler.  One documented observability divergence:
-trials that reach this engine never touch the verification cache, so
-``cache_stats`` counters stay zero where the scalar path would count
-hits (verdicts, traffic and rows are unaffected; the affected
-configurations are FULL-mode runs with a cache and a two-faced
-adversary).
+closed-form-safe types:
+
+* NECTAR: ``NectarNode``, ``SleeperNectarNode`` (overrides nothing, so
+  it is honest), ``TwoFacedNectarNode`` and ``SilentNode``.  A silent
+  node is a two-faced node mute toward every neighbour: a sink of D
+  that is still sent to, holds no view, and concludes None;
+* MtG: ``MtgNode``, ``SaturatingMtgNode`` and ``TwoFacedMtgNode``;
+* MtGv2: ``Mtgv2Node`` and ``TwoFacedMtgv2Node``.
+
+Anything else (equivocating, bad-aggregator, spam and every forging
+behaviour) returns None and the caller runs the scalar scheduler.  One
+documented observability divergence: trials that reach this engine
+never touch the verification cache, so ``cache_stats`` counters stay
+zero where the scalar path would count hits (verdicts, traffic and
+rows are unaffected; the affected configurations are FULL-mode runs
+with a cache and any sleeper, silent or two-faced node).  Honest FULL
+runs with a cache stay on the scheduler, so their counters are exact.
 """
 
 from __future__ import annotations
@@ -59,6 +69,8 @@ from typing import Any, Mapping
 
 from repro.adversary.behaviors import (
     SaturatingMtgNode,
+    SilentNode,
+    SleeperNectarNode,
     TwoFacedMtgNode,
     TwoFacedMtgv2Node,
     TwoFacedNectarNode,
@@ -123,10 +135,11 @@ def try_run_trial(
 # ----------------------------------------------------------------------
 def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
     kinds = {type(p) for p in protocols.values()}
-    if kinds <= {NectarNode, TwoFacedNectarNode}:
-        has_two_faced = TwoFacedNectarNode in kinds
+    if kinds <= {NectarNode, SleeperNectarNode, TwoFacedNectarNode, SilentNode}:
         uses_cache = False
         for node_id, p in protocols.items():
+            if type(p) is SilentNode:
+                continue
             if (
                 not p._batching
                 or p._n != graph.n
@@ -136,7 +149,7 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
             validator = p._validator
             if validator.mode.value == "full" and validator.cache is not None:
                 uses_cache = True
-        if uses_cache and not has_two_faced:
+        if uses_cache and kinds == {NectarNode}:
             # FULL honest runs with a shared cache keep the scalar
             # path: their cache-hit observability is pinned by tests.
             return None
@@ -163,9 +176,13 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
 
 
 def _delivery_matrix(np, graph: Graph, protocols: Mapping[NodeId, Any]):
-    """Graph adjacency minus each two-faced node's silent arcs."""
+    """Graph adjacency minus each two-faced node's silent arcs and
+    every out-arc of a silent node."""
     matrix = np.array(adjacency_matrix(graph), dtype=bool)
     for node_id, p in protocols.items():
+        if type(p) is SilentNode:
+            matrix[node_id] = False
+            continue
         silent = getattr(p, "_silent_towards", None)
         if silent:
             for target in silent:
@@ -277,20 +294,24 @@ def _run_nectar(
     stats = TrafficStats()
     _fill_stats(np, stats, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
 
-    # Materialise each node's discovered graph from the shared proof
-    # objects (the same objects the scalar run would have delivered),
-    # then decide with the real decision code.  A node's G_i is the
-    # set of edges it knows when the last round ends (its column of
-    # acc, own edges included at acc 0), and Lemma 2 leaves few
-    # distinct sets per trial: each is built once through add(), and
-    # every node gets its own copy.
+    # Materialise each NECTAR node's discovered graph from the shared
+    # proof objects (the same objects the scalar run would have
+    # delivered), then decide with the real decision code.  A node's
+    # G_i is the set of edges it knows when the last round ends (its
+    # column of acc, own edges included at acc 0), and Lemma 2 leaves
+    # few distinct sets per trial: each is built once through add(),
+    # and every NECTAR node gets its own copy.  A silent node holds no
+    # proofs and no view; its conclude() returns None.
+    nectar = {
+        node_id: p for node_id, p in protocols.items() if isinstance(p, NectarNode)
+    }
     proof_by_edge = {}
-    for p in protocols.values():
+    for p in nectar.values():
         for proof in p._neighbor_proofs.values():
             proof_by_edge[proof.edge] = proof
     known = acc <= rounds_executed
     views: dict[bytes, DiscoveredGraph] = {}
-    for node_id in range(n):
+    for node_id, p in nectar.items():
         column = known[:, node_id]
         key = column.tobytes()
         view = views.get(key)
@@ -298,7 +319,7 @@ def _run_nectar(
             view = views[key] = DiscoveredGraph(n)
             for item in np.flatnonzero(column):
                 view.add(proof_by_edge[edges[int(item)]])
-        protocols[node_id]._discovered = view.copy()
+        p._discovered = view.copy()
     return _conclude_all(protocols), stats, rounds_executed
 
 

@@ -13,7 +13,10 @@ For random graphs, random Byzantine placements and random Byzantine
   vertex cut (Theorem 2).
 
 These are checked against ground truth computed on the *real* graph,
-which no protocol instance ever sees.
+which no protocol instance ever sees, on both trial engines: every
+draw runs once on the default engine (the closed-form fast path when
+the coalition is eligible) and once on the scalar scheduler, and the
+two must reach identical verdicts.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.adversary.behaviors import (
     BadAggregatorNectarNode,
     CollusionTracker,
@@ -160,6 +164,38 @@ def adversarial_runs(draw):
     return graph, t, byzantine, behaviours, salt
 
 
+def _assert_definition_3(graph, t, correct_verdicts, truth):
+    """The five properties of Def. 3 on one run's correct verdicts."""
+    # Termination: every correct node produced a verdict.
+    assert set(correct_verdicts) == set(truth.correct_nodes)
+
+    # Agreement: all correct nodes decide the same value.
+    assert agreement_holds(correct_verdicts), (
+        f"agreement violated: "
+        f"{[(v, verdict.decision) for v, verdict in correct_verdicts.items()]}"
+    )
+
+    # Safety: a vertex cut of Byzantine nodes forbids NOT_PARTITIONABLE.
+    if truth.correct_subgraph_partitioned:
+        assert all(
+            verdict.decision is Decision.PARTITIONABLE
+            for verdict in correct_verdicts.values()
+        ), "safety violated: NOT_PARTITIONABLE despite a Byzantine vertex cut"
+
+    # 2t-Sensitivity: high connectivity forces NOT_PARTITIONABLE.
+    if graph.is_connected() and truth.connectivity >= 2 * t:
+        assert all(
+            verdict.decision is Decision.NOT_PARTITIONABLE
+            for verdict in correct_verdicts.values()
+        ), (
+            f"sensitivity violated: κ={truth.connectivity} >= 2t={2 * t} "
+            f"but some node decided PARTITIONABLE"
+        )
+
+    # Validity: confirmed=True implies an actual cut.
+    assert validity_holds(correct_verdicts, truth)
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -213,49 +249,28 @@ def adversarial_runs(draw):
 )
 def test_definition_3_properties(run):
     graph, t, byzantine, behaviours, salt = run
-    clear_connectivity_cache()
     factories = {
         b: make_factory(name, byzantine, salt + b)
         for b, name in behaviours.items()
     }
-    result = run_trial(
-        graph,
-        t=t,
-        byzantine_factories=factories,
-        with_ground_truth=False,
-        seed=salt,
-    )
-    truth = compute_ground_truth(graph, t, byzantine)
-    correct_verdicts = result.correct_verdicts
 
-    # Termination: every correct node produced a verdict.
-    assert set(correct_verdicts) == set(truth.correct_nodes)
-
-    # Agreement: all correct nodes decide the same value.
-    assert agreement_holds(correct_verdicts), (
-        f"agreement violated: "
-        f"{[(v, verdict.decision) for v, verdict in correct_verdicts.items()]}"
-    )
-
-    # Safety: a vertex cut of Byzantine nodes forbids NOT_PARTITIONABLE.
-    if truth.correct_subgraph_partitioned:
-        assert all(
-            verdict.decision is Decision.PARTITIONABLE
-            for verdict in correct_verdicts.values()
-        ), "safety violated: NOT_PARTITIONABLE despite a Byzantine vertex cut"
-
-    # 2t-Sensitivity: high connectivity forces NOT_PARTITIONABLE.
-    if graph.is_connected() and truth.connectivity >= 2 * t:
-        assert all(
-            verdict.decision is Decision.NOT_PARTITIONABLE
-            for verdict in correct_verdicts.values()
-        ), (
-            f"sensitivity violated: κ={truth.connectivity} >= 2t={2 * t} "
-            f"but some node decided PARTITIONABLE"
+    def trial():
+        clear_connectivity_cache()
+        return run_trial(
+            graph,
+            t=t,
+            byzantine_factories=factories,
+            with_ground_truth=False,
+            seed=salt,
         )
 
-    # Validity: confirmed=True implies an actual cut.
-    assert validity_holds(correct_verdicts, truth)
+    truth = compute_ground_truth(graph, t, byzantine)
+    default = trial()
+    with perf.force_kernels(False):
+        scheduler = trial()
+    for result in (default, scheduler):
+        _assert_definition_3(graph, t, result.correct_verdicts, truth)
+    assert default.verdicts == scheduler.verdicts
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,14 @@ pure-Python path; these tests pin the contract that makes that safe:
 * the closed-form trial fast path reproduces the scalar scheduler's
   verdicts and traffic byte-for-byte, and leaves every NECTAR node
   with its own discovered graph equal to the scalar run's (random,
-  possibly disconnected graphs, two-faced nodes, truncated rounds);
+  possibly disconnected graphs, two-faced, sleeper and silent
+  Byzantine nodes, truncated rounds); a silent node ends with no view
+  on either engine;
+* every trial compared leg against leg really takes the closed form
+  on its vectorized leg (or, on a lossy channel, really falls back),
+  so an eligibility regression cannot pass as two scheduler runs;
+* FULL validation with a shared cache and a two-faced, sleeper or
+  silent coalition takes the closed form and matches the scheduler;
 * its per-receiver acceptance-source search equals the per-item
   reference loop;
 * an honest FULL-validation trial with a shared verification cache
@@ -19,13 +26,19 @@ pure-Python path; these tests pin the contract that makes that safe:
 """
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import perf
-from repro.adversary.behaviors import TwoFacedMtgv2Node, TwoFacedNectarNode
+from repro.adversary.behaviors import (
+    SilentNode,
+    SleeperNectarNode,
+    TwoFacedMtgv2Node,
+    TwoFacedNectarNode,
+)
 from repro.baselines.mtg import BloomPayload, mtg_epoch_count
 from repro.baselines.mtgv2 import Mtgv2Node, SignedId, SignedIdsPayload
 from repro.core.decision import clear_connectivity_cache
@@ -127,12 +140,28 @@ def _snapshot(result):
     )
 
 
-def _both_legs(trial):
+def _both_legs(trial, *, fast=True):
+    """Snapshot ``trial`` on the scheduler, then with the kernels on.
+
+    The vectorized leg must make exactly one fast-path attempt, and it
+    must take the closed form (``fast=True``) or fall back to the
+    scheduler (``fast=False``): two scheduler runs compare nothing.
+    """
     clear_connectivity_cache()
     with perf.force_kernels(False):
         scalar = _snapshot(trial())
     clear_connectivity_cache()
-    vectorized = _snapshot(trial())
+    took_closed_form = []
+    attempt = fastpath.try_run_trial
+
+    def spy(*args, **kwargs):
+        outcome = attempt(*args, **kwargs)
+        took_closed_form.append(outcome is not None)
+        return outcome
+
+    with mock.patch.object(fastpath, "try_run_trial", spy):
+        vectorized = _snapshot(trial())
+    assert took_closed_form == [fast]
     return scalar, vectorized
 
 
@@ -154,15 +183,23 @@ def test_fastpath_baselines_match_scalar(protocol):
     assert scalar == vectorized
 
 
-@requires_numpy
-def test_fastpath_two_faced_nectar_matches_scalar():
-    from repro.adversary.behaviors import TwoFacedNectarNode
+def _nectar_family_node(kind, args, silent_towards=frozenset()):
+    """A correct, two-faced, sleeper or silent node; ``args`` are the
+    :class:`NectarNode` constructor arguments, node id first."""
+    if kind == "silent":
+        return SilentNode(args[0])
+    if kind == "two-faced":
+        return TwoFacedNectarNode(*args, silent_towards=silent_towards)
+    if kind == "sleeper":
+        return SleeperNectarNode(*args)
+    return NectarNode(*args)
 
-    graph = harary_graph(4, 12)
-    silent = frozenset({3, 4})
+
+def _coalition_factory(kind, silent_towards=frozenset()):
+    """A run_trial factory for one two-faced, sleeper or silent node."""
 
     def factory(setup):
-        return TwoFacedNectarNode(
+        args = (
             setup.node_id,
             setup.n,
             setup.t,
@@ -170,15 +207,37 @@ def test_fastpath_two_faced_nectar_matches_scalar():
             setup.scheme,
             setup.key_store.directory,
             setup.neighbor_proofs,
-            silent_towards=silent,
         )
+        return _nectar_family_node(kind, args, silent_towards)
 
+    return factory
+
+
+_FULL_CACHE_COALITIONS = {
+    "two-faced": {0: "two-faced"},
+    "sleeper": {0: "sleeper"},
+    "silent": {0: "silent"},
+    "sleeper+silent": {0: "sleeper", 1: "silent"},  # the deceptive profile
+}
+
+
+@requires_numpy
+@pytest.mark.parametrize("coalition", list(_FULL_CACHE_COALITIONS))
+def test_fastpath_two_faced_nectar_matches_scalar(coalition):
+    """FULL validation with a shared cache: a sleeper (two-faced
+    toward nobody), a silent node (toward everybody) or a two-faced
+    node takes the closed form, and matches the scheduler."""
+    graph = harary_graph(4, 12)
+    factories = {
+        node: _coalition_factory(kind, silent_towards=frozenset({3, 4}))
+        for node, kind in _FULL_CACHE_COALITIONS[coalition].items()
+    }
     scalar, vectorized = _both_legs(
         lambda: run_trial(
             graph,
             t=2,
             seed=9,
-            byzantine_factories={0: factory},
+            byzantine_factories=factories,
             validation_mode=ValidationMode.FULL,
             verification_cache=True,
             with_ground_truth=False,
@@ -234,7 +293,7 @@ def test_fastpath_lossy_channel_stays_scalar():
     graph = harary_graph(3, 9)
     env = EnvironmentSpec(loss_rate=0.3)
     scalar, vectorized = _both_legs(
-        lambda: nectar_cost_trial(graph, seed=4, env=env)
+        lambda: nectar_cost_trial(graph, seed=4, env=env), fast=False
     )
     assert scalar == vectorized
 
@@ -245,26 +304,32 @@ def test_fastpath_lossy_channel_stays_scalar():
 @st.composite
 def silenced_trials(draw):
     """A random graph (sparse draws leave it disconnected or with
-    isolated nodes), up to two two-faced nodes with random silent
-    sets, a round budget from 1 (truncated below the diameter) to
-    n + 2, and the quiescence skip on or off."""
+    isolated nodes), up to two Byzantine nodes, each two-faced with a
+    random silent set, a sleeper or silent, a round budget from 1
+    (truncated below the diameter) to n + 2, and the quiescence skip
+    on or off."""
     n = draw(st.integers(min_value=2, max_value=14))
     density = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
     ]
-    two_faced = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
-    silent = {
-        node: frozenset(draw(st.sets(st.integers(0, n - 1)))) for node in two_faced
-    }
+    byzantine = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    coalition = {}
+    for node in byzantine:
+        kind = draw(st.sampled_from(["two-faced", "sleeper", "silent"]))
+        muted = draw(st.sets(st.integers(0, n - 1))) if kind == "two-faced" else ()
+        coalition[node] = (kind, frozenset(muted))
     rounds = draw(st.integers(min_value=1, max_value=n + 2))
-    return Graph(n, edges), silent, rounds, draw(st.booleans())
+    return Graph(n, edges), coalition, rounds, draw(st.booleans())
 
 
-def _nectar_nodes(graph, deployment, silent, n=None):
+def _nectar_nodes(graph, deployment, coalition, n=None):
+    """Honest NECTAR nodes, except ``coalition``'s (kind, silent set)
+    entries."""
     nodes = {}
     for node_id in graph.nodes():
+        kind, muted = coalition.get(node_id, ("correct", frozenset()))
         args = (
             node_id,
             graph.n if n is None else n,
@@ -274,10 +339,7 @@ def _nectar_nodes(graph, deployment, silent, n=None):
             deployment.key_store.directory,
             deployment.proofs_of(node_id),
         )
-        if node_id in silent:
-            nodes[node_id] = TwoFacedNectarNode(*args, silent_towards=silent[node_id])
-        else:
-            nodes[node_id] = NectarNode(*args)
+        nodes[node_id] = _nectar_family_node(kind, args, muted)
     return nodes
 
 
@@ -299,13 +361,17 @@ def _mtgv2_nodes(graph, deployment, silent):
     return nodes
 
 
+def _known(node):
+    """A node's end-of-run knowledge; None for a silent node."""
+    if isinstance(node, SilentNode):
+        return None
+    if isinstance(node, NectarNode):
+        return node.discovered.edges()
+    return frozenset(node._known)
+
+
 def _end_state(verdicts, stats, rounds_executed, nodes):
-    known = {
-        node_id: node.discovered.edges()
-        if isinstance(node, NectarNode)
-        else frozenset(node._known)
-        for node_id, node in nodes.items()
-    }
+    known = {node_id: _known(node) for node_id, node in nodes.items()}
     return (
         verdicts,
         dict(stats.bytes_sent),
@@ -341,19 +407,29 @@ def _fast_and_scalar_end_states(graph, build_nodes, rounds, quiescence_skip):
 @requires_numpy
 @settings(max_examples=60, deadline=None)
 @given(silenced_trials())
+# The Definition-3 Validity counterexample (DESIGN.md §11.1): a
+# sleeper and a silent colluder on a path graph.
+@example(
+    (
+        Graph(4, [(0, 1), (1, 2), (2, 3)]),
+        {0: ("sleeper", frozenset()), 1: ("silent", frozenset())},
+        3,
+        True,
+    )
+)
 def test_fastpath_nectar_end_state_matches_scalar(trial):
-    graph, silent, rounds, quiescence_skip = trial
+    graph, coalition, rounds, quiescence_skip = trial
     deployment = build_deployment(graph, scheme=HmacScheme())
     fast, scalar, fast_nodes = _fast_and_scalar_end_states(
         graph,
-        lambda: _nectar_nodes(graph, deployment, silent),
+        lambda: _nectar_nodes(graph, deployment, coalition),
         rounds,
         quiescence_skip,
     )
     assert fast == scalar
     # Nodes with equal views still own independent discovered graphs.
-    views = {id(node.discovered) for node in fast_nodes.values()}
-    assert len(views) == graph.n
+    nectar = [node for node in fast_nodes.values() if isinstance(node, NectarNode)]
+    assert len({id(node.discovered) for node in nectar}) == len(nectar)
 
 
 @requires_numpy
