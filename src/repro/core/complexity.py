@@ -6,7 +6,7 @@ worst case is O(n^4), the cost grows with the edge count, and it
 falls with the diameter because edges discovered early travel with
 short signature chains.
 
-This module turns that argument into an *exact* predictor for honest
+``predict_nectar_traffic`` makes that argument *exact* for honest
 runs.  In a fault-free execution the dynamics are fully determined by
 the topology:
 
@@ -24,25 +24,22 @@ the topology:
 * one envelope (header + batch-count field) is paid per
   (node, neighbor, round) triple whose batch is non-empty.
 
-The test suite pins ``predict_nectar_traffic`` to the simulator's
-measured bytes, node by node — a strong mutual validation of the
-simulator and of the paper's complexity reasoning.
+Those are the closed forms the trial fast path evaluates
+(:mod:`repro.perf.fastpath`, DESIGN.md §15.4), so the prediction is a
+view of that engine on the honest delivery graph.  The test suite pins
+it, node by node, to an independent per-edge BFS reference and to the
+round scheduler's measured bytes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.nectar import nectar_round_count
 from repro.crypto.sizes import DEFAULT_PROFILE, WireProfile
+from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
-from repro.types import Edge, NodeId
-
-#: Per-announcement framing inside a batch (chain-count field).
-_CHAIN_COUNT_BYTES = 2
-#: Per-batch framing (announcement-count field).
-_BATCH_COUNT_BYTES = 2
+from repro.types import NodeId
 
 
 @dataclass(frozen=True)
@@ -69,28 +66,6 @@ class TrafficPrediction:
         return self.total_bytes / len(self.bytes_sent) / 1000.0
 
 
-def _edge_discovery_rounds(graph: Graph, edge: Edge) -> dict[NodeId, int]:
-    """BFS distance from the endpoint set of ``edge`` to every node."""
-    u, v = edge
-    distances = {u: 0, v: 0}
-    frontier = deque((u, v))
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                frontier.append(neighbor)
-    return distances
-
-
-def _announcement_bytes(profile: WireProfile, chain_length: int) -> int:
-    return (
-        profile.proof_bytes
-        + _CHAIN_COUNT_BYTES
-        + chain_length * profile.chain_link_bytes
-    )
-
-
 def predict_nectar_traffic(
     graph: Graph,
     profile: WireProfile = DEFAULT_PROFILE,
@@ -107,62 +82,20 @@ def predict_nectar_traffic(
         Per-node bytes and envelope counts identical to what
         :class:`repro.net.simulator.SyncNetwork` measures for a run
         with honest :class:`repro.core.nectar.NectarNode` instances.
+
+    Raises:
+        ProtocolError: on a budget below one round, as the scheduler.
     """
     if rounds is None:
         rounds = nectar_round_count(graph.n)
-    bytes_sent: dict[NodeId, int] = {v: 0 for v in graph.nodes()}
-    messages_sent: dict[NodeId, int] = {v: 0 for v in graph.nodes()}
-    envelope_overhead = _BATCH_COUNT_BYTES + profile.envelope_header_bytes
+    if rounds < 1:
+        raise ProtocolError("at least one round is required")
+    # Deferred: the engine imports the protocol classes, and they
+    # import this package.
+    from repro.perf.fastpath import nectar_sends
 
-    # Round 1: every node with neighbors batches its own edges to each
-    # neighbor (no exclusions).
-    for node in graph.nodes():
-        degree = graph.degree(node)
-        if degree == 0:
-            continue
-        batch_bytes = degree * _announcement_bytes(profile, 1) + envelope_overhead
-        bytes_sent[node] += degree * batch_bytes
-        messages_sent[node] += degree
-
-    # Relays: per (node, relay round), collect the relayed entry bytes
-    # and the per-neighbor exclusions.
-    relayed_bytes: dict[tuple[NodeId, int], int] = {}
-    exclusion_hits: dict[tuple[NodeId, int], dict[NodeId, int]] = {}
-    for edge in graph.edges():
-        discovery = _edge_discovery_rounds(graph, edge)
-        for node, round_discovered in discovery.items():
-            if round_discovered == 0:
-                continue  # endpoint: announced in round 1 already
-            relay_round = round_discovered + 1
-            if round_discovered > rounds or relay_round > rounds:
-                continue  # learned too late to relay within the budget
-            if graph.degree(node) <= 1:
-                continue  # leaf: nobody left to relay to
-            first_deliverer = min(
-                neighbor
-                for neighbor in graph.neighbors(node)
-                if discovery.get(neighbor) == round_discovered - 1
-            )
-            key = (node, relay_round)
-            relayed_bytes[key] = relayed_bytes.get(key, 0) + _announcement_bytes(
-                profile, relay_round
-            )
-            hits = exclusion_hits.setdefault(key, {})
-            hits[first_deliverer] = hits.get(first_deliverer, 0) + 1
-
-    for (node, _round), entry_bytes_sum in relayed_bytes.items():
-        degree = graph.degree(node)
-        hits = exclusion_hits[(node, _round)]
-        entry_count = sum(hits.values())
-        # Each entry reaches degree - 1 neighbors; a neighbor receives
-        # an envelope iff at least one entry is not excluded toward it,
-        # i.e. unless every entry of the round came from that neighbor.
-        recipients = degree
-        for neighbor in graph.neighbors(node):
-            if hits.get(neighbor, 0) == entry_count:
-                recipients -= 1
-        bytes_sent[node] += (
-            (degree - 1) * entry_bytes_sum + recipients * envelope_overhead
-        )
-        messages_sent[node] += recipients
-    return TrafficPrediction(bytes_sent=bytes_sent, messages_sent=messages_sent)
+    bytes_sent, messages_sent = nectar_sends(graph, profile, rounds)
+    return TrafficPrediction(
+        bytes_sent=dict(enumerate(bytes_sent)),
+        messages_sent=dict(enumerate(messages_sent)),
+    )

@@ -202,25 +202,23 @@ def _probe_trial(cell: TrialSpec) -> dict | None:
 
 
 @contextlib.contextmanager
-def _scalar_baseline():
-    """Pin the baseline leg to the historical pure-Python paths.
+def _scheduler_baseline():
+    """Pin the baseline leg to the round scheduler.
 
-    Forces the kernel switchboard off in this process *and* exports
-    ``REPRO_NO_NUMPY=1`` so sharded sweep workers inherit the same
-    scalar mode — the ledger's ``speedup`` then measures everything
-    DESIGN.md §15 adds (vectorized kernels + artifact reuse) against
-    the seed behaviour.
+    Sets :data:`repro.perf.SCHEDULER_SWITCH` for this process and the
+    sharded sweep workers it starts, so the ledger's ``speedup``
+    measures everything DESIGN.md §§9 and 15 add (the closed-form
+    fast path + artifact reuse) against the seed behaviour.
     """
-    with perf.force_kernels(False):
-        previous = os.environ.get("REPRO_NO_NUMPY")
-        os.environ["REPRO_NO_NUMPY"] = "1"
-        try:
-            yield
-        finally:
-            if previous is None:
-                del os.environ["REPRO_NO_NUMPY"]
-            else:
-                os.environ["REPRO_NO_NUMPY"] = previous
+    previous = os.environ.get(perf.SCHEDULER_SWITCH)
+    os.environ[perf.SCHEDULER_SWITCH] = "1"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[perf.SCHEDULER_SWITCH]
+        else:
+            os.environ[perf.SCHEDULER_SWITCH] = previous
 
 
 def run_scenario(
@@ -231,12 +229,12 @@ def run_scenario(
     """Run one scenario (baseline, then accelerated) and return its ledger.
 
     Both runs resolve the same sweep at the same scale.  The
-    ``artifacts_off`` leg runs with the artifact cache off *and* the
-    vectorized kernels forced to the scalar fallback (the seed
-    behaviour); the ``artifacts_on`` leg enables the artifact cache and
-    leaves the kernels in auto-detect.  Both start from a cold artifact
-    cache, so the measured speedup is within-sweep amortisation plus
-    the vectorized verification core — rows must still match exactly.
+    ``artifacts_off`` leg runs with the artifact cache off *and* every
+    trial on the round scheduler (the seed behaviour); the
+    ``artifacts_on`` leg enables the artifact cache and lets eligible
+    trials take the closed-form fast path.  Both start from a cold
+    artifact cache, so the measured speedup is within-sweep
+    amortisation plus the fast path — rows must still match exactly.
     """
     axis_overrides = dict(scenario.smoke_overrides if smoke else scenario.overrides)
     env_overrides = {f"env.{name}": value for name, value in scenario.env.items()}
@@ -256,7 +254,7 @@ def run_scenario(
         # Mission scenarios memoise executed missions per process; a
         # fair cache-off-vs-on comparison flies them from cold twice.
         clear_mission_memo()
-        runner = contextlib.nullcontext() if artifacts else _scalar_baseline()
+        runner = contextlib.nullcontext() if artifacts else _scheduler_baseline()
         with runner:
             started = time.perf_counter()
             figure = SWEEP_ENGINE.run(resolved, workers=workers)
@@ -295,9 +293,8 @@ def run_scenario(
         # parent (DESIGN.md §10.3), so the counters cover the whole
         # process tree for any worker count.
         "artifact_stats_scope": "process-tree",
-        # Kernel provenance of the accelerated leg: whether the
-        # vectorized core ran, and under which numpy.
-        "kernel": perf.provenance(),
+        # Whether the accelerated leg ran the closed-form fast path.
+        "kernel": {"closed_form": not perf.scheduler_forced()},
         "probe": probe,
     }
 
@@ -439,10 +436,7 @@ def describe_ledger(ledger: dict) -> str:
     hit_rate = stats.get("hit_rate", 0.0)
     equal = "rows ok" if ledger.get("rows_equal") else "ROWS DIFFER"
     kernel = ledger.get("kernel") or {}
-    if kernel.get("vectorized"):
-        mode = f"vec(numpy-{kernel.get('numpy')})"
-    else:
-        mode = "scalar"
+    mode = "closed-form" if kernel.get("closed_form") else "scheduler"
     return (
         f"{ledger['scenario']:<24} {walls['artifacts_off']:7.2f}s -> "
         f"{walls['artifacts_on']:7.2f}s  {ledger['speedup']:5.2f}x  "

@@ -393,7 +393,7 @@ def run_trial(
     if rounds is None:
         rounds = nectar_round_count(graph.n)
     fast = None
-    if env.backend == "sync" and rounds >= 1 and perf.kernels_enabled():
+    if env.backend == "sync" and rounds >= 1 and not perf.scheduler_forced():
         from repro.perf import fastpath
 
         fast = fastpath.try_run_trial(

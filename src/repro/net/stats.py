@@ -37,7 +37,7 @@ class TrafficStats:
     # Byte and message counts are integer sums, so folding a whole
     # round's traffic per node into one dict update is bit-identical to
     # the per-message calls — the array-delivery path in SyncNetwork
-    # and the vectorized trial engine both account through these.
+    # and the closed-form trial engine both account through these.
 
     def record_send_bulk(self, sender: NodeId, total_bytes: int, count: int) -> None:
         """Account ``count`` outgoing messages totalling ``total_bytes``."""

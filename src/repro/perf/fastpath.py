@@ -1,4 +1,4 @@
-"""Closed-form vectorized trial execution (DESIGN.md §15).
+"""Closed-form trial execution on Python-int bitsets (DESIGN.md §15).
 
 On the paper's own system model — reliable synchronous channels that
 deliver everything — the lock-step execution of the three protocol
@@ -6,37 +6,48 @@ families is a *deterministic function of the topology and the
 adversary's silence pattern*.  Every acceptance time is a BFS distance
 along the directed delivery graph, every per-round send count follows
 from those times, and every envelope size is profile arithmetic.  The
-engine here evaluates those closed forms as numpy array passes, then
-materialises the per-node protocol end-state (discovered graphs,
-Bloom filters, known-id sets) and calls the real ``conclude()`` on
-every node — so verdicts are produced by the exact same decision code
-as the scalar path, and traffic is accounted byte-for-byte.  A NECTAR
-node's discovered graph is the set of edges it knows when the last
-round ends, and few distinct sets occur per trial (Lemma 2: correct
-nodes of one connected group end with the same G_i), so each distinct
-set is built once through ``DiscoveredGraph.add`` and every NECTAR
-node receives its own copy.
+engine here evaluates those closed forms on Python ints used as
+bitsets (one bit per node, edge or Bloom bit), then materialises the
+per-node protocol end-state (discovered graphs, Bloom filters, known-id
+sets) and calls the real ``conclude()`` on every node — so verdicts are
+produced by the exact same decision code as the scheduler, and traffic
+is accounted byte-for-byte.  A NECTAR node's discovered graph is the
+set of edges it knows when the last round ends, and few distinct sets
+occur per trial (Lemma 2: correct nodes of one connected group end with
+the same G_i), so each distinct known-edge mask is built once through
+``DiscoveredGraph.add`` and every NECTAR node receives its own copy.
 
 Closed forms, with D the delivery digraph (graph adjacency minus a
 two-faced node's ``silent_towards`` arcs and every out-arc of a silent
-node) and ``d_D`` directed hop distances:
+node, held as ascending out- and in-neighbour lists plus one
+in-neighbour mask per node) and ``d_D`` directed hop distances:
 
+* **Layers** — a reverse BFS from each receiver i along D: node layer
+  r is the set of v with ``d_D(v→i) = r``, the OR of the in-neighbour
+  masks of layer r − 1 minus every earlier layer.  Unreachable nodes
+  are in no layer, however many rounds run.
 * **NECTAR** — announcement of edge (u, v) is accepted by node i at
-  round ``acc(i) = min(d_D(u→i), d_D(v→i))`` (0 for endpoints); the
-  accepted copy's sender is the smallest-id qualifying in-neighbor
-  (deliveries happen in sorted sender order); at round r a node
-  relays its round-(r−1) acceptances to every D-neighbor except each
-  announcement's source, inside one batch envelope per neighbor whose
-  size is exact profile arithmetic (chains carry r links in round r).
-  Source exclusion can never delay an acceptance: the excluded
-  neighbor is two rounds behind by construction.
-* **MtG** — a node's filter after epoch e is the bitwise OR of the
-  initial filters of every v with ``d_D(v→i) ≤ e`` (an all-ones page
-  for saturating nodes); a node gossips when its filter changed since
+  round ``min(d_D(u→i), d_D(v→i))`` (0 for endpoints), so i's round-r
+  edge layer is the OR of the incident-edge masks of its node layer r,
+  minus the edges it knew before.  The accepted copy's sender is the
+  smallest-id in-neighbour whose round r − 1 layer holds the item
+  (deliveries happen in sorted sender order): one AND-and-clear pass
+  over the in-neighbours' previous layers in ascending id order.  At
+  round r a node relays its round-(r−1) layer to every D-neighbour
+  except each announcement's source, inside one batch envelope per
+  neighbour whose size is exact profile arithmetic (chains carry r
+  links in round r); counts are ``int.bit_count()``.  Source exclusion
+  can never delay an acceptance: the excluded neighbour is two rounds
+  behind by construction.
+* **MtG** — a filter is a ``bit_count``-bit int.  A node's filter after
+  epoch e is the OR of the filters gossiped to it (an all-ones filter
+  from a saturating node); a node gossips when its filter changed since
   its last gossip (or on its periodic refresh), tracked on the actual
-  bit arrays so Bloom collisions behave exactly as in the scalar run.
-* **MtGv2** — the signed id of v reaches i at epoch ``d_D(v→i)``;
-  counts and source exclusion as in NECTAR, without chains.
+  filter bits so Bloom collisions behave exactly as in the scheduled
+  run.
+* **MtGv2** — the signed id of v reaches i at epoch ``d_D(v→i)``, so
+  the node layers are the item layers; counts and source exclusion as
+  in NECTAR, without chains.
 
 Quiescence mirrors the scheduler exactly: the first round that emits
 zero envelopes is executed and then iteration stops (when the
@@ -54,18 +65,18 @@ closed-form-safe types:
 * MtGv2: ``Mtgv2Node`` and ``TwoFacedMtgv2Node``.
 
 Anything else (equivocating, bad-aggregator, spam and every forging
-behaviour) returns None and the caller runs the scalar scheduler.  One
+behaviour) returns None and the caller runs the round scheduler.  One
 documented observability divergence: trials that reach this engine
 never touch the verification cache, so ``cache_stats`` counters stay
-zero where the scalar path would count hits (verdicts, traffic and
-rows are unaffected; the affected configurations are FULL-mode runs
-with a cache and any sleeper, silent or two-faced node).  Honest FULL
-runs with a cache stay on the scheduler, so their counters are exact.
+zero where the scheduler would count hits (verdicts, traffic and rows
+are unaffected; the affected configurations are FULL-mode runs with a
+cache and any sleeper, silent or two-faced node).  Honest FULL runs
+with a cache stay on the scheduler, so their counters are exact.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.adversary.behaviors import (
     SaturatingMtgNode,
@@ -84,11 +95,9 @@ from repro.crypto.sizes import WireProfile
 from repro.graphs.graph import Graph
 from repro.net.channel import ChannelModel
 from repro.net.stats import TrafficStats
-from repro.perf import numpy_or_none
-from repro.perf.kernels import adjacency_matrix, directed_distances
 from repro.types import NodeId
 
-__all__ = ["try_run_trial"]
+__all__ = ["nectar_sends", "try_run_trial"]
 
 #: payload framing constants, mirrored from the payload classes (a
 #: unit test pins them against the real ``encoded_size``).
@@ -111,23 +120,35 @@ def try_run_trial(
     """Run one trial through the closed-form engine, if eligible.
 
     Returns ``(verdicts, stats, rounds_executed)`` — exactly what the
-    scalar ``SyncNetwork.run`` would have produced — or None when any
-    eligibility condition fails.
+    scheduler's ``SyncNetwork.run`` would have produced — or None when
+    any eligibility condition fails.
     """
-    np = numpy_or_none()
-    if np is None or rounds < 1:
+    if rounds < 1:
         return None
     state = channel.state(graph, seed)
     if not state.always_delivers:
         return None
     family = _classify(graph, protocols)
+    if family is None:
+        return None
+    digraph = _delivery(graph, protocols)
     if family == "nectar":
-        return _run_nectar(np, graph, protocols, profile, rounds, quiescence_skip)
+        return _run_nectar(graph, protocols, digraph, profile, rounds, quiescence_skip)
     if family == "mtg":
-        return _run_mtg(np, graph, protocols, profile, rounds, quiescence_skip)
-    if family == "mtgv2":
-        return _run_mtgv2(np, graph, protocols, profile, rounds, quiescence_skip)
-    return None
+        return _run_mtg(graph, protocols, digraph, profile, rounds, quiescence_skip)
+    return _run_mtgv2(graph, protocols, digraph, profile, rounds, quiescence_skip)
+
+
+def nectar_sends(
+    graph: Graph, profile: WireProfile, rounds: int
+) -> tuple[list[int], list[int]]:
+    """Per-node bytes and envelopes sent by an honest, batched NECTAR
+    run of ``rounds`` (≥ 1) rounds: the engine's closed form with D the
+    graph itself."""
+    digraph = _delivery(graph, {})
+    _, layers, _ = _nectar_layers(graph, digraph, rounds)
+    traffic = _relay_traffic(layers, digraph, *_nectar_framing(profile), rounds, True)
+    return traffic.sent_bytes, traffic.sent_msgs
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +171,8 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
             if validator.mode.value == "full" and validator.cache is not None:
                 uses_cache = True
         if uses_cache and kinds == {NectarNode}:
-            # FULL honest runs with a shared cache keep the scalar
-            # path: their cache-hit observability is pinned by tests.
+            # FULL honest runs with a shared cache keep the scheduler:
+            # their cache-hit observability is pinned by tests.
             return None
         return "nectar"
     if kinds <= {MtgNode, SaturatingMtgNode, TwoFacedMtgNode}:
@@ -175,133 +196,226 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
     return None
 
 
-def _delivery_matrix(np, graph: Graph, protocols: Mapping[NodeId, Any]):
+# ----------------------------------------------------------------------
+# The delivery digraph and its reverse-BFS layers
+# ----------------------------------------------------------------------
+class _Digraph(NamedTuple):
+    outs: list[list[int]]  # ascending out-neighbours per node
+    ins: list[list[int]]  # ascending in-neighbours per node
+    in_masks: list[int]  # in-neighbours per node, as a node bitset
+
+
+def _delivery(graph: Graph, protocols: Mapping[NodeId, Any]) -> _Digraph:
     """Graph adjacency minus each two-faced node's silent arcs and
     every out-arc of a silent node."""
-    matrix = np.array(adjacency_matrix(graph), dtype=bool)
-    for node_id, p in protocols.items():
-        if type(p) is SilentNode:
-            matrix[node_id] = False
-            continue
-        silent = getattr(p, "_silent_towards", None)
-        if silent:
-            for target in silent:
-                if 0 <= target < graph.n:
-                    matrix[node_id, target] = False
-    return matrix
+    n = graph.n
+    outs: list[list[int]] = []
+    ins: list[list[int]] = [[] for _ in range(n)]
+    in_masks = [0] * n
+    for sender in range(n):
+        p = protocols.get(sender)
+        targets: list[int] = []
+        if type(p) is not SilentNode:
+            muted = getattr(p, "_silent_towards", ())
+            targets = sorted(graph.neighbors(sender).difference(muted))
+        bit = 1 << sender
+        for target in targets:
+            ins[target].append(sender)
+            in_masks[target] |= bit
+        outs.append(targets)
+    return _Digraph(outs, ins, in_masks)
 
 
-def _fill_stats(
-    np, stats: TrafficStats, sent_bytes, sent_msgs, recv_bytes, recv_msgs
-) -> None:
-    for node in np.flatnonzero(sent_msgs):
-        node = int(node)
-        stats.record_send_bulk(node, int(sent_bytes[node]), int(sent_msgs[node]))
-    for node in np.flatnonzero(recv_msgs):
-        node = int(node)
-        stats.record_receive_bulk(node, int(recv_bytes[node]), int(recv_msgs[node]))
+def _node_layers(in_masks: list[int], receiver: int, depth: int) -> list[int]:
+    """Reverse BFS from ``receiver``: layer r (r ≤ ``depth``) is the
+    node bitset of every v with ``d_D(v→receiver) = r``."""
+    seen = frontier = 1 << receiver
+    layers = [frontier]
+    while len(layers) <= depth:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= in_masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        layers.append(frontier)
+    return layers
+
+
+def _sources(
+    items: int, senders: list[int], layers: list[list[int]], depth: int
+) -> dict[int, int]:
+    """Split one receiver's round-``depth`` acceptances by sender.
+
+    Each accepted copy came from the smallest-id in-neighbour holding
+    the item in its round ``depth − 1`` layer (deliveries arrive in
+    ascending sender order), so one AND-and-clear pass over
+    ``senders`` (ascending) finds them all.  Returns ``{sender: items
+    accepted from it}``.
+    """
+    split: dict[int, int] = {}
+    previous = depth - 1
+    for sender in senders:
+        sender_layers = layers[sender]
+        if previous < len(sender_layers):
+            got = items & sender_layers[previous]
+            if got:
+                split[sender] = got
+                items ^= got
+                if not items:
+                    break
+    return split
+
+
+class _Traffic(NamedTuple):
+    sent_bytes: list[int]
+    sent_msgs: list[int]
+    recv_bytes: list[int]
+    recv_msgs: list[int]
+    rounds_executed: int
+
+
+def _relay_traffic(
+    layers: list[list[int]],
+    digraph: _Digraph,
+    header: int,
+    entry_bytes: int,
+    link_bytes: int,
+    rounds: int,
+    quiescence_skip: bool,
+) -> _Traffic:
+    """Traffic of a relay protocol whose node i accepts the items of
+    ``layers[i][r]`` in round r (its own at r = 0) and relays them in
+    round r + 1 to every D-neighbour but each item's source, in one
+    envelope of ``header`` plus ``entry_bytes + round * link_bytes``
+    per item."""
+    n = len(layers)
+    sent_bytes, sent_msgs = [0] * n, [0] * n
+    recv_bytes, recv_msgs = [0] * n, [0] * n
+    outs, ins = digraph.outs, digraph.ins
+    rounds_executed = rounds
+    for round_number in range(1, rounds + 1):
+        depth = round_number - 1
+        entry = entry_bytes + round_number * link_bytes
+        quiet = True
+        for sender, sender_layers in enumerate(layers):
+            targets = outs[sender]
+            if depth >= len(sender_layers) or not targets:
+                continue
+            items = sender_layers[depth]
+            pending = items.bit_count()
+            excluded = _sources(items, ins[sender], layers, depth) if depth else {}
+            size = header + pending * entry
+            total = messages = 0
+            for target in targets:
+                got = excluded.get(target)
+                if got is None:
+                    envelope = size
+                else:
+                    count = pending - got.bit_count()
+                    if not count:
+                        continue
+                    envelope = header + count * entry
+                total += envelope
+                messages += 1
+                recv_bytes[target] += envelope
+                recv_msgs[target] += 1
+            if messages:
+                sent_bytes[sender] += total
+                sent_msgs[sender] += messages
+                quiet = False
+        if quiet:
+            # No envelope means no acceptance, so every later round is
+            # empty too: executed up to here, or idled to the budget.
+            if quiescence_skip:
+                rounds_executed = round_number
+            break
+    return _Traffic(sent_bytes, sent_msgs, recv_bytes, recv_msgs, rounds_executed)
+
+
+def _stats(traffic: _Traffic) -> TrafficStats:
+    stats = TrafficStats()
+    for node, count in enumerate(traffic.sent_msgs):
+        stats.record_send_bulk(node, traffic.sent_bytes[node], count)
+    for node, count in enumerate(traffic.recv_msgs):
+        stats.record_receive_bulk(node, traffic.recv_bytes[node], count)
+    return stats
 
 
 def _conclude_all(protocols: Mapping[NodeId, Any]) -> dict[NodeId, Any]:
     return {node_id: protocols[node_id].conclude() for node_id in sorted(protocols)}
 
 
-def _arrival_rounds(delivery, rounds: int):
-    """``directed_distances`` with the unreachable sentinel moved past
-    the last round, so a run of more than n rounds never reaches it."""
-    dist = directed_distances(delivery)
-    n = dist.shape[0]
-    dist[dist > n] = max(n, rounds) + 1
-    return dist
-
-
-def _acceptance_sources(np, delivery, acc_rows):
-    """Per item-row, the smallest-id sender of each first acceptance.
-
-    ``acc_rows[k, i]`` is the acceptance round of item k at node i;
-    the source is the smallest s with an arc s→i and
-    ``acc[s] == acc[i] - 1`` (deliveries arrive in sorted sender
-    order), or -1 for originators.  One pass per receiver over its
-    in-neighbors' columns, for all items at once.
-    """
-    src = np.full(acc_rows.shape, -1, dtype=np.int64)
-    for receiver in range(delivery.shape[0]):
-        senders = np.flatnonzero(delivery[:, receiver])  # ascending ids
-        if not senders.size:
-            continue
-        candidates = acc_rows[:, senders] + 1 == acc_rows[:, receiver, None]
-        first = candidates.argmax(axis=1)
-        src[:, receiver] = np.where(candidates.any(axis=1), senders[first], -1)
-    return src
-
-
 # ----------------------------------------------------------------------
 # NECTAR
 # ----------------------------------------------------------------------
+def _nectar_framing(profile: WireProfile) -> tuple[int, int, int]:
+    """``(header, entry_bytes, link_bytes)`` of a batch envelope."""
+    return (
+        profile.envelope_header_bytes + _NECTAR_BATCH_COUNT_BYTES,
+        profile.proof_bytes + _NECTAR_CHAIN_COUNT_BYTES,
+        profile.chain_link_bytes,
+    )
+
+
+def _nectar_layers(
+    graph: Graph, digraph: _Digraph, rounds: int
+) -> tuple[list, list[list[int]], list[int]]:
+    """``(edges, layers, known)``: the sorted edge list, each node's
+    edge layers (bit k is ``edges[k]``) and the OR of its layers, the
+    edges it knows when a run of ``rounds`` rounds ends."""
+    edges = sorted(graph.edges())
+    incident = [0] * graph.n
+    for index, (u, v) in enumerate(edges):
+        bit = 1 << index
+        incident[u] |= bit
+        incident[v] |= bit
+    layers: list[list[int]] = []
+    known_masks: list[int] = []
+    for receiver in range(graph.n):
+        edge_layers: list[int] = []
+        known = 0
+        for nodes in _node_layers(digraph.in_masks, receiver, rounds):
+            grown = 0
+            while nodes:
+                low = nodes & -nodes
+                grown |= incident[low.bit_length() - 1]
+                nodes ^= low
+            fresh = grown & ~known
+            if not fresh:
+                # An edge first known at round r + 1 has an endpoint
+                # one hop from a round-r edge: layers never resume.
+                break
+            edge_layers.append(fresh)
+            known |= fresh
+        layers.append(edge_layers)
+        known_masks.append(known)
+    return edges, layers, known_masks
+
+
 def _run_nectar(
-    np,
     graph: Graph,
     protocols: Mapping[NodeId, Any],
+    digraph: _Digraph,
     profile: WireProfile,
     rounds: int,
     quiescence_skip: bool,
 ):
-    n = graph.n
-    delivery = _delivery_matrix(np, graph, protocols)
-    edges = sorted(graph.edges())
-    m = len(edges)
-    dist = _arrival_rounds(delivery, rounds)
-    lo = np.fromiter((edge[0] for edge in edges), dtype=np.int64, count=m)
-    hi = np.fromiter((edge[1] for edge in edges), dtype=np.int64, count=m)
-    acc = np.minimum(dist[lo], dist[hi]) if m else np.zeros((0, n), dtype=np.int32)
-    src = _acceptance_sources(np, delivery, acc)
-
-    header = profile.envelope_header_bytes + _NECTAR_BATCH_COUNT_BYTES
-    per_entry = profile.proof_bytes + _NECTAR_CHAIN_COUNT_BYTES
-    link_bytes = profile.chain_link_bytes
-
-    sent_bytes = np.zeros(n, dtype=np.int64)
-    sent_msgs = np.zeros(n, dtype=np.int64)
-    recv_bytes = np.zeros(n, dtype=np.int64)
-    recv_msgs = np.zeros(n, dtype=np.int64)
-
-    rounds_executed = rounds
-    for round_number in range(1, rounds + 1):
-        relayed = acc == (round_number - 1)
-        pending = relayed.sum(axis=0)
-        exclusions = np.zeros((n, n), dtype=np.int64)
-        sourced = relayed & (src >= 0)
-        if sourced.any():
-            item_idx, sender_idx = np.nonzero(sourced)
-            np.add.at(exclusions, (sender_idx, src[item_idx, sender_idx]), 1)
-        counts = np.where(delivery, pending[:, None] - exclusions, 0)
-        envelopes = counts > 0
-        if not envelopes.any():
-            if quiescence_skip:
-                rounds_executed = round_number
-                break
-            continue
-        sizes = np.where(
-            envelopes,
-            header + counts * (per_entry + round_number * link_bytes),
-            0,
-        )
-        sent_bytes += sizes.sum(axis=1)
-        sent_msgs += envelopes.sum(axis=1)
-        recv_bytes += sizes.sum(axis=0)
-        recv_msgs += envelopes.sum(axis=0)
-
-    stats = TrafficStats()
-    _fill_stats(np, stats, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
+    edges, layers, known_masks = _nectar_layers(graph, digraph, rounds)
+    traffic = _relay_traffic(
+        layers, digraph, *_nectar_framing(profile), rounds, quiescence_skip
+    )
 
     # Materialise each NECTAR node's discovered graph from the shared
-    # proof objects (the same objects the scalar run would have
+    # proof objects (the same objects the scheduled run would have
     # delivered), then decide with the real decision code.  A node's
-    # G_i is the set of edges it knows when the last round ends (its
-    # column of acc, own edges included at acc 0), and Lemma 2 leaves
-    # few distinct sets per trial: each is built once through add(),
-    # and every NECTAR node gets its own copy.  A silent node holds no
-    # proofs and no view; its conclude() returns None.
+    # G_i is its known-edge mask (own edges included), and Lemma 2
+    # leaves few distinct masks per trial: each is built once through
+    # add(), and every NECTAR node gets its own copy.  A silent node
+    # holds no proofs and no view; its conclude() returns None.
     nectar = {
         node_id: p for node_id, p in protocols.items() if isinstance(p, NectarNode)
     }
@@ -309,49 +423,40 @@ def _run_nectar(
     for p in nectar.values():
         for proof in p._neighbor_proofs.values():
             proof_by_edge[proof.edge] = proof
-    known = acc <= rounds_executed
-    views: dict[bytes, DiscoveredGraph] = {}
+    views: dict[int, DiscoveredGraph] = {}
     for node_id, p in nectar.items():
-        column = known[:, node_id]
-        key = column.tobytes()
-        view = views.get(key)
+        known = known_masks[node_id]
+        view = views.get(known)
         if view is None:
-            view = views[key] = DiscoveredGraph(n)
-            for item in np.flatnonzero(column):
-                view.add(proof_by_edge[edges[int(item)]])
+            view = views[known] = DiscoveredGraph(graph.n)
+            while known:
+                low = known & -known
+                view.add(proof_by_edge[edges[low.bit_length() - 1]])
+                known ^= low
         p._discovered = view.copy()
-    return _conclude_all(protocols), stats, rounds_executed
+    return _conclude_all(protocols), _stats(traffic), traffic.rounds_executed
 
 
 # ----------------------------------------------------------------------
 # MtG
 # ----------------------------------------------------------------------
 def _run_mtg(
-    np,
     graph: Graph,
     protocols: Mapping[NodeId, Any],
+    digraph: _Digraph,
     profile: WireProfile,
     rounds: int,
     quiescence_skip: bool,
 ):
     n = graph.n
-    delivery = _delivery_matrix(np, graph, protocols)
     sample = protocols[0]._filter
     bit_count, hash_count = sample.bit_count, sample.hash_count
     page = bit_count // 8
-
-    filters = np.zeros((n, page), dtype=np.uint8)
-    saturating = np.zeros(n, dtype=bool)
-    periods = np.zeros(n, dtype=np.int64)
-    for node_id in range(n):
-        p = protocols[node_id]
-        filters[node_id] = np.frombuffer(p._filter.to_bytes(), dtype=np.uint8)
-        saturating[node_id] = type(p) is SaturatingMtgNode
-        periods[node_id] = p._resend_period
-
-    last_sent = np.zeros((n, page), dtype=np.uint8)
-    last_valid = np.zeros(n, dtype=bool)
-    out_degree = delivery.sum(axis=1)
+    saturated = (1 << bit_count) - 1
+    nodes = [protocols[node_id] for node_id in range(n)]
+    filters = [int.from_bytes(p._filter.to_bytes(), "little") for p in nodes]
+    saturating = [type(p) is SaturatingMtgNode for p in nodes]
+    periods = [p._resend_period for p in nodes]
     envelope_size = (
         profile.envelope_header_bytes
         + profile.epoch_header_bytes
@@ -359,110 +464,77 @@ def _run_mtg(
         + page
     )
 
-    sent_bytes = np.zeros(n, dtype=np.int64)
-    sent_msgs = np.zeros(n, dtype=np.int64)
-    recv_bytes = np.zeros(n, dtype=np.int64)
-    recv_msgs = np.zeros(n, dtype=np.int64)
-
+    sent_bytes, sent_msgs = [0] * n, [0] * n
+    recv_bytes, recv_msgs = [0] * n, [0] * n
+    last_sent: list[int | None] = [None] * n
     rounds_executed = rounds
     for round_number in range(1, rounds + 1):
-        current = filters.copy()
-        current[saturating] = 0xFF
-        periodic = (periods > 0) & (
-            np.mod(round_number, np.where(periods > 0, periods, 1)) == 0
-        )
-        changed = ~last_valid | (current != last_sent).any(axis=1)
-        gossiping = changed | periodic
-        # The scalar node snapshots last_sent before its sends are
-        # filtered, so even a fully-silenced gossiper updates it.
-        last_sent[gossiping] = current[gossiping]
-        last_valid |= gossiping
-        effective = gossiping & (out_degree > 0)
-        if not effective.any():
-            if quiescence_skip:
-                rounds_executed = round_number
-                break
-            continue
-        sent_bytes += np.where(effective, out_degree * envelope_size, 0)
-        sent_msgs += np.where(effective, out_degree, 0)
-        arriving = delivery & gossiping[:, None]
-        arrivals_per_node = arriving.sum(axis=0)
-        recv_bytes += arrivals_per_node * envelope_size
-        recv_msgs += arrivals_per_node
-        for node_id in np.flatnonzero(arrivals_per_node):
-            node_id = int(node_id)
-            senders = np.flatnonzero(arriving[:, node_id])
-            filters[node_id] |= np.bitwise_or.reduce(current[senders], axis=0)
+        current = [saturated if saturating[i] else filters[i] for i in range(n)]
+        gossiping = [
+            i
+            for i in range(n)
+            if current[i] != last_sent[i]
+            or (periods[i] > 0 and round_number % periods[i] == 0)
+        ]
+        quiet = True
+        for sender in gossiping:
+            # The scheduled node snapshots last_sent before its sends
+            # are filtered, so even a fully-silenced gossiper updates it.
+            last_sent[sender] = gossip = current[sender]
+            targets = digraph.outs[sender]
+            if not targets:
+                continue
+            quiet = False
+            sent_bytes[sender] += len(targets) * envelope_size
+            sent_msgs[sender] += len(targets)
+            for target in targets:
+                recv_bytes[target] += envelope_size
+                recv_msgs[target] += 1
+                filters[target] |= gossip
+        if quiet and quiescence_skip:
+            rounds_executed = round_number
+            break
 
-    stats = TrafficStats()
-    _fill_stats(np, stats, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
-
-    for node_id in range(n):
-        protocols[node_id]._filter = BloomFilter.from_bytes(
-            bit_count, hash_count, bytes(filters[node_id])
+    for p, bits in zip(nodes, filters):
+        p._filter = BloomFilter.from_bytes(
+            bit_count, hash_count, bits.to_bytes(page, "little")
         )
-    return _conclude_all(protocols), stats, rounds_executed
+    traffic = _Traffic(sent_bytes, sent_msgs, recv_bytes, recv_msgs, rounds_executed)
+    return _conclude_all(protocols), _stats(traffic), rounds_executed
 
 
 # ----------------------------------------------------------------------
 # MtGv2
 # ----------------------------------------------------------------------
 def _run_mtgv2(
-    np,
     graph: Graph,
     protocols: Mapping[NodeId, Any],
+    digraph: _Digraph,
     profile: WireProfile,
     rounds: int,
     quiescence_skip: bool,
 ):
     n = graph.n
-    delivery = _delivery_matrix(np, graph, protocols)
-    # acc[v, i]: the epoch id v reaches node i (0 at its owner).
-    acc = _arrival_rounds(delivery, rounds)
-    src = _acceptance_sources(np, delivery, acc)
-
+    # layers[i][r]: the ids that reach node i at epoch r (its own at 0).
+    layers = [_node_layers(digraph.in_masks, receiver, rounds) for receiver in range(n)]
     header = (
         profile.envelope_header_bytes
         + profile.epoch_header_bytes
         + _MTGV2_COUNT_BYTES
     )
-    entry_bytes = profile.signed_id_bytes()
-
-    sent_bytes = np.zeros(n, dtype=np.int64)
-    sent_msgs = np.zeros(n, dtype=np.int64)
-    recv_bytes = np.zeros(n, dtype=np.int64)
-    recv_msgs = np.zeros(n, dtype=np.int64)
-
-    rounds_executed = rounds
-    for round_number in range(1, rounds + 1):
-        relayed = acc == (round_number - 1)
-        pending = relayed.sum(axis=0)
-        exclusions = np.zeros((n, n), dtype=np.int64)
-        sourced = relayed & (src >= 0)
-        if sourced.any():
-            item_idx, sender_idx = np.nonzero(sourced)
-            np.add.at(exclusions, (sender_idx, src[item_idx, sender_idx]), 1)
-        counts = np.where(delivery, pending[:, None] - exclusions, 0)
-        envelopes = counts > 0
-        if not envelopes.any():
-            if quiescence_skip:
-                rounds_executed = round_number
-                break
-            continue
-        sizes = np.where(envelopes, header + counts * entry_bytes, 0)
-        sent_bytes += sizes.sum(axis=1)
-        sent_msgs += envelopes.sum(axis=1)
-        recv_bytes += sizes.sum(axis=0)
-        recv_msgs += envelopes.sum(axis=0)
-
-    stats = TrafficStats()
-    _fill_stats(np, stats, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
+    traffic = _relay_traffic(
+        layers, digraph, header, profile.signed_id_bytes(), 0, rounds, quiescence_skip
+    )
 
     own_ids = {node_id: protocols[node_id]._known[node_id] for node_id in range(n)}
-    accepted = (acc >= 1) & (acc <= rounds_executed)
     for node_id in range(n):
         known = protocols[node_id]._known
-        for item in np.flatnonzero(accepted[:, node_id]):
-            item = int(item)
+        accepted = 0
+        for layer in layers[node_id][1:]:
+            accepted |= layer
+        while accepted:
+            low = accepted & -accepted
+            item = low.bit_length() - 1
             known[item] = own_ids[item]
-    return _conclude_all(protocols), stats, rounds_executed
+            accepted ^= low
+    return _conclude_all(protocols), _stats(traffic), traffic.rounds_executed

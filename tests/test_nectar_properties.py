@@ -21,6 +21,7 @@ two must reach identical verdicts.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -265,8 +266,10 @@ def test_definition_3_properties(run):
         )
 
     truth = compute_ground_truth(graph, t, byzantine)
-    default = trial()
-    with perf.force_kernels(False):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(perf.SCHEDULER_SWITCH, raising=False)
+        default = trial()
+        patch.setenv(perf.SCHEDULER_SWITCH, "1")
         scheduler = trial()
     for result in (default, scheduler):
         _assert_definition_3(graph, t, result.correct_verdicts, truth)

@@ -1,31 +1,43 @@
-"""Equivalence suite for the vectorized verification core (DESIGN.md §15).
+"""Equivalence suite for the closed-form trial engine (DESIGN.md §15).
 
-Every kernel in :mod:`repro.perf` is a drop-in accelerator for a
-pure-Python path; these tests pin the contract that makes that safe:
+The fast path in :mod:`repro.perf.fastpath` replaces the round
+scheduler on reliable synchronous channels; these tests pin the
+contract that makes that safe:
 
-* the closed-form trial fast path reproduces the scalar scheduler's
-  verdicts and traffic byte-for-byte, and leaves every NECTAR node
-  with its own discovered graph equal to the scalar run's (random,
-  possibly disconnected graphs, two-faced, sleeper and silent
-  Byzantine nodes, truncated rounds); a silent node ends with no view
-  on either engine;
+* the closed-form fast path reproduces the scheduler's verdicts and
+  traffic byte-for-byte, and leaves every NECTAR node with its own
+  discovered graph equal to the scheduled run's (random, possibly
+  disconnected graphs, two-faced, sleeper and silent Byzantine nodes,
+  truncated rounds); a silent node ends with no view on either engine;
+* the same holds for MtG (every node's Bloom filter bytes, saturating
+  and two-faced nodes) and MtGv2 (every node's known-id set, two-faced
+  nodes);
 * every trial compared leg against leg really takes the closed form
-  on its vectorized leg (or, on a lossy channel, really falls back),
-  so an eligibility regression cannot pass as two scheduler runs;
+  on its fast leg (or, on a lossy channel, really falls back), so an
+  eligibility regression cannot pass as two scheduler runs;
 * FULL validation with a shared cache and a two-faced, sleeper or
   silent coalition takes the closed form and matches the scheduler;
-* its per-receiver acceptance-source search equals the per-item
-  reference loop;
+* its reverse-BFS layers and AND-and-clear source step equal a
+  per-item reference loop over plain BFS distances;
 * an honest FULL-validation trial with a shared verification cache
   returns the same ``TrialResult`` (cache counters included) with and
-  without the kernels;
+  without the scheduler forced;
 * the fast path's wire-framing constants match the payloads' real
   ``encoded_size`` arithmetic;
 * a warmed connectivity-resilience sweep yields the same rows with
-  and without the kernels.
+  and without the scheduler forced;
+* a fresh interpreter runs a closed-form trial and a FULL-validation
+  scheduler trial without importing numpy.
 """
 
+import contextlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
+from collections import deque
 from unittest import mock
 
 import pytest
@@ -34,12 +46,14 @@ from hypothesis import strategies as st
 
 from repro import perf
 from repro.adversary.behaviors import (
+    SaturatingMtgNode,
     SilentNode,
     SleeperNectarNode,
+    TwoFacedMtgNode,
     TwoFacedMtgv2Node,
     TwoFacedNectarNode,
 )
-from repro.baselines.mtg import BloomPayload, mtg_epoch_count
+from repro.baselines.mtg import BloomPayload, MtgNode, mtg_epoch_count
 from repro.baselines.mtgv2 import Mtgv2Node, SignedId, SignedIdsPayload
 from repro.core.decision import clear_connectivity_cache
 from repro.core.messages import EdgeAnnouncement, NectarBatch
@@ -64,15 +78,21 @@ from repro.net.channel import RELIABLE_CHANNEL
 from repro.net.message import Envelope
 from repro.net.simulator import SyncNetwork
 from repro.perf import fastpath
-from repro.perf.kernels import directed_distances
-
-requires_numpy = pytest.mark.skipif(
-    perf.numpy_or_none() is None,
-    reason="numpy unavailable (fallback leg): no vectorized path to compare",
-)
 
 _SCHEME = HmacScheme()
 _STORE = build_keystore(_SCHEME, 8, seed=41)
+
+
+@contextlib.contextmanager
+def _engine(scheduler):
+    """Trials run inside take the round scheduler (``scheduler``) or
+    may take the fast path, whatever the environment says."""
+    with pytest.MonkeyPatch.context() as patch:
+        if scheduler:
+            patch.setenv(perf.SCHEDULER_SWITCH, "1")
+        else:
+            patch.delenv(perf.SCHEDULER_SWITCH, raising=False)
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +145,7 @@ def test_mtgv2_framing_matches_encoded_size():
 
 
 # ----------------------------------------------------------------------
-# Closed-form fast path ≡ scalar scheduler
+# Closed-form fast path ≡ round scheduler
 # ----------------------------------------------------------------------
 def _snapshot(result):
     stats = result.stats
@@ -141,16 +161,14 @@ def _snapshot(result):
 
 
 def _both_legs(trial, *, fast=True):
-    """Snapshot ``trial`` on the scheduler, then with the kernels on.
+    """Snapshot ``trial`` with the scheduler forced, then without.
 
-    The vectorized leg must make exactly one fast-path attempt, and it
-    must take the closed form (``fast=True``) or fall back to the
-    scheduler (``fast=False``): two scheduler runs compare nothing.
+    The switch is set after import, so the forced leg pins that it is
+    read on every call: that leg makes no fast-path attempt.  The
+    second leg must make exactly one, and it must take the closed form
+    (``fast=True``) or fall back to the scheduler (``fast=False``):
+    two scheduler runs compare nothing.
     """
-    clear_connectivity_cache()
-    with perf.force_kernels(False):
-        scalar = _snapshot(trial())
-    clear_connectivity_cache()
     took_closed_form = []
     attempt = fastpath.try_run_trial
 
@@ -160,27 +178,31 @@ def _both_legs(trial, *, fast=True):
         return outcome
 
     with mock.patch.object(fastpath, "try_run_trial", spy):
-        vectorized = _snapshot(trial())
+        clear_connectivity_cache()
+        with _engine(scheduler=True):
+            scalar = _snapshot(trial())
+        assert took_closed_form == []
+        clear_connectivity_cache()
+        with _engine(scheduler=False):
+            default = _snapshot(trial())
     assert took_closed_form == [fast]
-    return scalar, vectorized
+    return scalar, default
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fastpath_nectar_cost_matches_scalar(seed):
     graph = harary_graph(4, 11 + seed)
-    scalar, vectorized = _both_legs(lambda: nectar_cost_trial(graph, seed=seed))
-    assert scalar == vectorized
+    scalar, default = _both_legs(lambda: nectar_cost_trial(graph, seed=seed))
+    assert scalar == default
 
 
-@requires_numpy
 @pytest.mark.parametrize("protocol", ["mtg", "mtgv2"])
 def test_fastpath_baselines_match_scalar(protocol):
     graph = harary_graph(3, 10)
-    scalar, vectorized = _both_legs(
+    scalar, default = _both_legs(
         lambda: baseline_cost_trial(graph, protocol, seed=5)
     )
-    assert scalar == vectorized
+    assert scalar == default
 
 
 def _nectar_family_node(kind, args, silent_towards=frozenset()):
@@ -221,7 +243,6 @@ _FULL_CACHE_COALITIONS = {
 }
 
 
-@requires_numpy
 @pytest.mark.parametrize("coalition", list(_FULL_CACHE_COALITIONS))
 def test_fastpath_two_faced_nectar_matches_scalar(coalition):
     """FULL validation with a shared cache: a sleeper (two-faced
@@ -232,7 +253,7 @@ def test_fastpath_two_faced_nectar_matches_scalar(coalition):
         node: _coalition_factory(kind, silent_towards=frozenset({3, 4}))
         for node, kind in _FULL_CACHE_COALITIONS[coalition].items()
     }
-    scalar, vectorized = _both_legs(
+    scalar, default = _both_legs(
         lambda: run_trial(
             graph,
             t=2,
@@ -243,10 +264,9 @@ def test_fastpath_two_faced_nectar_matches_scalar(coalition):
             with_ground_truth=False,
         )
     )
-    assert scalar == vectorized
+    assert scalar == default
 
 
-@requires_numpy
 @pytest.mark.parametrize(
     "honest_factory", [honest_mtg_factory, honest_mtgv2_factory]
 )
@@ -270,7 +290,7 @@ def test_fastpath_adversarial_baselines_match_scalar(honest_factory):
                 silent_towards=frozenset({2, 5}),
             )
         }
-    scalar, vectorized = _both_legs(
+    scalar, default = _both_legs(
         lambda: run_trial(
             graph,
             t=1,
@@ -281,10 +301,9 @@ def test_fastpath_adversarial_baselines_match_scalar(honest_factory):
             with_ground_truth=False,
         )
     )
-    assert scalar == vectorized
+    assert scalar == default
 
 
-@requires_numpy
 def test_fastpath_lossy_channel_stays_scalar():
     """A channel that can drop messages is ineligible: both legs run
     the scalar scheduler and the loss-RNG stream stays bit-exact."""
@@ -292,28 +311,35 @@ def test_fastpath_lossy_channel_stays_scalar():
 
     graph = harary_graph(3, 9)
     env = EnvironmentSpec(loss_rate=0.3)
-    scalar, vectorized = _both_legs(
+    scalar, default = _both_legs(
         lambda: nectar_cost_trial(graph, seed=4, env=env), fast=False
     )
-    assert scalar == vectorized
+    assert scalar == default
 
 
 # ----------------------------------------------------------------------
-# Fast-path end state ≡ scalar end state, node by node
+# Fast-path end state ≡ scheduled end state, node by node
 # ----------------------------------------------------------------------
-@st.composite
-def silenced_trials(draw):
-    """A random graph (sparse draws leave it disconnected or with
-    isolated nodes), up to two Byzantine nodes, each two-faced with a
-    random silent set, a sleeper or silent, a round budget from 1
-    (truncated below the diameter) to n + 2, and the quiescence skip
-    on or off."""
+def _random_graph(draw):
+    """A graph on 2–14 nodes; sparse draws leave it disconnected or
+    with isolated nodes."""
     n = draw(st.integers(min_value=2, max_value=14))
     density = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
     ]
+    return Graph(n, edges)
+
+
+@st.composite
+def silenced_trials(draw):
+    """A random graph, up to two Byzantine nodes, each two-faced with a
+    random silent set, a sleeper or silent, a round budget from 1
+    (truncated below the diameter) to n + 2, and the quiescence skip
+    on or off."""
+    graph = _random_graph(draw)
+    n = graph.n
     byzantine = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
     coalition = {}
     for node in byzantine:
@@ -321,7 +347,28 @@ def silenced_trials(draw):
         muted = draw(st.sets(st.integers(0, n - 1))) if kind == "two-faced" else ()
         coalition[node] = (kind, frozenset(muted))
     rounds = draw(st.integers(min_value=1, max_value=n + 2))
-    return Graph(n, edges), coalition, rounds, draw(st.booleans())
+    return graph, coalition, rounds, draw(st.booleans())
+
+
+@st.composite
+def baseline_trials(draw):
+    """An MtG or MtGv2 trial: a random graph, up to two Byzantine nodes
+    (saturating or two-faced for MtG, two-faced for MtGv2) with random
+    silent sets, a resend period for MtG, a round budget from 1 to
+    n + 2, and the quiescence skip on or off."""
+    family = draw(st.sampled_from(["mtg", "mtgv2"]))
+    graph = _random_graph(draw)
+    n = graph.n
+    kinds = ["saturating", "two-faced"] if family == "mtg" else ["two-faced"]
+    byzantine = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    coalition = {}
+    for node in byzantine:
+        kind = draw(st.sampled_from(kinds))
+        muted = draw(st.sets(st.integers(0, n - 1))) if kind == "two-faced" else ()
+        coalition[node] = (kind, frozenset(muted))
+    resend_period = draw(st.sampled_from([0, 2, 3])) if family == "mtg" else 0
+    rounds = draw(st.integers(min_value=1, max_value=n + 2))
+    return family, graph, coalition, resend_period, rounds, draw(st.booleans())
 
 
 def _nectar_nodes(graph, deployment, coalition, n=None):
@@ -343,7 +390,25 @@ def _nectar_nodes(graph, deployment, coalition, n=None):
     return nodes
 
 
-def _mtgv2_nodes(graph, deployment, silent):
+def _mtg_nodes(graph, coalition, resend_period=0):
+    """Honest MtG nodes, except ``coalition``'s (kind, silent set)
+    entries."""
+    nodes = {}
+    for node_id in graph.nodes():
+        kind, muted = coalition.get(node_id, ("correct", frozenset()))
+        args = (node_id, graph.n, graph.neighbors(node_id))
+        kwargs = {"resend_period": resend_period}
+        if kind == "saturating":
+            nodes[node_id] = SaturatingMtgNode(*args, **kwargs)
+        elif kind == "two-faced":
+            nodes[node_id] = TwoFacedMtgNode(*args, silent_towards=muted, **kwargs)
+        else:
+            nodes[node_id] = MtgNode(*args, **kwargs)
+    return nodes
+
+
+def _mtgv2_nodes(graph, deployment, coalition):
+    """Honest MtGv2 nodes, except ``coalition``'s two-faced entries."""
     nodes = {}
     for node_id in graph.nodes():
         args = (
@@ -354,19 +419,23 @@ def _mtgv2_nodes(graph, deployment, silent):
             deployment.scheme,
             deployment.key_store.directory,
         )
-        if node_id in silent:
-            nodes[node_id] = TwoFacedMtgv2Node(*args, silent_towards=silent[node_id])
+        if node_id in coalition:
+            _, muted = coalition[node_id]
+            nodes[node_id] = TwoFacedMtgv2Node(*args, silent_towards=muted)
         else:
             nodes[node_id] = Mtgv2Node(*args)
     return nodes
 
 
 def _known(node):
-    """A node's end-of-run knowledge; None for a silent node."""
+    """A node's end-of-run knowledge: its discovered edges, Bloom
+    filter bytes or known ids; None for a silent node."""
     if isinstance(node, SilentNode):
         return None
     if isinstance(node, NectarNode):
         return node.discovered.edges()
+    if isinstance(node, MtgNode):
+        return node.reachable_filter.to_bytes()
     return frozenset(node._known)
 
 
@@ -404,7 +473,6 @@ def _fast_and_scalar_end_states(graph, build_nodes, rounds, quiescence_skip):
     return _end_state(*fast, fast_nodes), scalar, fast_nodes
 
 
-@requires_numpy
 @settings(max_examples=60, deadline=None)
 @given(silenced_trials())
 # The Definition-3 Validity counterexample (DESIGN.md §11.1): a
@@ -432,27 +500,51 @@ def test_fastpath_nectar_end_state_matches_scalar(trial):
     assert len({id(node.discovered) for node in nectar}) == len(nectar)
 
 
-@requires_numpy
-@pytest.mark.parametrize("family", ["nectar", "mtgv2"])
-def test_fastpath_runs_longer_than_n_rounds_match_scalar(family):
-    """Unreachable pairs must stay unknown however many rounds run:
-    the distance kernel's n + 1 sentinel is a reachable round number
-    once the budget exceeds n."""
-    graph = Graph(5, [(0, 1), (1, 2)])  # nodes 3 and 4 are isolated
-    deployment = build_deployment(graph, scheme=HmacScheme())
-    build = _nectar_nodes if family == "nectar" else _mtgv2_nodes
-    fast, scalar, _ = _fast_and_scalar_end_states(
-        graph,
-        lambda: build(graph, deployment, {}),
-        graph.n + 3,
+@settings(max_examples=60, deadline=None)
+@given(baseline_trials())
+# A saturating node gossiping a periodic refresh after quiescence.
+@example(
+    (
+        "mtg",
+        Graph(5, [(0, 1), (1, 2), (3, 4)]),
+        {1: ("saturating", frozenset()), 3: ("two-faced", frozenset({4}))},
+        2,
+        7,
         False,
+    )
+)
+def test_fastpath_baseline_end_state_matches_scalar(trial):
+    family, graph, coalition, resend_period, rounds, quiescence_skip = trial
+    if family == "mtg":
+        build = lambda: _mtg_nodes(graph, coalition, resend_period)  # noqa: E731
+    else:
+        deployment = build_deployment(graph, scheme=HmacScheme())
+        build = lambda: _mtgv2_nodes(graph, deployment, coalition)  # noqa: E731
+    fast, scalar, _ = _fast_and_scalar_end_states(
+        graph, build, rounds, quiescence_skip
     )
     assert fast == scalar
 
 
-@requires_numpy
+@pytest.mark.parametrize("family", ["nectar", "mtg", "mtgv2"])
+def test_fastpath_runs_longer_than_n_rounds_match_scalar(family):
+    """Unreachable pairs must stay unknown however many rounds run,
+    including budgets above n."""
+    graph = Graph(5, [(0, 1), (1, 2)])  # nodes 3 and 4 are isolated
+    deployment = build_deployment(graph, scheme=HmacScheme())
+    builders = {
+        "nectar": lambda: _nectar_nodes(graph, deployment, {}),
+        "mtg": lambda: _mtg_nodes(graph, {}),
+        "mtgv2": lambda: _mtgv2_nodes(graph, deployment, {}),
+    }
+    fast, scalar, _ = _fast_and_scalar_end_states(
+        graph, builders[family], graph.n + 3, False
+    )
+    assert fast == scalar
+
+
 def test_fastpath_rejects_nectar_nodes_with_foreign_n():
-    """A node whose n differs from the graph's keeps the scalar path:
+    """A node whose n differs from the graph's keeps the scheduler:
     a shared view is sized by the graph, not by the node."""
     graph = Graph(6, [(0, 1), (1, 2), (3, 4)])
     deployment = build_deployment(graph, scheme=HmacScheme())
@@ -470,60 +562,122 @@ def test_fastpath_rejects_nectar_nodes_with_foreign_n():
         is None
     )
     # The rejected nodes are untouched: the scheduler the caller falls
-    # back to decides exactly as on a fresh scalar leg.
+    # back to decides exactly as on a fresh node set.
     fallback = SyncNetwork(graph, nodes).run(graph.n - 1)
     fresh = _nectar_nodes(graph, deployment, {}, graph.n + 2)
-    with perf.force_kernels(False):
-        assert fallback == SyncNetwork(graph, fresh).run(graph.n - 1)
+    assert fallback == SyncNetwork(graph, fresh).run(graph.n - 1)
 
 
 # ----------------------------------------------------------------------
-# Acceptance sources: per-receiver search ≡ per-item reference loop
+# Layers and acceptance sources: bitset step ≡ per-item reference loop
 # ----------------------------------------------------------------------
-def _acceptance_sources_reference(np, delivery, acc_rows):
-    """The fast path's original per-item loop: one n×n pass per row."""
-    src = np.full(acc_rows.shape, -1, dtype=np.int64)
-    for k in range(acc_rows.shape[0]):
-        acc = acc_rows[k]
-        candidates = delivery & (acc[:, None] + 1 == acc[None, :])
-        src[k] = np.where(candidates.any(axis=0), candidates.argmax(axis=0), -1)
-    return src
+def _acceptance_reference(n, arcs, items, depth):
+    """``{(item, receiver): (round, sender)}`` from plain BFS distances:
+    an item spreading from its nodes along ``arcs`` is accepted at the
+    smallest hop distance (if at most ``depth``), from the smallest-id
+    in-neighbour accepting it one round earlier (None at round 0)."""
+    successors = [[j for s, j in arcs if s == v] for v in range(n)]
+    dist = []
+    for source in range(n):
+        row = {source: 0}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for nxt in successors[node]:
+                if nxt not in row:
+                    row[nxt] = row[node] + 1
+                    queue.append(nxt)
+        dist.append(row)
+
+    def accepted(item, receiver):
+        hops = [dist[v][receiver] for v in items[item] if receiver in dist[v]]
+        return min(hops) if hops and min(hops) <= depth else None
+
+    table = {}
+    for item in range(len(items)):
+        for receiver in range(n):
+            when = accepted(item, receiver)
+            if when is None:
+                continue
+            sender = None
+            if when:
+                sender = min(
+                    s
+                    for s, j in arcs
+                    if j == receiver and accepted(item, s) == when - 1
+                )
+            table[item, receiver] = (when, sender)
+    return table
 
 
-@requires_numpy
+def _acceptance_table(layers, ins):
+    """The same table from the engine's layers and source step."""
+    table = {}
+    for receiver, receiver_layers in enumerate(layers):
+        for depth, items in enumerate(receiver_layers):
+            assert items, "layers never hold an empty round"
+            split = {}
+            if depth:
+                split = fastpath._sources(items, ins[receiver], layers, depth)
+                assert sum(split.values()) == items
+            senders = {
+                item: sender
+                for sender, got in split.items()
+                for item in range(got.bit_length())
+                if got >> item & 1
+            }
+            for item in range(items.bit_length()):
+                if items >> item & 1:
+                    table[item, receiver] = (depth, senders.get(item))
+    return table
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=2, max_value=12),
     st.sampled_from([0.0, 0.15, 0.4, 0.8]),
     st.integers(min_value=0, max_value=2**16),
     st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=16),
 )
-def test_acceptance_sources_match_per_item_reference(n, density, seed, items):
-    np = perf.numpy_or_none()
-    rng = np.random.default_rng(seed)
-    delivery = rng.random((n, n)) < density
-    np.fill_diagonal(delivery, False)
-    delivery[:, rng.integers(n)] = False  # a receiver with no in-arcs
-    dist = directed_distances(delivery)
-    assert (dist == n + 1).any()  # the unreachable sentinel is present
-    lo = rng.integers(0, n - 1, size=items)
-    hi = lo + 1 + (rng.integers(0, n, size=items) % (n - 1 - lo))
+def test_acceptance_sources_match_per_item_reference(n, density, seed, items, depth):
+    rng = random.Random(seed)
+    deaf = rng.randrange(n)  # a receiver with no in-arcs
+    arcs = [
+        (s, j)
+        for s in range(n)
+        for j in range(n)
+        if s != j and j != deaf and rng.random() < density
+    ]
+    outs = [[j for s, j in arcs if s == v] for v in range(n)]
+    ins = [[s for s, j in arcs if j == v] for v in range(n)]
+    in_masks = [sum(1 << s for s in senders) for senders in ins]
+    digraph = fastpath._Digraph(outs, ins, in_masks)
+    # The deaf receiver reaches only itself: unreachable pairs exist.
+    assert fastpath._node_layers(in_masks, deaf, n + 4) == [1 << deaf]
+    # NECTAR items are the graph's edges, and D is a subgraph of it.
+    extra = [tuple(rng.sample(range(n), 2)) for _ in range(items)]
+    graph = Graph(n, arcs + extra)
+    edges, edge_layers, known = fastpath._nectar_layers(graph, digraph, depth)
+    assert known == [sum(layers) for layers in edge_layers]
     shapes = (
-        dist,  # MtGv2: one row per signed id
-        np.minimum(dist[lo], dist[hi]),  # NECTAR: one row per edge
-        fastpath._arrival_rounds(delivery, n + 4),  # sentinel lifted
+        # MtGv2: one item per node id, spreading from that node.
+        (
+            [(v,) for v in range(n)],
+            [fastpath._node_layers(in_masks, i, depth) for i in range(n)],
+        ),
+        # NECTAR: one item per edge, spreading from both endpoints.
+        (edges, edge_layers),
     )
-    for acc_rows in shapes:
-        assert np.array_equal(
-            fastpath._acceptance_sources(np, delivery, acc_rows),
-            _acceptance_sources_reference(np, delivery, acc_rows),
+    for spread_from, layers in shapes:
+        assert _acceptance_table(layers, ins) == _acceptance_reference(
+            n, arcs, spread_from, depth
         )
 
 
 # ----------------------------------------------------------------------
 # FULL validation with a shared cache: one verification path
 # ----------------------------------------------------------------------
-@requires_numpy
 def test_full_validation_shared_cache_matches_scalar():
     graph = harary_graph(4, 16)
 
@@ -539,18 +693,18 @@ def test_full_validation_shared_cache_matches_scalar():
         )
 
     clear_connectivity_cache()
-    with perf.force_kernels(False):
+    with _engine(scheduler=True):
         scalar = trial()
     clear_connectivity_cache()
-    vectorized = trial()
+    with _engine(scheduler=False):
+        default = trial()
     assert scalar.cache_stats is not None
-    assert vectorized == scalar
+    assert default == scalar
 
 
 # ----------------------------------------------------------------------
-# Sweep warm-up: rows identical with and without the kernels
+# Sweep warm-up: rows identical with and without the scheduler forced
 # ----------------------------------------------------------------------
-@requires_numpy
 def test_warmed_sweep_rows_match_scalar_leg():
     from repro.experiments.artifacts import clear_artifact_cache
     from repro.experiments.spec import SWEEP_ENGINE
@@ -571,6 +725,62 @@ def test_warmed_sweep_rows_match_scalar_leg():
             for series in figure.series
         ]
 
-    with perf.force_kernels(False):
+    with _engine(scheduler=True):
         scalar = rows()
-    assert rows() == scalar
+    with _engine(scheduler=False):
+        assert rows() == scalar
+
+
+# ----------------------------------------------------------------------
+# Running trials imports no numpy
+# ----------------------------------------------------------------------
+_NO_NUMPY_PROBE = textwrap.dedent(
+    """
+    import sys
+
+    from repro.core.validation import ValidationMode
+    from repro.experiments.runner import nectar_cost_trial, run_trial
+    from repro.graphs.generators.regular import harary_graph
+    from repro.perf import fastpath
+
+    routes = []
+    attempt = fastpath.try_run_trial
+
+    def spy(*args, **kwargs):
+        outcome = attempt(*args, **kwargs)
+        routes.append(outcome is not None)
+        return outcome
+
+    fastpath.try_run_trial = spy
+    graph = harary_graph(4, 12)
+    nectar_cost_trial(graph, seed=1)
+    run_trial(
+        graph,
+        t=1,
+        seed=1,
+        validation_mode=ValidationMode.FULL,
+        verification_cache=True,
+    )
+    assert routes == [True, False], routes
+    assert "numpy" not in sys.modules, "a trial imported numpy"
+    """
+)
+
+
+def test_trials_never_import_numpy():
+    """One closed-form trial and one FULL-validation scheduler trial in
+    a fresh interpreter leave numpy unimported."""
+    src = pathlib.Path(perf.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env.pop(perf.SCHEDULER_SWITCH, None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -256,7 +256,7 @@ class TestTrialEquivalence:
 
     @pytest.mark.parametrize("mix", sorted(_BYZANTINE_MIXES))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_cached_equals_uncached(self, mix, seed):
+    def test_cached_equals_uncached(self, mix, seed, monkeypatch):
         # Both legs run on the scheduler: the closed-form fast path
         # never consults the cache, so a fast-path leg compares nothing.
         graph = random_regular_graph(12, 4, seed=seed)
@@ -268,9 +268,9 @@ class TestTrialEquivalence:
             validation_mode=ValidationMode.FULL,
             seed=seed,
         )
-        with perf.force_kernels(False):
-            cached = run_trial(graph, verification_cache=True, **kwargs)
-            uncached = run_trial(graph, verification_cache=False, **kwargs)
+        monkeypatch.setenv(perf.SCHEDULER_SWITCH, "1")
+        cached = run_trial(graph, verification_cache=True, **kwargs)
+        uncached = run_trial(graph, verification_cache=False, **kwargs)
         assert cached.verdicts == uncached.verdicts
         assert cached.stats == uncached.stats
         assert cached.ground_truth == uncached.ground_truth
