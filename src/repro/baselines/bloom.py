@@ -6,6 +6,11 @@ Bloom filter is an unauthenticated bit set, a Byzantine node "can send
 filters full of 1 values to lead correct nodes to conclude that the
 system is connected" (Sec. V-D).  Both properties matter here, so the
 filter supports union, saturation and membership counting.
+
+A filter is one Python int whose bit p is position p, carried on the
+wire as bit p % 8 of byte p // 8 (the int in little-endian byte order).
+Each item's positions form one cached mask per geometry, so every set
+operation is a single int operation.
 """
 
 from __future__ import annotations
@@ -38,23 +43,27 @@ def optimal_parameters(expected_items: int, false_positive_rate: float) -> tuple
 
 
 @lru_cache(maxsize=16384)
-def _hash_positions(bit_count: int, hash_count: int, item: int) -> tuple[int, ...]:
-    """Bit positions of ``item`` for one filter geometry.
+def _item_mask(bit_count: int, hash_count: int, item: int) -> int:
+    """The filter bits of ``item`` for one geometry, as an int.
 
-    The positions are a pure function of the geometry and the item, and
-    every node of an MtG deployment shares one geometry — memoising
-    them turns the hot membership sweep of ``conclude()`` (n candidates
-    x n nodes, each re-hashing ``hash_count`` SHA-256 blocks) into
-    dictionary lookups without changing a single bit.
+    A pure function of the geometry and the item, and every node of an
+    MtG deployment shares one geometry, so it is memoised.
     """
     encoded = item.to_bytes(8, "big", signed=True)
-    return tuple(
-        int.from_bytes(
-            hashlib.sha256(index.to_bytes(2, "big") + encoded).digest()[:8], "big"
-        )
-        % bit_count
-        for index in range(hash_count)
-    )
+    mask = 0
+    for index in range(hash_count):
+        digest = hashlib.sha256(index.to_bytes(2, "big") + encoded).digest()
+        mask |= 1 << (int.from_bytes(digest[:8], "big") % bit_count)
+    return mask
+
+
+@lru_cache(maxsize=256)
+def _ids_mask(bit_count: int, hash_count: int, count: int) -> int:
+    """The OR of the item masks of ids 0..count-1."""
+    mask = 0
+    for item in range(count):
+        mask |= _item_mask(bit_count, hash_count, item)
+    return mask
 
 
 class BloomFilter:
@@ -72,27 +81,24 @@ class BloomFilter:
             raise ValueError("hash_count must be positive")
         self.bit_count = bit_count
         self.hash_count = hash_count
-        self._bits = bytearray(bit_count // 8)
-
-    # ------------------------------------------------------------------
-    # Hashing
-    # ------------------------------------------------------------------
-    def _positions(self, item: int) -> tuple[int, ...]:
-        return _hash_positions(self.bit_count, self.hash_count, item)
+        self._value = 0
 
     # ------------------------------------------------------------------
     # Set operations
     # ------------------------------------------------------------------
     def add(self, item: int) -> None:
         """Insert an item."""
-        for position in self._positions(item):
-            self._bits[position // 8] |= 1 << (position % 8)
+        self._value |= _item_mask(self.bit_count, self.hash_count, item)
 
     def __contains__(self, item: int) -> bool:
-        return all(
-            self._bits[position // 8] & (1 << (position % 8))
-            for position in self._positions(item)
-        )
+        mask = _item_mask(self.bit_count, self.hash_count, item)
+        return self._value & mask == mask
+
+    def contains_ids(self, count: int) -> bool:
+        """``all(i in self for i in range(count))``, as one AND with the
+        union of the ids' masks."""
+        mask = _ids_mask(self.bit_count, self.hash_count, count)
+        return self._value & mask == mask
 
     def union_with(self, other: "BloomFilter") -> bool:
         """Merge ``other`` into this filter; True if any bit changed.
@@ -104,33 +110,27 @@ class BloomFilter:
         """
         if (other.bit_count, other.hash_count) != (self.bit_count, self.hash_count):
             raise ValueError("cannot union Bloom filters of different geometry")
-        changed = False
-        for index, chunk in enumerate(other._bits):
-            merged = self._bits[index] | chunk
-            if merged != self._bits[index]:
-                self._bits[index] = merged
-                changed = True
-        return changed
+        before, self._value = self._value, self._value | other._value
+        return self._value != before
 
     def saturate(self) -> None:
         """Set every bit — the MtG attack of Sec. V-D."""
-        for index in range(len(self._bits)):
-            self._bits[index] = 0xFF
+        self._value = (1 << self.bit_count) - 1
 
     def ones(self) -> int:
         """Number of set bits."""
-        return sum(bin(chunk).count("1") for chunk in self._bits)
+        return self._value.bit_count()
 
     def is_saturated(self) -> bool:
         """Whether every bit is set."""
-        return all(chunk == 0xFF for chunk in self._bits)
+        return self._value == (1 << self.bit_count) - 1
 
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """The raw bit array."""
-        return bytes(self._bits)
+        """The raw bit array (position p is bit p % 8 of byte p // 8)."""
+        return self._value.to_bytes(self.bit_count // 8, "little")
 
     @classmethod
     def from_bytes(cls, bit_count: int, hash_count: int, data: bytes) -> "BloomFilter":
@@ -142,7 +142,7 @@ class BloomFilter:
         instance = cls(bit_count, hash_count)
         if len(data) != bit_count // 8:
             raise ValueError("bit array length does not match bit_count")
-        instance._bits = bytearray(data)
+        instance._value = int.from_bytes(data, "little")
         return instance
 
     def copy(self) -> "BloomFilter":
@@ -155,5 +155,5 @@ class BloomFilter:
         return (
             self.bit_count == other.bit_count
             and self.hash_count == other.hash_count
-            and self._bits == other._bits
+            and self._value == other._value
         )

@@ -180,8 +180,7 @@ class MtgNode(RoundProtocol):
         if self._decided:
             raise ProtocolError("decide() is one-shot")
         self._decided = True
-        reachable = sum(1 for candidate in range(self._n) if candidate in self._filter)
-        if reachable == self._n:
+        if self._filter.contains_ids(self._n):  # all n ids reachable
             return BaselineDecision.CONNECTED
         return BaselineDecision.PARTITIONED
 

@@ -3,7 +3,9 @@
 Each node keeps "an adjacency matrix that will contain all the edges
 it discovers during the algorithm's execution", holding a neighborhood
 proof per known edge (Algorithm 1, ll. 1-4).  We store it sparsely as
-a proof-by-edge map with an adjacency index for traversal.
+a proof-by-edge map.  What queries derive from the proof keys lives in
+a memo that copies share until either side's next ``add()``, so nodes
+ending a run with the same G_i (Lemma 2) traverse it once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,17 @@ from __future__ import annotations
 from repro.crypto.proofs import NeighborhoodProof
 from repro.graphs.graph import Graph
 from repro.types import Edge, NodeId, canonical_edge
+
+
+class _Memo:
+    """Filled on first query; a field is assigned only once complete."""
+
+    __slots__ = ("adjacency", "edges", "components")
+
+    def __init__(self) -> None:
+        self.adjacency: dict[NodeId, list[NodeId]] | None = None
+        self.edges: frozenset[Edge] | None = None
+        self.components: dict[NodeId, frozenset[NodeId]] = {}  # one per member
 
 
 class DiscoveredGraph:
@@ -25,7 +38,7 @@ class DiscoveredGraph:
             raise ValueError("n must be positive")
         self._n = n
         self._proofs: dict[Edge, NeighborhoodProof] = {}
-        self._adjacency: dict[NodeId, set[NodeId]] = {}
+        self._memo: _Memo | None = None
 
     @property
     def n(self) -> int:
@@ -44,13 +57,7 @@ class DiscoveredGraph:
 
     def knows(self, u: NodeId, v: NodeId) -> bool:
         """Whether the edge (u, v) is already recorded (l. 14's check)."""
-        # Inlined canonicalisation: this runs once per delivered
-        # announcement copy, ahead of all other validation.
-        if u > v:
-            u, v = v, u
-        elif u == v:
-            return False  # self loops are never recorded
-        return (u, v) in self._proofs
+        return u != v and canonical_edge(u, v) in self._proofs
 
     def add(self, proof: NeighborhoodProof) -> bool:
         """Record an edge's proof; returns False if already known."""
@@ -61,15 +68,15 @@ class DiscoveredGraph:
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise ValueError(f"edge {edge} outside the id space [0, {self._n})")
         self._proofs[edge] = proof
-        self._adjacency.setdefault(u, set()).add(v)
-        self._adjacency.setdefault(v, set()).add(u)
+        self._memo = None  # copies sharing the old memo keep it
         return True
 
     def copy(self) -> DiscoveredGraph:
-        """An independent copy sharing the (immutable) proof objects."""
+        """An independent copy sharing the (immutable) proof objects
+        and, until either side's next :meth:`add`, the query memo."""
         clone = DiscoveredGraph(self._n)
         clone._proofs = dict(self._proofs)
-        clone._adjacency = {node: set(peers) for node, peers in self._adjacency.items()}
+        clone._memo = self._shared_memo()
         return clone
 
     def proof_of(self, u: NodeId, v: NodeId) -> NeighborhoodProof:
@@ -85,28 +92,46 @@ class DiscoveredGraph:
         return len(self._proofs)
 
     def edges(self) -> frozenset[Edge]:
-        """All recorded edges."""
-        return frozenset(self._proofs)
+        """All recorded edges (one frozenset, hashed once, per memo)."""
+        memo = self._shared_memo()
+        if memo.edges is None:
+            memo.edges = frozenset(self._proofs)
+        return memo.edges
 
     def reachable_from(self, source: NodeId) -> set[NodeId]:
         """Nodes reachable from ``source`` in the discovered graph.
 
         This implements ``DetectReachableNode(G_i)`` (Algorithm 1,
         l. 16): the node counts how many processes it can see a path
-        to, itself included.
+        to, itself included.  One BFS per component and memo; the
+        caller owns the returned set.
         """
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for neighbor in self._adjacency.get(node, ()):
+        memo = self._shared_memo()
+        component = memo.components.get(source)
+        if component is None:
+            adjacency = memo.adjacency
+            if adjacency is None:
+                adjacency = {}
+                for u, v in self._proofs:
+                    adjacency.setdefault(u, []).append(v)
+                    adjacency.setdefault(v, []).append(u)
+                memo.adjacency = adjacency
+            seen, queue = {source}, [source]
+            for node in queue:  # the queue grows while it is walked
+                for neighbor in adjacency.get(node, ()):
                     if neighbor not in seen:
                         seen.add(neighbor)
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        return seen
+                        queue.append(neighbor)
+            component = frozenset(seen)
+            memo.components.update(dict.fromkeys(component, component))
+        return set(component)
 
     def to_graph(self) -> Graph:
         """The discovered topology as a plain :class:`Graph` on n nodes."""
         return Graph(self._n, self._proofs.keys())
+
+    def _shared_memo(self) -> _Memo:
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = _Memo()
+        return memo

@@ -24,7 +24,10 @@ cuts the graph.
 Because Lemma 2 guarantees all correct nodes end with the *same*
 discovered graph whenever their subgraph is connected, the (costly)
 connectivity computation is shared across nodes of a run through a
-small memoisation keyed by the edge set.
+small memoisation keyed by the edge set.  ``r`` and that key come from
+the discovered graph's own memo, which copies of one view share (see
+:mod:`repro.core.adjacency`): nodes holding copies of one G_i run one
+BFS per connected component and hash one edge frozenset between them.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from repro.crypto.signer import KeyPair, PublicDirectory, SignatureScheme
 from repro.errors import ProtocolError
 from repro.net.message import Outgoing
 from repro.net.simulator import RoundProtocol
-from repro.types import NodeId, Verdict
+from repro.types import NodeId, Verdict, canonical_edge
 
 
 def nectar_round_count(n: int) -> int:
@@ -90,7 +90,7 @@ class NectarNode(RoundProtocol):
         for neighbor, proof in neighbor_proofs.items():
             if neighbor == node_id:
                 raise ProtocolError("a node cannot neighbor itself")
-            if frozenset((node_id, neighbor)) != proof.endpoints():
+            if proof.edge != canonical_edge(node_id, neighbor):
                 raise ProtocolError(
                     f"proof for neighbor {neighbor} does not cover the edge"
                 )
@@ -159,13 +159,10 @@ class NectarNode(RoundProtocol):
             # Dedup before any signature work: an already-known edge is
             # skipped outright (l. 14), which also bounds the
             # verification load under announcement spam (see the
-            # dedup ablation).  Known edges are keyed canonically;
-            # probe that orientation (self loops match nothing and
-            # die in validation, as before).
-            lo, hi = proof.edge
-            if lo > hi:
-                lo, hi = hi, lo
-            if lo != hi and (lo, hi) in known:
+            # dedup ablation).  Known edges are keyed canonically, and
+            # validation rejects every other orientation, so a reversed
+            # or self-loop edge matches nothing here and dies there.
+            if proof.edge in known:
                 continue
             if not validate(announcement, round_number, sender):
                 continue

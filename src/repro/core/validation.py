@@ -10,7 +10,8 @@ neighbor ``sender`` during round ``R``:
 2. the outermost link was signed by the delivering neighbor — the
    message is ``σ_k(...)`` received *from* k (l. 13);
 3. the innermost link was signed by an endpoint of the edge — round 1
-   messages are ``σ_i(proof_{i,j})`` sent by ``i`` itself (l. 8);
+   messages are ``σ_i(proof_{i,j})`` sent by ``i`` itself (l. 8) — and
+   the edge is canonical (lo < hi), so no edge enters G_i twice;
 4. the neighborhood proof verifies (both endpoint signatures);
 5. every chain link verifies against the public directory.
 
@@ -91,7 +92,9 @@ class AnnouncementValidator:
         originator = chain[0].signer
         if originator != proof.edge[0] and originator != proof.edge[1]:
             return False
-        if proof.lo == proof.hi:
+        # ...written canonically, as make_proof does: a reversed edge
+        # with swapped signatures verifies, but would enter G_i twice.
+        if proof.lo >= proof.hi:
             return False
         if self._mode is ValidationMode.ACCOUNTING:
             return True

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.crypto.signer import KeyPair, SignatureScheme
+from repro.errors import SignatureError
 from repro.types import NodeId
 
 # Small primes used to cheaply reject most composite candidates before
@@ -154,14 +155,13 @@ class RsaScheme(SignatureScheme):
     def sign(self, key_pair: KeyPair, data: bytes) -> bytes:
         width = self.signature_size
         private = key_pair.private_key
-        modulus = int.from_bytes(private[:width], "big")
-        digest = _full_domain_hash(data, modulus)
-        if len(private) < 4 * width:  # legacy key without CRT primes
-            private_exponent = int.from_bytes(private[width : 2 * width], "big")
-            signature = pow(digest, private_exponent, modulus)
-            return signature.to_bytes(width, "big")
         params = self._crt_params.get(private)
         if params is None:
+            if len(private) != 4 * width:  # (modulus, exponent, p, q)
+                raise SignatureError(
+                    f"private key of node {key_pair.node_id} is not four {width}-byte fields"
+                )
+            modulus = int.from_bytes(private[:width], "big")
             private_exponent = int.from_bytes(private[width : 2 * width], "big")
             p = int.from_bytes(private[2 * width : 3 * width], "big")
             q = int.from_bytes(private[3 * width : 4 * width], "big")
@@ -175,6 +175,7 @@ class RsaScheme(SignatureScheme):
             )
             self._crt_params[private] = params
         modulus, p, q, exp_p, exp_q, q_inverse = params
+        digest = _full_domain_hash(data, modulus)
         residue_p = pow(digest % p, exp_p, p)
         residue_q = pow(digest % q, exp_q, q)
         # Garner recombination: the unique residue mod p*q.

@@ -16,6 +16,8 @@ set of edges it knows when the last round ends, and few distinct sets
 occur per trial (Lemma 2: correct nodes of one connected group end with
 the same G_i), so each distinct known-edge mask is built once through
 ``DiscoveredGraph.add`` and every NECTAR node receives its own copy.
+Copies share the view's query memo, so the nodes' ``decide()`` calls
+run one BFS per (view, component) and hash one edge set per view.
 
 Closed forms, with D the delivery digraph (graph adjacency minus a
 two-faced node's ``silent_towards`` arcs and every out-arc of a silent
@@ -39,7 +41,8 @@ in-neighbour mask per node) and ``d_D`` directed hop distances:
   links in round r); counts are ``int.bit_count()``.  Source exclusion
   can never delay an acceptance: the excluded neighbour is two rounds
   behind by construction.
-* **MtG** — a filter is a ``bit_count``-bit int.  A node's filter after
+* **MtG** — a filter is a ``bit_count``-bit int, as in ``BloomFilter``
+  (bit p is wire bit p % 8 of byte p // 8).  A node's filter after
   epoch e is the OR of the filters gossiped to it (an all-ones filter
   from a saturating node); a node gossips when its filter changed since
   its last gossip (or on its periodic refresh), tracked on the actual
@@ -180,9 +183,6 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
             (p._filter.bit_count, p._filter.hash_count) for p in protocols.values()
         }
         if len(geometries) != 1:
-            return None
-        bit_count = next(iter(geometries))[0]
-        if bit_count % 8 != 0:
             return None
         for node_id, p in protocols.items():
             if p._n != graph.n or p._neighbors != graph.neighbors(node_id):
@@ -414,8 +414,8 @@ def _run_nectar(
     # delivered), then decide with the real decision code.  A node's
     # G_i is its known-edge mask (own edges included), and Lemma 2
     # leaves few distinct masks per trial: each is built once through
-    # add(), and every NECTAR node gets its own copy.  A silent node
-    # holds no proofs and no view; its conclude() returns None.
+    # add(), and every NECTAR node gets its own copy (sharing the view's
+    # query memo).  A silent node holds no view; it concludes None.
     nectar = {
         node_id: p for node_id, p in protocols.items() if isinstance(p, NectarNode)
     }

@@ -1,6 +1,10 @@
 """Tests for the Bloom filter substrate."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.bloom import BloomFilter, optimal_parameters
 
@@ -99,3 +103,108 @@ class TestBloomFilter:
         bloom = BloomFilter(64, 1)
         bloom.add(9)
         assert bloom.ones() == 1
+
+
+class TestWireFormat:
+    """Exact bytes: position p travels as bit p % 8 of byte p // 8.
+
+    A round trip alone would pass with the bit order flipped both ways;
+    MtG payloads and the fast path's ``int.from_bytes(..., "little")``
+    both rely on this order.
+    """
+
+    def test_items_zero_to_nine(self):
+        bloom = BloomFilter(64, 3)
+        for item in range(10):
+            bloom.add(item)
+        assert bloom.to_bytes() == bytes.fromhex("1b423059b08f1000")
+        assert bloom.ones() == 21
+        assert int.from_bytes(bloom.to_bytes(), "little").bit_count() == 21
+
+    def test_saturated(self):
+        bloom = BloomFilter(64, 3)
+        bloom.saturate()
+        assert bloom.to_bytes() == b"\xff" * 8
+        assert bloom.ones() == 64
+        assert bloom.is_saturated()
+        assert BloomFilter.from_bytes(64, 3, b"\xff" * 8).is_saturated()
+        assert not BloomFilter.from_bytes(64, 3, b"\xff" * 7 + b"\x7f").is_saturated()
+
+
+class _ReferenceBloom:
+    """The byte-array filter the int-backed one replaced."""
+
+    def __init__(self, bit_count, hash_count):
+        self.bit_count, self.hash_count = bit_count, hash_count
+        self.bits = bytearray(bit_count // 8)
+
+    def positions(self, item):
+        encoded = item.to_bytes(8, "big", signed=True)
+        return [
+            int.from_bytes(
+                hashlib.sha256(index.to_bytes(2, "big") + encoded).digest()[:8], "big"
+            )
+            % self.bit_count
+            for index in range(self.hash_count)
+        ]
+
+    def add(self, item):
+        for position in self.positions(item):
+            self.bits[position // 8] |= 1 << (position % 8)
+
+    def __contains__(self, item):
+        return all(
+            self.bits[position // 8] & (1 << (position % 8))
+            for position in self.positions(item)
+        )
+
+    def union_with(self, other):
+        changed = False
+        for index, chunk in enumerate(other.bits):
+            merged = self.bits[index] | chunk
+            if merged != self.bits[index]:
+                self.bits[index] = merged
+                changed = True
+        return changed
+
+    def saturate(self):
+        self.bits = bytearray(b"\xff" * len(self.bits))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([(8, 1), (64, 3), (96, 7), (200, 5)]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["add", "union", "saturate"]),
+            st.integers(0, 2),  # which filter
+            st.integers(0, 2),  # the other filter, for union
+            st.integers(-3, 40),  # the item, for add
+        ),
+        max_size=30,
+    ),
+)
+def test_int_backed_filter_matches_a_bytearray_reference(geometry, ops):
+    filters = [BloomFilter(*geometry) for _ in range(3)]
+    references = [_ReferenceBloom(*geometry) for _ in range(3)]
+    for kind, which, other, item in ops:
+        if kind == "add":
+            filters[which].add(item)
+            references[which].add(item)
+        elif kind == "union":
+            assert filters[which].union_with(filters[other]) == references[
+                which
+            ].union_with(references[other])
+        elif kind == "saturate" and which == 0:  # keep saturation rare
+            filters[which].saturate()
+            references[which].saturate()
+    for bloom, reference in zip(filters, references):
+        assert bloom.to_bytes() == bytes(reference.bits)
+        assert bloom.ones() == sum(bin(chunk).count("1") for chunk in reference.bits)
+        assert bloom.is_saturated() == all(chunk == 0xFF for chunk in reference.bits)
+        for item in range(-3, 41):
+            assert (item in bloom) == (item in reference)
+        for count in (1, 5, 20, 41):
+            assert bloom.contains_ids(count) == all(
+                item in reference for item in range(count)
+            )

@@ -9,10 +9,18 @@ that hypothesis happens to redraw the falsifying example.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.adversary.behaviors import SilentNode
 from repro.core.decision import clear_connectivity_cache
+from repro.core.messages import EdgeAnnouncement, NectarBatch
+from repro.core.nectar import NectarNode
+from repro.crypto.cache import VerificationCache
+from repro.crypto.chain import extend_chain
+from repro.crypto.proofs import NeighborhoodProof, proof_bytes
 from repro.experiments.accuracy import validity_holds
 from repro.experiments.runner import (
+    build_deployment,
     compute_ground_truth,
     honest_nectar_factory,
     run_trial,
@@ -114,3 +122,55 @@ def test_confirmed_partition_still_reported_beyond_the_budget():
         assert verdict.decision is Decision.PARTITIONABLE
         assert verdict.confirmed is True
     assert validity_holds(result.correct_verdicts, truth)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_a_reversed_proof_does_not_enter_a_view_twice(cached):
+    """Fixed: a Byzantine endpoint made an honest node accept one edge
+    twice.
+
+    On the path 3-5-4, Byzantine node 5 sends honest node 4, in round
+    1, the proof of (3, 5) written as (5, 3) with its two signatures
+    swapped (both still verify over the canonical message), then the
+    real proof.  Node 4 used to store both, ending with ``edge_count()``
+    3 for 2 edges and queueing both for relay.  Validation rule 3 now
+    admits only the canonical (lo, hi) orientation.
+    """
+    graph = Graph(6, [(3, 5), (4, 5)])
+    deployment = build_deployment(graph)
+    keys = deployment.key_store
+    real = deployment.proofs_of(5)[3]
+    swapped = NeighborhoodProof(
+        edge=(5, 3), signature_lo=real.signature_hi, signature_hi=real.signature_lo
+    )
+    node = NectarNode(
+        node_id=4,
+        n=6,
+        t=1,
+        key_pair=keys.key_pair_of(4),
+        scheme=deployment.scheme,
+        directory=keys.directory,
+        neighbor_proofs=deployment.proofs_of(4),
+        verification_cache=VerificationCache() if cached else None,
+    )
+    node.begin_round(1)
+    byzantine = keys.key_pair_of(5)
+    node.deliver(
+        1,
+        5,
+        NectarBatch(
+            tuple(
+                EdgeAnnouncement(
+                    proof=proof,
+                    chain=extend_chain(
+                        deployment.scheme, byzantine, proof_bytes(proof), ()
+                    ),
+                )
+                for proof in (swapped, real)
+            )
+        ),
+    )
+    assert node.discovered.edge_count() == 2
+    assert node.discovered.edges() == {(3, 5), (4, 5)}
+    assert [announcement.proof for announcement, _ in node._pending] == [real]
+    assert node.conclude().reachable == 3

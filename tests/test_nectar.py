@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.messages import NectarBatch
 from repro.core.nectar import NectarNode, nectar_round_count
+from repro.crypto.proofs import NeighborhoodProof
 from repro.errors import ProtocolError
 from repro.experiments.runner import build_deployment, run_trial
 from repro.graphs.generators.classic import (
@@ -70,6 +71,27 @@ class TestConstruction:
                 scheme=deployment.scheme,
                 directory=deployment.key_store.directory,
                 neighbor_proofs={2: deployment.proofs_of(1)[2]},
+            )
+
+
+    def test_rejects_reversed_neighbor_proof(self):
+        """A neighbour proof must name the (min, max) edge: the swapped
+        orientation, signatures swapped too, covers the same endpoints
+        but would be stored under a second key."""
+        deployment = build_deployment(cycle_graph(5))
+        real = deployment.proofs_of(0)[1]
+        swapped = NeighborhoodProof(
+            edge=(1, 0), signature_lo=real.signature_hi, signature_hi=real.signature_lo
+        )
+        with pytest.raises(ProtocolError, match="does not cover the edge"):
+            NectarNode(
+                node_id=0,
+                n=5,
+                t=1,
+                key_pair=deployment.key_store.key_pair_of(0),
+                scheme=deployment.scheme,
+                directory=deployment.key_store.directory,
+                neighbor_proofs={1: swapped, 4: deployment.proofs_of(0)[4]},
             )
 
 

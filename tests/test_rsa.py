@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.crypto.rsa import RsaScheme, generate_prime, is_probable_prime
+from repro.crypto.signer import KeyPair
+from repro.errors import SignatureError
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,16 @@ class TestRsaScheme:
         signature = rsa_scheme.sign(rsa_pair, b"x")
         assert not rsa_scheme.verify(rsa_pair.public_key, b"x", signature[:-1])
         assert not rsa_scheme.verify(rsa_pair.public_key[:-1], b"x", signature)
+
+    @pytest.mark.parametrize("fields", [1, 2, 3, 5])
+    def test_rejects_private_keys_not_four_fields_wide(self, rsa_scheme, rsa_pair, fields):
+        """Keys are (modulus, exponent, p, q); the two-field form
+        without CRT primes is not accepted."""
+        width = rsa_scheme.signature_size
+        private = (rsa_pair.private_key * 2)[: fields * width]
+        key = KeyPair(node_id=1, private_key=private, public_key=rsa_pair.public_key)
+        with pytest.raises(SignatureError, match="not four"):
+            rsa_scheme.sign(key, b"payload")
 
     def test_keygen_is_deterministic(self, rsa_scheme):
         a = rsa_scheme.generate_keypair(1, random.Random(9))

@@ -50,6 +50,23 @@ class TestStructuralRules:
         announcement = announce(scheme, keystore, (1, 2), [7])
         assert not validator.validate(announcement, round_number=1, sender=7)
 
+    @pytest.mark.parametrize("mode", list(ValidationMode))
+    def test_reversed_edge_rejected(self, scheme, keystore, mode):
+        """Rule 3 admits only the canonical (lo, hi) order: the swapped
+        proof carries both real signatures, yet would name a known edge
+        a second time in G_i."""
+        validator = AnnouncementValidator(scheme, keystore.directory, mode)
+        real = make_proof(scheme, keystore.key_pair_of(3), keystore.key_pair_of(5))
+        swapped = NeighborhoodProof(
+            edge=(5, 3),
+            signature_lo=real.signature_hi,
+            signature_hi=real.signature_lo,
+        )
+        for proof, accepted in ((real, True), (swapped, False)):
+            chain = extend_chain(scheme, keystore.key_pair_of(5), proof_bytes(proof), ())
+            announcement = EdgeAnnouncement(proof=proof, chain=chain)
+            assert validator.validate(announcement, round_number=1, sender=5) is accepted
+
 
 class TestCryptographicRules:
     def test_forged_proof_rejected(self, validator, scheme, keystore):
