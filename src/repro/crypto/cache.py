@@ -16,7 +16,10 @@ checks:
   chain as a prefix.  When the prefix is already known-good, only the
   newly appended link is verified (the prefix short-circuit), which
   turns the O(R²) cost of re-verifying a growing chain into O(R)
-  overall.
+  overall.  Message bytes are handed along too: a relayer's signed
+  message goes to the first verifier of its extension, and a verified
+  chain's next message (this one plus the outer link) to its
+  relayers, so no chain is re-encoded link by link.
 
 A cache can be scoped per node (each signature checked at most once per
 node, the distributed-model reading) or shared across a whole simulated
@@ -47,7 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.chain import ChainLink, chain_message, verify_chain
+from repro.crypto.chain import (
+    ChainLink,
+    chain_message,
+    next_chain_message,
+    verify_chain,
+)
 from repro.crypto.proofs import NeighborhoodProof, proof_bytes, verify_proof
 from repro.crypto.signer import KeyPair, PublicDirectory, SignatureScheme
 
@@ -248,20 +256,18 @@ class VerificationCache:
 
         The message a relayer signs over ``(payload, links)`` is byte-
         for-byte the message the receiver must check the new outer link
-        against; remembering it per chain object saves rebuilding it at
-        every relayer of the same chain and at the first verifier of
-        the extension.  Entries are validated by object identity on
+        against.  The verifier of ``links`` hands it over (see
+        :meth:`_verify_outer_link`), so no relayer of that chain
+        rebuilds it, and this method hands it on to the first verifier
+        of the extension.  Entries are validated by object identity on
         both the chain tuple *and* the payload, so a grafted chain over
         a different payload can never borrow the wrong message.
         """
-        entry = self._sign_messages.get(id(links)) if links else None
+        entry = self._sign_messages.get(id(links))
         if entry is not None and entry[0] is links and entry[1] is payload:
             message = entry[2]
         else:
             message = chain_message(payload, links)
-            if links:
-                self._sign_messages[id(links)] = (links, payload, message)
-                self._bound(self._sign_messages)
         signature = scheme.sign(key_pair, message)
         extended = links + (ChainLink(signer=key_pair.node_id, signature=signature),)
         self._outer_messages[id(extended)] = (extended, payload, message)
@@ -275,7 +281,8 @@ class VerificationCache:
         payload: bytes,
         links: tuple[ChainLink, ...],
     ) -> bool:
-        """Check only ``links[-1]`` (its prefix is already trusted)."""
+        """Check only ``links[-1]`` (its prefix is already trusted), and
+        hand the message that relayers of ``links`` sign to them."""
         link = links[-1]
         if link.signer not in directory:
             return False
@@ -285,4 +292,9 @@ class VerificationCache:
         else:
             message = chain_message(payload, links[:-1])
         public = directory.public_key_of(link.signer)
-        return scheme.verify(public, message, link.signature)
+        if not scheme.verify(public, message, link.signature):
+            return False
+        following = next_chain_message(message, link)
+        self._sign_messages[id(links)] = (links, payload, following)
+        self._bound(self._sign_messages)
+        return True

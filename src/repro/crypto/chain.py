@@ -13,7 +13,7 @@ separated concatenation of the payload and links ``0 .. i-1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.crypto.signer import KeyPair, PublicDirectory, SignatureScheme
 from repro.types import NodeId
@@ -21,9 +21,11 @@ from repro.types import NodeId
 _CHAIN_DOMAIN = b"repro-signature-chain|"
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     """One layer of a signature chain.
+
+    A named tuple, so the chain memo's ``(payload, links)`` keys hash
+    and compare in C.
 
     Attributes:
         signer: id of the node that produced this layer.
@@ -41,6 +43,13 @@ def chain_message(payload: bytes, inner_links: tuple[ChainLink, ...]) -> bytes:
         parts.append(link.signer.to_bytes(2, "big"))
         parts.append(link.signature)
     return b"".join(parts)
+
+
+def next_chain_message(message: bytes, link: ChainLink) -> bytes:
+    """The message signed after ``link``, from the one ``link`` signed:
+    ``chain_message(payload, links + (link,))`` given
+    ``message == chain_message(payload, links)``."""
+    return message + link.signer.to_bytes(2, "big") + link.signature
 
 
 def extend_chain(

@@ -100,18 +100,18 @@ class RsaScheme(SignatureScheme):
     """RSA-FDH signatures with ``bits``-bit moduli.
 
     Private key wire format: ``modulus || private_exponent || p || q``
-    (each as a fixed-width big-endian integer; a legacy two-field key
-    without the primes still signs, via the plain exponentiation).
-    Public key: ``modulus`` alone (the public exponent is the constant
-    65537).
+    (each as a fixed-width big-endian integer; a key of any other
+    width, such as a two-field key without the primes, raises
+    :class:`repro.errors.SignatureError` at signing).  Public key:
+    ``modulus`` alone (the public exponent is the constant 65537).
 
-    Signing uses the standard CRT shortcut when the primes are
-    available — two half-size exponentiations instead of one full-size
-    one, ~3-4× faster — and memoises the per-key CRT parameters, so
-    the protocol simulations that sign thousands of chain links per
-    trial pay the derivation once per key.  The produced signature is
-    bit-identical to the textbook ``m^d mod n`` (CRT reconstructs the
-    same residue), so cached/uncached and CRT/legacy runs agree.
+    Signing uses the standard CRT shortcut — two half-size
+    exponentiations instead of one full-size one, ~3-4× faster — and
+    memoises the per-key CRT parameters, so the protocol simulations
+    that sign thousands of chain links per trial pay the derivation
+    once per key.  The produced signature is bit-identical to the
+    textbook ``m^d mod n`` (CRT reconstructs the same residue), so
+    cached and uncached runs agree.
 
     Args:
         bits: modulus size.  512 is the default; 256 is enough for

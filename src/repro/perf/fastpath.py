@@ -68,13 +68,16 @@ closed-form-safe types:
 * MtGv2: ``Mtgv2Node`` and ``TwoFacedMtgv2Node``.
 
 Anything else (equivocating, bad-aggregator, spam and every forging
-behaviour) returns None and the caller runs the round scheduler.  One
-documented observability divergence: trials that reach this engine
-never touch the verification cache, so ``cache_stats`` counters stay
-zero where the scheduler would count hits (verdicts, traffic and rows
-are unaffected; the affected configurations are FULL-mode runs with a
-cache and any sleeper, silent or two-faced node).  Honest FULL runs
-with a cache stay on the scheduler, so their counters are exact.
+behaviour) returns None and the caller runs the round scheduler, as
+does any bounded verification cache (its LRU counters depend on the
+order of operations).  An all-``NectarNode`` population whose FULL
+validation uses a cache also replays its signature work round by
+round (``_replay_signatures``): the same messages are signed and
+verified, through each node's own chain extension and validator, so
+``cache_stats`` equals the scheduler's.  One documented observability
+divergence remains: Byzantine populations never touch the cache here,
+so their ``cache_stats`` counters stay zero where the scheduler would
+count hits (verdicts, traffic and rows are unaffected).
 """
 
 from __future__ import annotations
@@ -93,8 +96,11 @@ from repro.baselines.bloom import BloomFilter
 from repro.baselines.mtg import MtgNode
 from repro.baselines.mtgv2 import Mtgv2Node
 from repro.core.adjacency import DiscoveredGraph
+from repro.core.messages import EdgeAnnouncement
 from repro.core.nectar import NectarNode
+from repro.core.validation import ValidationMode
 from repro.crypto.sizes import WireProfile
+from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.net.channel import ChannelModel
 from repro.net.stats import TrafficStats
@@ -135,11 +141,14 @@ def try_run_trial(
     if family is None:
         return None
     digraph = _delivery(graph, protocols)
-    if family == "nectar":
-        return _run_nectar(graph, protocols, digraph, profile, rounds, quiescence_skip)
     if family == "mtg":
         return _run_mtg(graph, protocols, digraph, profile, rounds, quiescence_skip)
-    return _run_mtgv2(graph, protocols, digraph, profile, rounds, quiescence_skip)
+    if family == "mtgv2":
+        return _run_mtgv2(graph, protocols, digraph, profile, rounds, quiescence_skip)
+    signed = family == "signed-nectar"
+    return _run_nectar(
+        graph, protocols, digraph, profile, rounds, quiescence_skip, signed
+    )
 
 
 def nectar_sends(
@@ -170,13 +179,15 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
                 or p._neighbors != graph.neighbors(node_id)
             ):
                 return None
-            validator = p._validator
-            if validator.mode.value == "full" and validator.cache is not None:
+            cache = p._validator.cache
+            if p._validator.mode is ValidationMode.FULL and cache is not None:
+                if cache.max_entries is not None:
+                    # LRU counters depend on the order of operations,
+                    # which only the scheduler reproduces.
+                    return None
                 uses_cache = True
         if uses_cache and kinds == {NectarNode}:
-            # FULL honest runs with a shared cache keep the scheduler:
-            # their cache-hit observability is pinned by tests.
-            return None
+            return "signed-nectar"
         return "nectar"
     if kinds <= {MtgNode, SaturatingMtgNode, TwoFacedMtgNode}:
         geometries = {
@@ -336,6 +347,14 @@ def _relay_traffic(
     return _Traffic(sent_bytes, sent_msgs, recv_bytes, recv_msgs, rounds_executed)
 
 
+def _bits(mask: int):
+    """The indices of ``mask``'s set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _stats(traffic: _Traffic) -> TrafficStats:
     stats = TrafficStats()
     for node, count in enumerate(traffic.sent_msgs):
@@ -403,11 +422,14 @@ def _run_nectar(
     profile: WireProfile,
     rounds: int,
     quiescence_skip: bool,
+    signed: bool,
 ):
     edges, layers, known_masks = _nectar_layers(graph, digraph, rounds)
     traffic = _relay_traffic(
         layers, digraph, *_nectar_framing(profile), rounds, quiescence_skip
     )
+    if signed:
+        _replay_signatures(protocols, digraph, edges, layers, traffic.rounds_executed)
 
     # Materialise each NECTAR node's discovered graph from the shared
     # proof objects (the same objects the scheduled run would have
@@ -429,12 +451,58 @@ def _run_nectar(
         view = views.get(known)
         if view is None:
             view = views[known] = DiscoveredGraph(graph.n)
-            while known:
-                low = known & -known
-                view.add(proof_by_edge[edges[low.bit_length() - 1]])
-                known ^= low
+            for item in _bits(known):
+                view.add(proof_by_edge[edges[item]])
         p._discovered = view.copy()
     return _conclude_all(protocols), _stats(traffic), traffic.rounds_executed
+
+
+def _replay_signatures(
+    protocols: Mapping[NodeId, Any],
+    digraph: _Digraph,
+    edges: list,
+    layers: list[list[int]],
+    rounds_executed: int,
+) -> None:
+    """Sign and validate exactly what the scheduled honest run would.
+
+    Round r: each node extends, through its ``_relay_chain``, the chain
+    of every item of its layer r − 1 (its own proofs at r = 1) into one
+    announcement for all its receivers; then each receiver validates
+    the copy ``_sources`` says it accepts and keeps it.  The scheduler's
+    other copies die on the known-edge check before any signature work.
+    """
+    accepted: list[dict] = [{} for _ in layers]
+    for round_number in range(1, rounds_executed + 1):
+        relayed = []
+        for node_id, node_layers in enumerate(layers):
+            p, outgoing = protocols[node_id], {}
+            if round_number <= len(node_layers):
+                for item in _bits(node_layers[round_number - 1]):
+                    if round_number > 1:
+                        proof, chain = accepted[node_id][item]
+                    else:
+                        other = sum(edges[item]) - node_id  # the edge's far end
+                        proof, chain = p._neighbor_proofs[other], ()
+                    chain = p._relay_chain(proof, chain)
+                    outgoing[item] = EdgeAnnouncement(proof, chain)
+            relayed.append(outgoing)
+        for receiver, node_layers in enumerate(layers):
+            if round_number >= len(node_layers):
+                continue
+            validate = protocols[receiver]._validator.validate
+            ins = digraph.ins[receiver]
+            split = _sources(node_layers[round_number], ins, layers, round_number)
+            for sender, items in split.items():
+                for item in _bits(items):
+                    announcement = relayed[sender][item]
+                    if not validate(announcement, round_number, sender):
+                        raise ProtocolError(
+                            f"closed-form replay: node {receiver} rejected edge "
+                            f"{edges[item]} from node {sender} in round "
+                            f"{round_number}"
+                        )
+                    accepted[receiver][item] = announcement.proof, announcement.chain
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.crypto.chain import (
     chain_message,
     chain_signers,
     extend_chain,
+    next_chain_message,
     verify_chain,
 )
 
@@ -87,3 +88,10 @@ class TestChainMessage:
         b = chain_message(b"a", ())
         assert not b.startswith(a[: len(b)]) or a != b
         assert a != b
+
+    def test_next_message_extends_by_one_link(self, scheme, keystore, payload):
+        chain = build_chain(scheme, keystore, payload, [3, 1, 4])
+        message = chain_message(payload, ())
+        for index, link in enumerate(chain):
+            message = next_chain_message(message, link)
+            assert message == chain_message(payload, chain[: index + 1])

@@ -19,25 +19,30 @@ contract that makes that safe:
   silent coalition takes the closed form and matches the scheduler;
 * its reverse-BFS layers and AND-and-clear source step equal a
   per-item reference loop over plain BFS distances;
-* an honest FULL-validation trial with a shared verification cache
-  returns the same ``TrialResult`` (cache counters included) with and
-  without the scheduler forced;
+* an honest FULL-validation trial with a verification cache takes the
+  closed form and replays its signature work: its whole
+  ``TrialResult`` (cache counters included) and the multisets of
+  messages it signs and verifies equal the scheduler's (random graphs
+  and round budgets, Harary graphs under HMAC and RSA, one cache
+  reused across trials); a bounded cache keeps the scheduler, and a
+  copy that fails validation makes the replay raise;
 * the fast path's wire-framing constants match the payloads' real
   ``encoded_size`` arithmetic;
 * a warmed connectivity-resilience sweep yields the same rows with
   and without the scheduler forced;
 * a fresh interpreter runs a closed-form trial and a FULL-validation
-  scheduler trial without importing numpy.
+  scheduler trial (on a lossy channel) without importing numpy.
 """
 
 import contextlib
+import dataclasses
 import os
 import pathlib
 import random
 import subprocess
 import sys
 import textwrap
-from collections import deque
+from collections import Counter, deque
 from unittest import mock
 
 import pytest
@@ -59,11 +64,13 @@ from repro.core.decision import clear_connectivity_cache
 from repro.core.messages import EdgeAnnouncement, NectarBatch
 from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
+from repro.crypto.cache import VerificationCache
 from repro.crypto.chain import extend_chain
 from repro.crypto.keys import build_keystore
-from repro.crypto.proofs import make_proof, proof_bytes
+from repro.crypto.proofs import NeighborhoodProof, make_proof, proof_bytes
 from repro.crypto.signer import HmacScheme
 from repro.crypto.sizes import DEFAULT_PROFILE
+from repro.errors import ProtocolError
 from repro.experiments.runner import (
     baseline_cost_trial,
     build_deployment,
@@ -702,6 +709,204 @@ def test_full_validation_shared_cache_matches_scalar():
     assert default == scalar
 
 
+def _recording(scheme):
+    """``scheme`` recording the multisets of ``(signer, message)``
+    signed and ``(public key, message, signature)`` verified."""
+
+    class Recording(type(scheme)):
+        def sign(self, key_pair, data):
+            self.signed[key_pair.node_id, data] += 1
+            return super().sign(key_pair, data)
+
+        def verify(self, public_key, data, signature):
+            self.verified[public_key, data, signature] += 1
+            return super().verify(public_key, data, signature)
+
+    scheme.__class__ = Recording
+    scheme.signed, scheme.verified = Counter(), Counter()
+    return scheme
+
+
+def _routed_legs(trial, *, fast):
+    """``trial()``'s result with the scheduler forced, then without;
+    every trial of the second leg must take the closed form (``fast``)
+    or fall back to the scheduler."""
+    routes = []
+    attempt = fastpath.try_run_trial
+
+    def spy(*args, **kwargs):
+        outcome = attempt(*args, **kwargs)
+        routes.append(outcome is not None)
+        return outcome
+
+    with mock.patch.object(fastpath, "try_run_trial", spy):
+        clear_connectivity_cache()
+        with _engine(scheduler=True):
+            scheduled = trial()
+        clear_connectivity_cache()
+        with _engine(scheduler=False):
+            default = trial()
+    assert routes and set(routes) == {fast}, routes
+    return scheduled, default
+
+
+def _signed_trial(graph, scheme, rounds=None, quiescence_skip=True):
+    """An honest FULL trial with a fresh shared cache, recording the
+    signature work; returns ``(result, signed, verified)``."""
+    from repro.experiments.envspec import EnvironmentSpec
+
+    scheme = _recording(scheme)
+    result = run_trial(
+        graph,
+        t=0,
+        seed=3,
+        scheme=scheme,
+        rounds=rounds,
+        validation_mode=ValidationMode.FULL,
+        verification_cache=True,
+        with_ground_truth=False,
+        env=EnvironmentSpec(quiescence_skip=quiescence_skip),
+    )
+    return result, scheme.signed, scheme.verified
+
+
+@st.composite
+def signed_trials(draw):
+    """A graph on 2–16 nodes of any density (isolated nodes and no
+    edges at all included), a round budget (the default n − 1, 1, 2, 3
+    or n + 2) and the quiescence skip on or off."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    ]
+    rounds = draw(st.sampled_from([None, 1, 2, 3, n + 2]))
+    return Graph(n, edges), rounds, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_trials())
+def test_replay_matches_scheduler_signature_for_signature(trial):
+    """An honest FULL trial with a fresh cache takes the closed form,
+    and its whole ``TrialResult`` (verdicts, traffic both ways,
+    ``rounds_executed``, every ``CacheStats`` field) and its multisets
+    of signed and verified messages equal the scheduler's."""
+    graph, rounds, quiescence_skip = trial
+    scheduled, default = _routed_legs(
+        lambda: _signed_trial(graph, HmacScheme(), rounds, quiescence_skip),
+        fast=True,
+    )
+    assert default == scheduled
+
+
+@pytest.mark.parametrize("scheme", ["hmac", "rsa-256"])
+@pytest.mark.parametrize("k, n", [(4, 12), (10, 40), (2, 30)])
+def test_replay_matches_scheduler_on_harary_graphs(k, n, scheme):
+    from repro.crypto import resolve_scheme
+
+    graph = harary_graph(k, n)
+    scheduled, default = _routed_legs(
+        lambda: _signed_trial(graph, resolve_scheme(scheme)), fast=True
+    )
+    assert default == scheduled
+    result, signed, verified = default
+    assert result.cache_stats.total() > 0 and signed and verified
+
+
+def test_reused_cache_counters_match_scheduler():
+    """One cache across three trials (the same deployment twice, so
+    the second finds every proof and chain already verified) ends with
+    the same counters, trial by trial, on both engines."""
+    trials = [
+        (harary_graph(4, 12), 1),
+        (harary_graph(4, 12), 1),
+        (harary_graph(3, 9), 2),
+    ]
+
+    def run_all():
+        cache = VerificationCache()
+        counters = []
+        for graph, seed in trials:
+            run_trial(
+                graph,
+                t=0,
+                seed=seed,
+                validation_mode=ValidationMode.FULL,
+                verification_cache=cache,
+                with_ground_truth=False,
+            )
+            counters.append(dataclasses.replace(cache.stats))
+        return counters
+
+    scheduled, default = _routed_legs(run_all, fast=True)
+    assert default == scheduled
+    assert default[1].chain_hits > 0
+
+
+def test_bounded_cache_keeps_the_scheduler():
+    """A bounded cache's LRU counters depend on the order of
+    operations, so its trial runs on the scheduler on both legs."""
+    graph = harary_graph(4, 12)
+
+    def trial():
+        return run_trial(
+            graph,
+            t=0,
+            seed=1,
+            validation_mode=ValidationMode.FULL,
+            verification_cache=VerificationCache(max_entries=3),
+            with_ground_truth=False,
+        )
+
+    scheduled, default = _routed_legs(trial, fast=False)
+    assert default == scheduled
+    assert default.cache_stats.evictions() > 0
+
+
+def test_replay_raises_on_a_rejected_copy():
+    """A copy that fails validation breaks the closed form's premise:
+    the replay raises, naming receiver, edge, sender and round, and
+    returns no verdicts."""
+    graph = harary_graph(2, 6)  # the ring 0-1-2-3-4-5-0
+    deployment = build_deployment(graph, scheme=HmacScheme())
+    cache = VerificationCache()
+    nodes = {}
+    for node_id in graph.nodes():
+        proofs = dict(deployment.proofs_of(node_id))
+        if node_id == 0:
+            good = proofs[1]
+            proofs[1] = NeighborhoodProof(
+                edge=good.edge,
+                signature_lo=bytes(len(good.signature_lo)),
+                signature_hi=good.signature_hi,
+            )
+        nodes[node_id] = NectarNode(
+            node_id,
+            graph.n,
+            1,
+            deployment.key_store.key_pair_of(node_id),
+            deployment.scheme,
+            deployment.key_store.directory,
+            proofs,
+            verification_cache=cache,
+        )
+    with pytest.raises(
+        ProtocolError,
+        match=r"node 5 rejected edge \(0, 1\) from node 0 in round 1$",
+    ):
+        fastpath.try_run_trial(
+            graph,
+            nodes,
+            profile=DEFAULT_PROFILE,
+            channel=RELIABLE_CHANNEL,
+            seed=0,
+            rounds=graph.n - 1,
+            quiescence_skip=True,
+        )
+    assert not any(node._decided for node in nodes.values())
+
+
 # ----------------------------------------------------------------------
 # Sweep warm-up: rows identical with and without the scheduler forced
 # ----------------------------------------------------------------------
@@ -739,6 +944,7 @@ _NO_NUMPY_PROBE = textwrap.dedent(
     import sys
 
     from repro.core.validation import ValidationMode
+    from repro.experiments.envspec import EnvironmentSpec
     from repro.experiments.runner import nectar_cost_trial, run_trial
     from repro.graphs.generators.regular import harary_graph
     from repro.perf import fastpath
@@ -760,6 +966,7 @@ _NO_NUMPY_PROBE = textwrap.dedent(
         seed=1,
         validation_mode=ValidationMode.FULL,
         verification_cache=True,
+        env=EnvironmentSpec(loss_rate=0.3),
     )
     assert routes == [True, False], routes
     assert "numpy" not in sys.modules, "a trial imported numpy"
@@ -768,8 +975,8 @@ _NO_NUMPY_PROBE = textwrap.dedent(
 
 
 def test_trials_never_import_numpy():
-    """One closed-form trial and one FULL-validation scheduler trial in
-    a fresh interpreter leave numpy unimported."""
+    """One closed-form trial and one FULL-validation scheduler trial (on
+    a lossy channel) in a fresh interpreter leave numpy unimported."""
     src = pathlib.Path(perf.__file__).resolve().parents[2]
     env = dict(os.environ)
     env.pop(perf.SCHEDULER_SWITCH, None)

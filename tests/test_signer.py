@@ -1,8 +1,12 @@
 """Tests for the signature schemes and the public directory."""
 
+import hmac
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.signer import (
     HmacScheme,
@@ -74,6 +78,39 @@ class TestHmacScheme:
 
     def test_repr_hides_secret(self, scheme, pair):
         assert pair.private_key.hex() not in repr(pair)
+
+    def test_rejects_nonzero_padding(self, scheme, pair):
+        """Regression: verification used to compare only the 32 tag
+        bytes, so every signature had byte-different copies (padding
+        altered) that verified too."""
+        signature = scheme.sign(pair, b"hello")
+        forged = signature[:32] + b"\x01" * (scheme.signature_size - 32)
+        assert forged != signature
+        assert not scheme.verify(pair.public_key, b"hello", forged)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.binary(max_size=100),
+        message=st.binary(max_size=5000),
+        size=st.sampled_from([32, 64, 96]),
+    )
+    def test_tags_equal_hmac_digest(self, key, message, size):
+        """The per-key inner/outer states give RFC 2104 tags, also for
+        an empty secret and one longer than the 64-byte block."""
+        scheme = HmacScheme(signature_size=size)
+        pair = KeyPair(node_id=0, private_key=key, public_key=b"")
+        expected = hmac.digest(key, message, "sha256").ljust(size, b"\x00")
+        assert scheme.sign(pair, message) == expected
+        assert scheme.sign(pair, message) == expected  # memoised states
+
+    def test_pickles_after_signing(self, scheme, pair):
+        """A scheme that has signed still pickles (hashlib states do
+        not), and the copy signs and verifies identically."""
+        signature = scheme.sign(pair, b"hello")
+        copy = pickle.loads(pickle.dumps(scheme))
+        assert copy.sign(pair, b"hello") == signature
+        assert copy.verify(pair.public_key, b"hello", signature)
+        assert copy.sign(pair, b"other") == scheme.sign(pair, b"other")
 
 
 class TestNullScheme:
