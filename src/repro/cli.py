@@ -15,7 +15,6 @@ The subcommands cover the everyday uses of the library::
     python -m repro sweep fig3 --backend queue --queue /shared/q
     python -m repro fabric worker --queue /shared/q --once
     python -m repro fabric status --queue /shared/q
-    python -m repro bench --smoke --compare benchmarks/baselines
     python -m repro diff out/fig3-abc.json out/fig3-def.json
     python -m repro diff out-baseline/ out-candidate/
     python -m repro topologies --n 24 --k 4
@@ -39,14 +38,11 @@ events, bit-identical to their batch runs.  ``sweep --backend queue``
 runs the same sweep through the distributed fabric (DESIGN.md §13): a
 durable filesystem work queue shared with ``fabric worker``
 processes, resumable after any interruption and row-identical to the
-local path; ``fabric status`` inspects it.  ``bench`` runs the registered perf
-scenarios headlessly and emits ``BENCH_*.json`` ledgers (wall times,
-speedups, cache hit rates), optionally comparing them against
-committed baselines (exit 1 on regression).  ``diff`` compares two
-archived artefacts row by row — or two whole artefact directories,
-ledgers included — with exit 1 on divergence.  ``topologies``
-describes every built-in family.  ``attack`` replays the Fig. 8
-scenario once and prints who got fooled.
+local path; ``fabric status`` inspects it.  ``diff`` compares two
+archived artefacts row by row — or two whole artefact directories —
+with exit 1 on divergence.  ``topologies`` describes every built-in
+family.  ``attack`` replays the Fig. 8 scenario once and prints who
+got fooled.
 
 Both ``figure`` and ``sweep`` are thin shells over the declarative
 spec registry (:data:`repro.experiments.spec.FIGURE_SPECS`): every
@@ -523,59 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help=(
-            "run the registered perf scenarios headlessly and emit "
-            "BENCH_*.json ledgers (exit 1 on regression with --compare)"
-        ),
-    )
-    bench.add_argument(
-        "names",
-        nargs="*",
-        metavar="SCENARIO",
-        help="scenarios to run (default: all registered)",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list registered scenarios and exit"
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the reduced smoke presets (what CI affords)",
-    )
-    bench.add_argument(
-        "--out",
-        metavar="DIR",
-        default="benchmarks/out",
-        help="ledger output directory (default: benchmarks/out)",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="DIR",
-        help=(
-            "compare each fresh ledger against the committed baseline "
-            "BENCH_<scenario>.json in DIR; exit 1 on any regression"
-        ),
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        metavar="FRAC",
-        help=(
-            "relative speedup-regression tolerance for --compare "
-            "(default 0.2 = fail on >20%% regression)"
-        ),
-    )
-    bench.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=None,
-        metavar="N",
-        help="shard the benched sweeps over N worker processes",
-    )
-
     diff = commands.add_parser(
         "diff",
         help=(
@@ -596,8 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="EPS",
         help=(
             "absolute slack on mean/CI comparisons (default 0.0: "
-            "bit-identical rows); also the speedup tolerance for bench "
-            "ledgers met inside directories"
+            "bit-identical rows)"
         ),
     )
 
@@ -1056,11 +998,7 @@ def _run_diff(args: argparse.Namespace) -> int:
     path_a, path_b = pathlib.Path(args.artefact_a), pathlib.Path(args.artefact_b)
     print(f"diff : {args.artefact_a} vs {args.artefact_b}")
     if path_a.is_dir() and path_b.is_dir():
-        from repro.experiments.bench import ledger_file_diff
-
-        diff = diff_artefact_directories(
-            path_a, path_b, tolerance=args.tolerance, file_diff=ledger_file_diff
-        )
+        diff = diff_artefact_directories(path_a, path_b, tolerance=args.tolerance)
     elif path_a.is_dir() or path_b.is_dir():
         print("error: compare two files or two directories, not a mix")
         return 2
@@ -1068,61 +1006,6 @@ def _run_diff(args: argparse.Namespace) -> int:
         diff = diff_artefacts(path_a, path_b, tolerance=args.tolerance)
     print(diff.describe())
     return 1 if diff.diverged else 0
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        BENCH_SCENARIOS,
-        compare_ledgers,
-        describe_ledger,
-        ledger_path,
-        load_ledger,
-        run_scenario,
-        write_ledger,
-    )
-
-    if args.list:
-        print("registered bench scenarios (repro bench [names] --smoke):")
-        for name in sorted(BENCH_SCENARIOS):
-            scenario = BENCH_SCENARIOS[name]
-            print(f"  {name:<24} {scenario.title}")
-        return 0
-    names = args.names or sorted(BENCH_SCENARIOS)
-    unknown = [name for name in names if name not in BENCH_SCENARIOS]
-    if unknown:
-        print(
-            f"error: unknown scenario(s) {unknown}; "
-            f"known: {sorted(BENCH_SCENARIOS)}"
-        )
-        return 2
-    scale = "smoke" if args.smoke else "full"
-    print(f"bench : {len(names)} scenario(s), {scale} scale -> {args.out}")
-    regressions = 0
-    for name in names:
-        ledger = run_scenario(
-            BENCH_SCENARIOS[name], smoke=args.smoke, workers=args.workers
-        )
-        path = write_ledger(ledger, args.out)
-        print(describe_ledger(ledger))
-        print(f"  ledger: {path}")
-        if not ledger["rows_equal"]:
-            print("  EQUIVALENCE BROKEN: cached and uncached rows differ")
-            regressions += 1
-        if args.compare:
-            baseline_path = ledger_path(args.compare, name)
-            if not baseline_path.exists():
-                print(f"  compare: no baseline at {baseline_path} (skipped)")
-                continue
-            problems = compare_ledgers(
-                load_ledger(baseline_path), ledger, tolerance=args.tolerance
-            )
-            if problems:
-                regressions += 1
-                for problem in problems:
-                    print(f"  REGRESSION: {problem}")
-            else:
-                print(f"  compare: ok vs {baseline_path}")
-    return 1 if regressions else 0
 
 
 def _run_map(args: argparse.Namespace) -> int:
@@ -1357,7 +1240,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "mission": _run_mission_cmd,
         "serve": _run_serve,
         "fabric": _run_fabric,
-        "bench": _run_bench,
         "diff": _run_diff,
         "map": _run_map,
         "topologies": _run_topologies,

@@ -45,7 +45,7 @@ from repro.crypto.sizes import (
 #: RSA tiers exist for keygen-cost realism (Miller–Rabin prime search):
 #: ``rsa-256`` is fast enough for tests, ``rsa-512``/``rsa-1024`` make
 #: key generation the dominant trial cost — the regime the artifact
-#: layer's signer key pools are benchmarked in (``repro bench``).
+#: layer's signer key pools exist for.
 SCHEME_FACTORIES: dict[str, Callable[[], SignatureScheme]] = {
     "hmac": HmacScheme,
     "rsa-256": lambda: RsaScheme(bits=256),

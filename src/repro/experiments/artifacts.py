@@ -28,7 +28,7 @@ Four stores:
   ``(scheme fingerprint, n, seed)``.  Key generation is deterministic
   per seed, so RSA/HMAC key material is generated once per sweep rather
   than once per trial; with ``env.scheme=rsa-512`` keygen dominates a
-  trial and pooling is worth >2× wall time (``repro bench rsa-keygen``).
+  trial, which is where pooling pays most.
 * **deployments** — full :class:`~repro.experiments.runner.Deployment`
   records (keys *and* per-edge neighborhood proofs) keyed by ``(graph
   digest, scheme fingerprint, seed)``.  A sweep that replays the same
@@ -139,7 +139,7 @@ class ArtifactStats:
         return self.hits() / total if total else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready counters (what the bench ledgers record)."""
+        """JSON-ready counters (``metadata.artifact_stats`` in saved JSON)."""
         return {
             "topology": {"hits": self.topology_hits, "misses": self.topology_misses},
             "connectivity": {
@@ -473,7 +473,7 @@ ARTIFACTS = ArtifactCache()
 
 
 def clear_artifact_cache() -> None:
-    """Reset :data:`ARTIFACTS` (tests and bench cold-starts)."""
+    """Reset :data:`ARTIFACTS` (cold starts in tests)."""
     ARTIFACTS.clear()
 
 

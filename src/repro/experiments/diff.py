@@ -14,10 +14,7 @@ produce identical rows.
 
 ``repro diff`` also compares **whole artefact directories**
 (:func:`diff_artefact_directories`): every ``*.json`` present on either
-side is matched by file name and diffed with a pluggable per-file
-comparator — figure records by default; ``repro bench --compare``
-plugs in a ledger-aware comparator so one sweep-regression report
-covers figures and ``BENCH_*`` perf ledgers alike.
+side is matched by file name and diffed as a figure record.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.errors import ExperimentError
 from repro.experiments.persistence import load_figure_record, spec_digest
@@ -65,9 +61,9 @@ class FigureDiff:
     """The outcome of comparing two artefacts.
 
     ``deltas`` carries row-level figure divergences; ``problems``
-    carries free-form divergences from non-figure comparators (the
-    bench-ledger comparator reports through it).  Either makes the
-    diff count as diverged.
+    carries divergences that have no row, such as a directory entry
+    that does not load as a figure record.  Either makes the diff
+    count as diverged.
     """
 
     deltas: list[RowDelta] = field(default_factory=list)
@@ -166,34 +162,33 @@ def diff_artefacts(
     Raises:
         ExperimentError: on unreadable or malformed artefacts.
     """
-    figures = []
-    for path in (path_a, path_b):
-        try:
-            text = pathlib.Path(path).read_text()
-        except OSError as exc:
-            raise ExperimentError(f"cannot read artefact {path}: {exc}") from exc
-        figures.append(load_figure_record(text))
-    (left, left_spec), (right, right_spec) = figures
+    (left, left_spec), (right, right_spec) = map(_read_record, (path_a, path_b))
     return diff_figures(
         left, right, left_spec=left_spec, right_spec=right_spec, tolerance=tolerance
     )
 
 
+def _read_record(path: str | pathlib.Path) -> tuple[FigureData, dict | None]:
+    try:
+        text = pathlib.Path(path).read_text()
+    except OSError as exc:
+        raise ExperimentError(f"cannot read artefact {path}: {exc}") from exc
+    return load_figure_record(text)
+
+
 # ----------------------------------------------------------------------
 # Directory comparison
 # ----------------------------------------------------------------------
-#: per-file comparator signature: (path_a, path_b, tolerance) -> diff.
-FileComparator = Callable[[pathlib.Path, pathlib.Path, float], FigureDiff]
-
-
 @dataclass
 class DirectoryDiff:
     """The outcome of comparing two artefact directories file by file.
 
     A file present on one side only is a divergence (a sweep that
     silently stopped producing an artefact is a regression, not a
-    no-op); unreadable or non-artefact files are *skipped* with a note
-    so foreign files cannot fail a comparison they were never part of.
+    no-op).  A file that is foreign JSON on *both* sides is skipped
+    with a note, so foreign files cannot fail a comparison they were
+    never part of; one that loads as a figure on one side only, or is
+    not JSON at all, is a divergence.
     """
 
     entries: list[tuple[str, FigureDiff]] = field(default_factory=list)
@@ -242,21 +237,18 @@ def diff_artefact_directories(
     dir_a: str | pathlib.Path,
     dir_b: str | pathlib.Path,
     tolerance: float = 0.0,
-    file_diff: FileComparator | None = None,
 ) -> DirectoryDiff:
     """Compare every ``*.json`` artefact of two directories by name.
 
     Args:
         dir_a, dir_b: the baseline and candidate directories.
-        tolerance: forwarded to the per-file comparator.
-        file_diff: per-file comparator; defaults to the figure-record
-            comparison of :func:`diff_artefacts`.  A comparator signals
-            "this file is not mine" by raising
-            :class:`~repro.errors.ExperimentError`; the file is then
-            skipped with a note when both sides are at least well-formed
-            JSON (a foreign artefact type), but counted as a divergence
-            when either side is unreadable — a truncated artefact must
-            fail the gate, not slip past it.
+        tolerance: forwarded to :func:`diff_figures`.
+
+    A file is skipped with a note only when neither side loads as a
+    figure record and both are at least well-formed JSON (a foreign
+    artefact type).  Otherwise a side that does not load counts as a
+    divergence naming that file: a truncated artefact, or one replaced
+    by some other JSON, must fail the gate, not slip past it.
 
     Raises:
         ExperimentError: when either path is not a directory.
@@ -265,26 +257,27 @@ def diff_artefact_directories(
     for directory in (dir_a, dir_b):
         if not directory.is_dir():
             raise ExperimentError(f"{directory} is not a directory")
-    if file_diff is None:
-        file_diff = diff_artefacts
     names_a = {path.name for path in dir_a.glob("*.json")}
     names_b = {path.name for path in dir_b.glob("*.json")}
     result = DirectoryDiff()
     result.missing_left = sorted(names_b - names_a)
     result.missing_right = sorted(names_a - names_b)
     for name in sorted(names_a & names_b):
-        try:
-            entry = file_diff(dir_a / name, dir_b / name, tolerance)
-        except ExperimentError as exc:
-            if _is_well_formed_json(dir_a / name) and _is_well_formed_json(
-                dir_b / name
-            ):
-                result.skipped.append(name)
-            else:
-                broken = FigureDiff()
-                broken.problems.append(f"unreadable artefact: {exc}")
-                result.entries.append((name, broken))
+        paths = (dir_a / name, dir_b / name)
+        records, entry = [], FigureDiff()
+        for path in paths:
+            try:
+                records.append(_read_record(path))
+            except ExperimentError as exc:
+                entry.problems.append(f"unreadable artefact {path}: {exc}")
+        if not records and all(map(_is_well_formed_json, paths)):
+            result.skipped.append(name)
             continue
+        if not entry.problems:
+            (left, left_spec), (right, right_spec) = records
+            entry = diff_figures(
+                left, right, left_spec, right_spec, tolerance=tolerance
+            )
         result.entries.append((name, entry))
     return result
 

@@ -634,7 +634,7 @@ def mission_graphs(mission: MissionSpec) -> tuple[Graph, ...]:
 
     Interning keys the *whole* trajectory by its spec payload, so every
     cell of a sweep that replays the same trajectory (the measure
-    series of ``partition-detection``, repeated bench runs, warm
+    series of ``partition-detection``, repeated sweeps, warm
     ``--artifact-store`` snapshots) constructs it exactly once per
     process.  Explicit trajectories are never interned — their graphs
     are already in hand.
@@ -954,7 +954,7 @@ _MISSION_MEMO_CAP = 128
 
 
 def clear_mission_memo() -> None:
-    """Reset the worker-local mission memo (tests, bench cold starts)."""
+    """Reset the worker-local mission memo (cold starts in tests)."""
     _MISSION_MEMO.clear()
 
 

@@ -6,7 +6,7 @@ provides the matching aggregation (Student-t CIs) and the plain-text
 tables the benchmark harness prints next to the paper's numbers.
 
 The aggregation is deliberately dependency-free pure Python: rows
-feed content digests (golden suites, bench ``rows_sha256`` gates,
+feed content digests (golden suites, pinned row digests,
 spec-keyed persistence), so the same inputs must produce bit-identical
 floats on every interpreter and for either trial engine.  The
 Student-t critical values for the default 95% confidence level come

@@ -11,6 +11,8 @@ content address — mutating anything changes the key.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.experiments.artifacts import (
     clear_artifact_cache,
 )
 from repro.experiments.envspec import DEFAULT_ENVIRONMENT, EnvironmentSpec
+from repro.experiments.mission import clear_mission_memo
 from repro.experiments.persistence import figure_to_dict
 from repro.experiments.runner import build_deployment, compute_ground_truth, run_trial
 from repro.experiments.spec import (
@@ -543,3 +546,91 @@ class TestWorkerDeltas:
                 for name, counters in (("sharded", sharded), ("serial", serial))
             }
             assert lookups["sharded"] == lookups["serial"] > 0, store
+
+
+# ----------------------------------------------------------------------
+# Pinned reuse: row digests and one miss per distinct key
+# ----------------------------------------------------------------------
+def _rows_sha256(figure) -> str:
+    """sha256 of the flat rows (series, x, mean, CI half-width, trials)."""
+    rows = [
+        [series.name, point.x, point.mean, point.ci_half_width, point.trials]
+        for series in figure.series
+        for point in series.points
+    ]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: name -> (sweep, overrides, rows sha256, misses of the topology,
+#: connectivity, key-pool and deployment stores).  Each miss count is
+#: the number of distinct keys the sweep asks its store for; a second
+#: miss on any key means reuse broke, even when the rows survive.
+REUSE_PINS = {
+    # 5 cells, one k-regular graph each, all at n = 8 and seed 0: one
+    # RSA key pool behind 5 deployments; cost cells certify nothing.
+    "rsa-keygen": (
+        "fig3",
+        {"ns": (8,), "ks": (2, 3, 4, 5, 6), "env.scheme": "rsa-1024"},
+        "1d7f6c9956e30370b16f6bb1e37cef31d59a418456e6d62300609c50bf7c94a8",
+        (5, 0, 1, 5),
+    ),
+    # 2 families x 2 seeds: 4 split scenarios, each certified once for
+    # its three protocol series; one key pool per seed.
+    "connectivity-resilience": (
+        "connectivity-resilience",
+        {
+            "families": ("k-regular", "k-diamond"),
+            "n": 14,
+            "k": 4,
+            "ts": (2,),
+            "trials": 2,
+        },
+        "cb57f43c0859a4eed07bdceb0fd21f83f448f980d0de21021f775e32f0ed2114",
+        (4, 4, 2, 4),
+    ),
+    # 4 topology specs at trial seed 0 (one key pool); both k-diamond
+    # seeds build the same graph, so 3 deployments.
+    "topology-interning": (
+        "topology-comparison",
+        {"families": ("k-regular", "k-diamond"), "n": 14, "k": 4, "trials": 2},
+        "2bb61def032e87a6d764dced182d7aaa247d747c259d824284ff5c1f2dd72100",
+        (4, 0, 1, 3),
+    ),
+    # 2 missions, one trajectory and one key pool each (keys do not
+    # rotate mid-mission); 10 epoch deployments over 9 distinct graphs.
+    "partition-detection": (
+        "partition-detection",
+        {"trials": 2, "epochs": 5, "drifts": (1.0,), "env.scheme": "rsa-512"},
+        "ce8e24a89265f9d08b8188678857dab79a2a843cf742e1b84333d509d09c499a",
+        (2, 9, 2, 10),
+    ),
+}
+
+
+class TestReusePins:
+    """Serial sweeps with artifacts on, from a cold start.
+
+    The digests hold on either trial engine (the ``REPRO_NO_NUMPY=1``
+    job runs them on the scheduler); the miss counts are exact and
+    machine-independent, unlike a wall-clock ratio of cache on to off.
+    """
+
+    @pytest.mark.parametrize("name", sorted(REUSE_PINS))
+    def test_rows_and_misses_pinned(self, name):
+        figure_id, overrides, digest, misses = REUSE_PINS[name]
+        # A mission memoised by an earlier test would skip its lookups.
+        clear_mission_memo()
+        figure = SWEEP_ENGINE.run(
+            figure_id,
+            scale="reduced",
+            overrides={**overrides, "env.artifacts": True},
+        )
+        assert _rows_sha256(figure) == digest
+        stats = ARTIFACTS.stats
+        assert (
+            stats.topology_misses,
+            stats.connectivity_misses,
+            stats.key_pool_misses,
+            stats.deployment_misses,
+        ) == misses
