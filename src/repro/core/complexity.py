@@ -28,7 +28,9 @@ Those are the closed forms the trial fast path evaluates
 (:mod:`repro.perf.fastpath`, DESIGN.md §15.4), so the prediction is a
 view of that engine on the honest delivery graph.  The test suite pins
 it, node by node, to an independent per-edge BFS reference and to the
-round scheduler's measured bytes.
+round scheduler's measured bytes.  It also answers the sweeps' honest
+NECTAR cost cells whose trial would leave nothing else observable
+(:func:`repro.experiments.spec.execute_trial`, DESIGN.md §15.4).
 """
 
 from __future__ import annotations

@@ -267,6 +267,13 @@ def compute_ground_truth(
     )
 
 
+def closed_form_admits(env: EnvironmentSpec) -> bool:
+    """Whether trials in ``env`` may take the closed form (DESIGN.md
+    §15): the sync backend, with the scheduler switch unset.  The
+    switch is read on every call, so it may be set after import."""
+    return env.backend == "sync" and not perf.scheduler_forced()
+
+
 def run_trial(
     graph: Graph,
     t: int = 0,
@@ -393,7 +400,7 @@ def run_trial(
     if rounds is None:
         rounds = nectar_round_count(graph.n)
     fast = None
-    if env.backend == "sync" and rounds >= 1 and not perf.scheduler_forced():
+    if rounds >= 1 and closed_form_admits(env):
         from repro.perf import fastpath
 
         fast = fastpath.try_run_trial(

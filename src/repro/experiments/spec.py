@@ -59,6 +59,7 @@ from repro.adversary.behaviors import (
     TwoFacedNectarNode,
 )
 from repro.baselines.mtg import MtgNode
+from repro.core.complexity import predict_nectar_traffic
 from repro.core.decision import clear_connectivity_cache
 from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
@@ -92,6 +93,7 @@ from repro.experiments.runner import (
     HONEST_FACTORIES,
     NodeSetup,
     baseline_cost_trial,
+    closed_form_admits,
     honest_mtg_factory,
     honest_mtgv2_factory,
     honest_nectar_factory,
@@ -504,6 +506,8 @@ def _spam_kb_sent(spec: TrialSpec) -> float:
         graph,
         t=t,
         byzantine_factories=byzantine,
+        rounds=spec.rounds or None,
+        profile=_resolve_profile(spec.profile),
         connectivity_cutoff=t + 1,
         seed=spec.seed,
         with_ground_truth=False,
@@ -535,13 +539,31 @@ def _unbatched_kb_sent(spec: TrialSpec, graph: Graph) -> float:
         graph,
         t=0,
         honest_factory=factory,
+        rounds=spec.rounds or None,
         scheme=NullScheme(signature_size=profile.signature_bytes),
         profile=profile,
         validation_mode=ValidationMode.ACCOUNTING,
+        seed=spec.seed,
         with_ground_truth=False,
         env=spec.env,
     )
     return result.mean_kb_sent()
+
+
+def _traffic_question(spec: TrialSpec, graph: Graph) -> bool:
+    """Whether an honest, batched NECTAR cost cell's trial would run
+    crypto-free on the closed form and leave nothing observable but its
+    traffic: ACCOUNTING validation, no scheme override, the artifact
+    stores off, and an environment the closed form admits on a channel
+    state that always delivers (as ``try_run_trial`` requires)."""
+    env = spec.env
+    return (
+        env.validation in ("", ValidationMode.ACCOUNTING.value)
+        and not env.scheme
+        and not env.artifacts
+        and closed_form_admits(env)
+        and env.channel_model().state(graph, spec.seed).always_delivers
+    )
 
 
 #: kinds whose artifact is a plain graph (``TopologySpec.build``).
@@ -660,6 +682,11 @@ def execute_trial(spec: TrialSpec) -> float:
     cell's environment enables the artifact layer, trial-invariant
     work (topology/scenario construction, key pools, connectivity
     certificates) is served from :data:`ARTIFACTS` (DESIGN.md §9).
+    An honest, batched NECTAR cost cell whose trial would leave nothing
+    observable but its traffic (:func:`_traffic_question`) is answered
+    by the closed form's traffic view, without deployment, nodes or
+    verdicts; the scheduler switch sends it through the full trial
+    (DESIGN.md §15.4).
 
     Cells that are not plain :class:`TrialSpec` instances (the mission
     cells of :mod:`repro.experiments.mission`) execute themselves: any
@@ -680,12 +707,14 @@ def execute_trial(spec: TrialSpec) -> float:
             graph = _trial_artifact(spec, "graph")
             if not spec.batching:
                 return _unbatched_kb_sent(spec, graph)
+            profile = _resolve_profile(spec.profile)
+            rounds = spec.rounds or None
+            spec.env.validate()
+            if _traffic_question(spec, graph):
+                traffic = predict_nectar_traffic(graph, profile, rounds)
+                return traffic.mean_kb_per_node()
             result = nectar_cost_trial(
-                graph,
-                profile=_resolve_profile(spec.profile),
-                rounds=spec.rounds or None,
-                seed=spec.seed,
-                env=spec.env,
+                graph, profile=profile, rounds=rounds, seed=spec.seed, env=spec.env
             )
             return result.mean_kb_sent()
         if spec.protocol in ("mtg", "mtgv2"):

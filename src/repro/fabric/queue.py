@@ -154,6 +154,18 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _shard_files(directory: pathlib.Path, suffix: str) -> set[int]:
+    """Indices of the ``<digits><suffix>`` files in ``directory``, by
+    name alone (the client scans on every poll); atomic-write temp
+    files (``.<n><suffix>.tmp-<pid>``) and foreign names do not match."""
+    cut = -len(suffix)
+    return {
+        int(name[:cut])
+        for name in os.listdir(directory)
+        if name.endswith(suffix) and name[:cut].isascii() and name[:cut].isdigit()
+    }
+
+
 @dataclass(frozen=True)
 class JobRecord:
     """One submitted job, as described by its manifest."""
@@ -618,14 +630,7 @@ class FabricQueue:
     def quarantined_shards(self, job_id: str) -> set[int]:
         """Indices of shards moved to the dead letter."""
         try:
-            deadletter = self.job_dir(job_id) / "deadletter"
-            return {
-                int(entry.stem)
-                for entry in deadletter.glob("*.json")
-                if entry.stem.isdigit()
-            }
-        except FileNotFoundError:
-            return set()
+            return _shard_files(self.job_dir(job_id) / "deadletter", ".json")
         except OSError:
             return set()
 
@@ -695,12 +700,7 @@ class FabricQueue:
         """Indices of shards with a published result."""
         try:
             _chaos_op("status")
-            results = self.job_dir(job_id) / "results"
-            return {
-                int(entry.stem)
-                for entry in results.glob("*.pkl")
-                if entry.stem.isdigit()
-            }
+            return _shard_files(self.job_dir(job_id) / "results", ".pkl")
         except FileNotFoundError:
             return set()
         except OSError as exc:

@@ -184,10 +184,19 @@ def test_prediction_rejects_budgets_below_one_round(rounds):
 
 
 def test_mean_kb_helper():
+    """Sweep cost cells report ``mean_kb_per_node()``, so it must equal
+    both engines' ``mean_kb_sent()`` exactly, not approximately."""
     graph = cycle_graph(6)
     prediction = _assert_three_accounts_agree(graph)
     measured = _scheduled(graph)
-    assert prediction.mean_kb_per_node() == pytest.approx(measured.mean_kb_sent())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(perf.SCHEDULER_SWITCH, raising=False)
+        closed_form = nectar_cost_trial(graph)
+    assert (
+        prediction.mean_kb_per_node()
+        == measured.mean_kb_sent()
+        == closed_form.mean_kb_sent()
+    )
 
 
 def test_paper_scaling_claims():

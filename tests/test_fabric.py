@@ -177,6 +177,35 @@ class TestQueueProtocol:
         assert not result.exists()
         assert queue.claim(job_id, 0, "alice") is True
 
+    @pytest.mark.parametrize(
+        ("scan", "subdir", "suffix", "foreign"),
+        [
+            ("completed_shards", "results", ".pkl", ".json"),
+            ("quarantined_shards", "deadletter", ".json", ".pkl"),
+        ],
+    )
+    def test_shard_scans_accept_only_digit_names(
+        self, tmp_path, scan, subdir, suffix, foreign
+    ):
+        """Only ``<digits><suffix>`` counts: an atomic-write temp file,
+        a foreign name, a non-ASCII digit or the other suffix does not."""
+        queue = FabricQueue(tmp_path / "q")
+        queue.connect()
+        job_id = "fig3-deadbeef0000"
+        assert getattr(queue, scan)(job_id) == set()  # no directory yet
+        directory = queue.job_dir(job_id) / subdir
+        directory.mkdir(parents=True)
+        for name in (
+            f"3{suffix}",
+            f"12{suffix}",
+            f".3{suffix}.tmp-99",
+            f"x{suffix}",
+            f"²{suffix}",
+            f"4{foreign}",
+        ):
+            (directory / name).write_bytes(b"")
+        assert getattr(queue, scan)(job_id) == {3, 12}
+
     def test_connect_without_create_requires_queue(self, tmp_path):
         with pytest.raises(QueueUnreachable):
             FabricQueue(tmp_path / "nope").connect(create=False)

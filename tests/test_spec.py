@@ -14,19 +14,26 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
+from repro.core.nectar import NectarNode
+from repro.core.validation import ValidationMode
+from repro.crypto.signer import NullScheme
 from repro.crypto.sizes import PAYLOAD_PROFILE, WireProfile
 from repro.errors import ExperimentError
 from repro.experiments import figures
+from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.persistence import figure_to_dict, spec_digest
+from repro.experiments.runner import run_trial
 from repro.experiments.spec import (
     FIGURE_SPECS,
     PROFILES,
     SWEEP_ENGINE,
     TopologySpec,
     TrialSpec,
+    _spam_nectar_factory,
     attack_rates,
     execute_trial,
     profile_name,
@@ -329,6 +336,84 @@ class TestExecuteTrial:
             )
         )
         assert captured["seed"] == 5
+
+    #: a cost cell on k-regular(n=12, k=4), construction seed 0.
+    _KREG_CELL = TrialSpec(
+        topology=TopologySpec(kind="family", family="k-regular", n=12, k=4)
+    )
+
+    @pytest.mark.parametrize(
+        ("seed", "rounds", "loss_rate"),
+        [(1, 0, 0.3), (2, 0, 0.3), (3, 0, 0.3), (0, 2, 0.0), (4, 3, 0.3)],
+    )
+    def test_unbatched_cell_is_the_direct_trial(self, seed, rounds, loss_rate):
+        """The batching-off executor runs the trial its spec describes:
+        seed (which seeds the lossy channel) and round budget included."""
+        cell = replace(
+            self._KREG_CELL,
+            batching=False,
+            seed=seed,
+            rounds=rounds,
+            env=EnvironmentSpec(loss_rate=loss_rate),
+        )
+        profile = PROFILES[cell.profile]
+
+        def unbatched(setup):
+            return NectarNode(
+                setup.node_id,
+                setup.n,
+                setup.t,
+                setup.key_store.key_pair_of(setup.node_id),
+                setup.scheme,
+                setup.key_store.directory,
+                setup.neighbor_proofs,
+                validation_mode=ValidationMode.ACCOUNTING,
+                connectivity_cutoff=1,
+                batching=False,
+            )
+
+        direct = run_trial(
+            cell.topology.build(),
+            honest_factory=unbatched,
+            rounds=rounds or None,
+            scheme=NullScheme(signature_size=profile.signature_bytes),
+            profile=profile,
+            validation_mode=ValidationMode.ACCOUNTING,
+            seed=seed,
+            with_ground_truth=False,
+            env=cell.env,
+        )
+        assert execute_trial(cell) == direct.mean_kb_sent()
+
+    @pytest.mark.parametrize(
+        ("profile", "rounds"),
+        [("compact", 0), ("ecdsa", 0), ("payload", 0), ("ecdsa", 2), ("compact", 3)],
+    )
+    def test_spam_cell_is_the_direct_trial(self, profile, rounds):
+        """The spam executor runs the trial its spec describes: wire
+        profile and round budget included."""
+        cell = replace(
+            self._KREG_CELL,
+            adversary="spam",
+            spammers=1,
+            seed=2,
+            profile=profile,
+            rounds=rounds,
+            measure="correct-kb-sent",
+        )
+        graph = cell.topology.build()
+        direct = run_trial(
+            graph,
+            t=1,
+            byzantine_factories={0: _spam_nectar_factory},
+            rounds=rounds or None,
+            profile=PROFILES[profile],
+            connectivity_cutoff=2,
+            seed=2,
+            with_ground_truth=False,
+        )
+        correct = [v for v in graph.nodes() if v != 0]
+        assert execute_trial(cell) == direct.stats.mean_kb_sent(correct)
 
     def test_scenario_kind_needed_for_build_scenario(self):
         with pytest.raises(ExperimentError, match="not a scenario"):
