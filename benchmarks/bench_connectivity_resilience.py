@@ -5,12 +5,13 @@ drops to 0 success from t=2, NECTAR keeps 1.0; MtGv2 stays near 1 on
 k-diamond and averages ~0.3 (CI [0, 1]) on the other families.
 """
 
-from repro.experiments.figures import connectivity_resilience
+from repro.experiments.spec import run_figure
 
 
 def test_connectivity_resilience(benchmark, archive, sweep_workers):
     figure = benchmark.pedantic(
-        connectivity_resilience,
+        run_figure,
+        args=("connectivity-resilience",),
         kwargs={"workers": sweep_workers},
         rounds=1,
         iterations=1,

@@ -9,12 +9,13 @@ i.e. signature-free accounting; see EXPERIMENTS.md).
 """
 
 from repro.crypto.sizes import PAYLOAD_PROFILE
-from repro.experiments.figures import fig3_random_regular, fig3_regular_cost
+from repro.experiments.spec import run_figure
 
 
 def test_fig3_regular_cost(benchmark, archive, sweep_workers):
     figure = benchmark.pedantic(
-        fig3_regular_cost,
+        run_figure,
+        args=("fig3",),
         kwargs={"workers": sweep_workers},
         rounds=1,
         iterations=1,
@@ -33,7 +34,8 @@ def test_fig3_regular_cost(benchmark, archive, sweep_workers):
 def test_fig3_random_regular(benchmark, archive, sweep_workers):
     """The paper's exact methodology: sampled graphs, trials, CIs."""
     figure = benchmark.pedantic(
-        fig3_random_regular,
+        run_figure,
+        args=("fig3-random",),
         kwargs={"workers": sweep_workers},
         rounds=1,
         iterations=1,
@@ -50,8 +52,9 @@ def test_fig3_random_regular(benchmark, archive, sweep_workers):
 
 def test_fig3_payload_profile(benchmark, archive, sweep_workers):
     figure = benchmark.pedantic(
-        fig3_regular_cost,
-        kwargs={"profile": PAYLOAD_PROFILE, "workers": sweep_workers},
+        run_figure,
+        args=("fig3",),
+        kwargs={"overrides": {"profile": PAYLOAD_PROFILE}, "workers": sweep_workers},
         rounds=1,
         iterations=1,
     )

@@ -5,11 +5,11 @@ Paper: at d=0, radius=2.4 (complete graph of 20 drones) NECTAR sends
 flat around 1.9 KB regardless of d and radius.
 """
 
-from repro.experiments.figures import fig4_drone_nectar
+from repro.experiments.spec import run_figure
 
 
 def test_fig4_drone_nectar(benchmark, archive):
-    figure = benchmark.pedantic(fig4_drone_nectar, rounds=1, iterations=1)
+    figure = benchmark.pedantic(run_figure, args=("fig4",), rounds=1, iterations=1)
     archive(
         figure,
         "Fig. 4 — NECTAR ~50 KB at (d=0, radius=2.4), decreasing in d; "

@@ -12,11 +12,11 @@ d, increasing in radius, far below NECTAR, above MtG — holds either
 way.
 """
 
-from repro.experiments.figures import fig5_drone_mtgv2
+from repro.experiments.spec import run_figure
 
 
 def test_fig5_drone_mtgv2(benchmark, archive):
-    figure = benchmark.pedantic(fig5_drone_mtgv2, rounds=1, iterations=1)
+    figure = benchmark.pedantic(run_figure, args=("fig5",), rounds=1, iterations=1)
     archive(figure, "Fig. 5 — MtGv2 <= ~3 KB per node; MtG ~1.9 KB flat")
     data = {s.name: {p.x: p.mean for p in s.points} for s in figure.series}
     for name, series in data.items():

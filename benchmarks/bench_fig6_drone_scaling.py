@@ -4,11 +4,11 @@ Paper: radius fixed at 1.2; cost grows with n (about quadratically in
 the dense d=0 case, max ~200 KB at n=50) and shrinks with d.
 """
 
-from repro.experiments.figures import fig6_drone_scaling_nectar
+from repro.experiments.spec import run_figure
 
 
 def test_fig6_drone_scaling(benchmark, archive):
-    figure = benchmark.pedantic(fig6_drone_scaling_nectar, rounds=1, iterations=1)
+    figure = benchmark.pedantic(run_figure, args=("fig6",), rounds=1, iterations=1)
     archive(
         figure,
         "Fig. 6 — NECTAR growing in n, max ~200 KB at (n=50, d=0); "

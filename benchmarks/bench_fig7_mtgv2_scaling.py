@@ -4,14 +4,11 @@ Paper: max ~7.5 KB per node at (n=50, d=0) — three orders of magnitude
 below NECTAR's Fig. 6 numbers at the same point.
 """
 
-from repro.experiments.figures import (
-    fig6_drone_scaling_nectar,
-    fig7_drone_scaling_mtgv2,
-)
+from repro.experiments.spec import run_figure
 
 
 def test_fig7_mtgv2_scaling(benchmark, archive):
-    figure = benchmark.pedantic(fig7_drone_scaling_mtgv2, rounds=1, iterations=1)
+    figure = benchmark.pedantic(run_figure, args=("fig7",), rounds=1, iterations=1)
     archive(
         figure,
         "Fig. 7 — MtGv2 growing in n, max ~7.5 KB at (n=50, d=0)",
@@ -26,8 +23,9 @@ def test_fig6_vs_fig7_cost_gap(archive, benchmark):
     """The cross-figure claim: NECTAR costs orders of magnitude more."""
 
     def both():
-        nectar = fig6_drone_scaling_nectar(ns=(20,), distances=(0.0,), trials=2)
-        mtgv2 = fig7_drone_scaling_mtgv2(ns=(20,), distances=(0.0,), trials=2)
+        overrides = {"ns": (20,), "distances": (0.0,), "trials": 2}
+        nectar = run_figure("fig6", overrides=overrides)
+        mtgv2 = run_figure("fig7", overrides=overrides)
         return nectar, mtgv2
 
     nectar, mtgv2 = benchmark.pedantic(both, rounds=1, iterations=1)

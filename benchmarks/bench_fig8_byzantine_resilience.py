@@ -6,13 +6,17 @@ t=2 on (all correct nodes fooled by saturated Bloom filters); MtGv2
 hovers around 0.5 under the two-faced bridge attack.
 """
 
-from repro.experiments.figures import fig8_byzantine_resilience, paper_scale
+from repro.experiments.spec import paper_scale, run_figure
 
 
 def test_fig8_byzantine_resilience(benchmark, archive):
-    kwargs = {} if paper_scale() else {"n": 21, "ts": (0, 1, 2, 3, 4)}
+    overrides = None if paper_scale() else {"n": 21, "ts": (0, 1, 2, 3, 4)}
     figure = benchmark.pedantic(
-        fig8_byzantine_resilience, kwargs=kwargs, rounds=1, iterations=1
+        run_figure,
+        args=("fig8",),
+        kwargs={"overrides": overrides},
+        rounds=1,
+        iterations=1,
     )
     archive(
         figure,

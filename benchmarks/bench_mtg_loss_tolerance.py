@@ -13,6 +13,7 @@ retransmission is exactly what buys the 90%-at-40%-loss behaviour.
 """
 
 from repro.baselines.mtg import MtgNode
+from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.report import FigureData
 from repro.experiments.runner import NodeSetup, run_trial
 from repro.experiments.scenarios import PARTITIONED_DRONE_DISTANCE
@@ -44,9 +45,9 @@ def _accuracy(n, loss_rate, resend_period, trials) -> list[float]:
                 t=0,
                 honest_factory=factory,
                 rounds=2 * n,  # loss needs headroom for retransmissions
-                loss_rate=loss_rate,
                 seed=trial,
                 with_ground_truth=False,
+                env=EnvironmentSpec(loss_rate=loss_rate),
             )
             hits = sum(
                 1 for verdict in result.verdicts.values() if verdict is expected

@@ -10,12 +10,13 @@ wheels, however, carry more edges at equal connectivity, which offsets
 part of the saving (see the deviation note in EXPERIMENTS.md).
 """
 
-from repro.experiments.figures import topology_cost_comparison
+from repro.experiments.spec import run_figure
 
 
 def test_topology_comparison(benchmark, archive, sweep_workers):
     figure = benchmark.pedantic(
-        topology_cost_comparison,
+        run_figure,
+        args=("topology-comparison",),
         kwargs={"workers": sweep_workers},
         rounds=1,
         iterations=1,

@@ -54,7 +54,7 @@ def main() -> None:
     print(f"decision      : {decision} (agreement over all {N} tasks: "
           f"{len({v.decision for v in verdicts.values()}) == 1})\n")
 
-    sync_result = run_trial(graph, t=T, backend="sync", with_ground_truth=False)
+    sync_result = run_trial(graph, t=T, with_ground_truth=False)
     sync_kb = sync_result.stats.total_bytes_sent() / 1000
     print(f"sync backend  : {sync_kb:.1f} KB total")
     print(

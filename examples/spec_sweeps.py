@@ -27,6 +27,7 @@ from repro.experiments.spec import (
     TopologySpec,
     TrialSpec,
     execute_trial,
+    run_figure,
 )
 
 #: tiny axes so the example runs in seconds.
@@ -85,12 +86,9 @@ def main() -> None:
 # ----------------------------------------------------------------------
 # Embedded checks (run by tests/test_examples.py)
 # ----------------------------------------------------------------------
-def test_registered_sweep_matches_wrapper():
-    from repro.experiments.figures import fig3_regular_cost
-
-    via_engine = run_registered_sweep()
-    via_wrapper = fig3_regular_cost(ns=(8, 10, 12), ks=(2, 4))
-    assert via_engine == via_wrapper
+def test_sharded_sweep_matches_serial_run():
+    sharded = run_registered_sweep()
+    assert sharded == run_figure("fig3", overrides=OVERRIDES)
 
 
 def test_custom_trials_ordered_and_positive():

@@ -60,7 +60,7 @@ import pathlib
 import sys
 from typing import Sequence
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.diff import diff_artefact_directories, diff_artefacts
 from repro.experiments.persistence import (
     dump_figure_csv,
@@ -602,10 +602,11 @@ def _parse_scalar(text: str):
 def _parse_axis_value(text: str):
     """Parse one ``--set`` value into scalars (comma means sequence).
 
-    Type shaping — wrapping bare scalars for sequence axes, floating
-    ints on float axes — happens in ``SweepEngine.resolve``, so text
-    input, wrapper kwargs and JSON spec files all canonicalise to the
-    same resolved params (and the same spec digest).
+    Type shaping and checking — wrapping bare scalars for sequence
+    axes, floating ints on float axes, rejecting non-numbers on numeric
+    axes — happens in ``SweepEngine.resolve``, so text input, library
+    overrides and JSON spec files all canonicalise to the same resolved
+    params (and the same spec digest).
     """
     if "," in text:
         return tuple(
@@ -1247,6 +1248,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ExperimentError as exc:
+    except ReproError as exc:
         print(f"error: {exc}")
         return 2

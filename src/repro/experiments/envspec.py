@@ -268,7 +268,7 @@ def _coerce(name: str, default: object, value: object) -> object:
     """Coerce one override to its field's type, with real errors.
 
     Values arrive from three sources with different native types —
-    wrapper kwargs (typed), ``--set`` text (str/int/float scalars) and
+    library calls (typed), ``--set`` text (str/int/float scalars) and
     JSON spec files (JSON types) — and must all land on the same spec
     (hence the same digest).
     """

@@ -37,10 +37,10 @@ gap on the modern spec architecture:
   mission/mobility axes and ``env.*``, shardable across seeds via
   :class:`~repro.experiments.spec.SweepEngine`, and surfaced as
   ``repro mission`` on the CLI.
-
-The legacy :class:`repro.extensions.monitor.PartitionMonitor` is now a
-thin adapter over :func:`run_epoch` (equivalence-tested bit-identical
-in ``tests/test_mission.py``).
+* :class:`MissionSession` — the same engine one epoch at a time: the
+  footnote-2 operational mode (continuous monitoring of a live
+  topology, ``epoch_seeds="stride"`` re-keying every epoch) and the
+  fleet service's stepping cursor.
 
 Determinism: a mission's randomness flows exclusively from its
 explicit seeds (trajectory seed, mission seed), so mission rows are
@@ -102,7 +102,8 @@ MISSION_PROTOCOLS = ("nectar", "mtg", "mtgv2")
 #: per-epoch deployment-seed policies: ``fixed`` keeps one deployment
 #: seed for the whole mission (keys do not rotate mid-mission — the
 #: realistic regime, and the one key pools amortise), ``stride`` uses
-#: ``seed + epoch`` (the legacy ``PartitionMonitor.watch`` behaviour).
+#: ``seed + epoch`` (a fresh deployment per epoch, as a monitor that
+#: re-keys every run would).
 EPOCH_SEED_MODES = ("fixed", "stride")
 
 #: the temporal measures a mission cell can report.
@@ -136,8 +137,9 @@ class TrajectorySpec:
             * ``"waypoint"`` — proximity graphs of a random-waypoint
               mission (``reach``/``arena``/``speed``);
             * ``"explicit"`` — a caller-supplied graph list
-              (:meth:`explicit`); not sweepable by name, but the engine
-              and the legacy monitor adapter accept it.
+              (:meth:`explicit`); not sweepable by name, but
+              :func:`run_mission` and :class:`MissionSession` accept
+              it.
         n: number of mobile nodes (data kinds).
         epochs: trajectory length.
         start: initial barycenter distance (``drifting-scatters``).
@@ -456,7 +458,7 @@ def _danger_level(verdict: Any) -> int:
 
 
 def _verdict_signature(verdict: Any) -> tuple:
-    """The fields a change report compares (legacy monitor semantics)."""
+    """The fields a change report compares."""
     if isinstance(verdict, Verdict):
         return (verdict.decision, verdict.confirmed)
     return (verdict,)
@@ -484,9 +486,9 @@ class EpochOutcome:
 class EpochReport:
     """One epoch of the mission's verdict stream, with transitions.
 
-    ``changed`` / ``escalated`` compare against the previous epoch
-    exactly like the legacy monitor: a change is a decision or
-    confirmation flip, an escalation is a move toward danger.
+    ``changed`` / ``escalated`` compare against the previous epoch: a
+    change is a decision or confirmation flip, an escalation is a move
+    toward danger.
     """
 
     epoch: int
@@ -513,9 +515,8 @@ def run_epoch(
 ) -> EpochOutcome:
     """Run one mission epoch on ``graph`` and report the raw outcome.
 
-    The single-epoch primitive shared by :func:`run_mission` and the
-    legacy :class:`~repro.extensions.monitor.PartitionMonitor` adapter:
-    one trial through the modern
+    The single-epoch primitive behind :func:`run_mission` and
+    :class:`MissionSession`: one trial through the
     :func:`~repro.experiments.runner.run_trial` pipeline, read through
     the smallest *correct* node (Agreement, Def. 3, lets NECTAR read
     any single correct node; the baselines have no agreement property,
@@ -927,8 +928,8 @@ def run_mission(
             ``REPRO_WORKERS``; sweep cells force 1 — the sweep layer
             already shards across missions).
         with_truth: also compute the per-epoch ground-truth
-            partitionability (required for the temporal metrics; the
-            legacy monitor path skips it).
+            partitionability (required for the temporal metrics; a
+            plain verdict stream can skip it).
     """
     session = MissionSession(mission, with_truth=with_truth)
     outcomes = parallel_map(_execute_epoch, session.tasks(), workers=workers)

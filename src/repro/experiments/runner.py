@@ -3,8 +3,8 @@
 A *trial* is one end-to-end run: build a deployment (keys, proofs) for
 a topology, instantiate one protocol per node — honest or Byzantine —
 drive them on an execution backend, and collect verdicts, traffic and
-ground truth.  The figure-level sweeps of
-:mod:`repro.experiments.figures` are built from these pieces.
+ground truth.  The registered figure sweeps of
+:mod:`repro.experiments.spec` are built from these pieces.
 """
 
 from __future__ import annotations
@@ -285,23 +285,16 @@ def run_trial(
     validation_mode: ValidationMode = ValidationMode.FULL,
     connectivity_cutoff: int | None = None,
     seed: int = 0,
-    backend: str = "sync",
     with_ground_truth: bool = True,
     ground_truth_cutoff: int | None = None,
-    loss_rate: float = 0.0,
     verification_cache: bool | VerificationCache = True,
-    quiescence_skip: bool = True,
-    env: EnvironmentSpec | None = None,
+    env: EnvironmentSpec = DEFAULT_ENVIRONMENT,
 ) -> TrialResult:
     """Run one complete trial.
 
-    This is a thin adapter over the environment layer (DESIGN.md §8):
-    the ``backend`` / ``loss_rate`` / ``quiescence_skip`` kwargs are
-    back-compat shorthand folded into an
-    :class:`~repro.experiments.envspec.EnvironmentSpec`, and execution
-    dispatches through the backend registry
+    Execution dispatches through the backend registry
     (:data:`repro.net.channel.BACKENDS`) with the environment's
-    channel model attached.
+    channel model attached (DESIGN.md §8).
 
     Args:
         graph: the topology G.
@@ -317,14 +310,8 @@ def run_trial(
             ``env.validation`` overrides this when set.
         connectivity_cutoff: NECTAR decision cutoff (must exceed t).
         seed: deployment seed (keys); also seeds the channel state.
-        backend: ``"sync"`` (lock-step) or ``"async"`` (asyncio, real
-            bytes through the codec).
         with_ground_truth: compute the :class:`GroundTruth` record.
         ground_truth_cutoff: κ truncation for the ground truth.
-        loss_rate: per-message drop probability (sync backend only).
-            The paper's model assumes reliable channels; this knob
-            exists for the MtG loss-tolerance experiment (Sec. VI-A)
-            and off-model exploration.
         verification_cache: ``True`` (default) shares one
             :class:`VerificationCache` across all honest NECTAR nodes
             of the trial, ``False`` disables caching (the historical
@@ -332,26 +319,15 @@ def run_trial(
             one.  Equivalence-tested: verdicts and traffic are
             identical either way (DESIGN.md §6.1).  ``env.cache=False``
             forces it off.
-        quiescence_skip: forwardable switch for the sync scheduler's
-            quiescence short-circuit (DESIGN.md §6.2).  Ignored when
-            ``env`` is given.
-        env: the full environment description.  Mutually exclusive
-            with non-default values of the three legacy kwargs above
-            (a conflicting specification raises instead of being
-            silently ignored).
+        env: the execution environment: backend (``sync`` lock-step
+            or ``async`` asyncio with real bytes through the codec),
+            channel model (message loss, sync backend only: the paper's
+            model assumes reliable channels), validation, scheme,
+            cache and quiescence knobs.
 
     Raises:
         ExperimentError: on inconsistent parameters.
     """
-    if env is None:
-        env = EnvironmentSpec(
-            backend=backend, loss_rate=loss_rate, quiescence_skip=quiescence_skip
-        )
-    elif backend != "sync" or loss_rate != 0.0 or quiescence_skip is not True:
-        raise ExperimentError(
-            "pass backend/loss_rate/quiescence_skip through env=, "
-            "not alongside it"
-        )
     env.validate()
     if env.validation:
         validation_mode = ValidationMode(env.validation)

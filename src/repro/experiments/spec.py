@@ -29,10 +29,10 @@ by hand.  This module replaces that with *data*:
   ``topology-comparison``, which used to be serial), and assembles the
   :class:`~repro.experiments.report.FigureData`.
 
-The public figure functions in :mod:`repro.experiments.figures` are
-thin wrappers over :data:`FIGURE_SPECS`; the golden-row suite in
-``tests/test_spec.py`` pins their output bit-identical to the
-pre-spec implementations for any worker count.
+Every paper artefact is one :data:`FIGURE_SPECS` id, run by
+:func:`run_figure` (or ``repro figure <id>``) with axis overrides; the
+golden-row suite in ``tests/test_spec.py`` pins its rows bit-identical
+to the pre-spec implementations for any worker count.
 
 Seeds: registered figures use ``seed_mode="index"`` (trial index is
 the seed — the historical, equivalence-pinned behaviour).  New sweeps
@@ -1742,8 +1742,8 @@ _SWEEP = frozenset({"workers"})
 _SCALED_SWEEP = frozenset({"workers", "paper-scale"})
 _PROFILED_SWEEP = frozenset({"workers", "paper-scale", "profiles"})
 
-#: figure id -> spec; the single source of truth for the CLI, the
-#: wrappers in :mod:`repro.experiments.figures` and EXPERIMENTS.md.
+#: figure id -> spec; the single source of truth for the CLI,
+#: :func:`run_figure`, the benches and EXPERIMENTS.md.
 FIGURE_SPECS: dict[str, SweepSpec] = {
     spec.figure_id: spec
     for spec in (
@@ -2171,9 +2171,14 @@ class SweepEngine:
         Profiles become registry names, sequences become tuples, and
         numeric types follow the default's shape — a bare scalar on a
         sequence axis is wrapped, ints on a float axis become floats —
-        so equivalent inputs from any source (wrapper kwargs, ``--set``
-        text, JSON spec files) resolve to the same params and the same
-        spec digest.
+        so equivalent inputs from any source (library overrides,
+        ``--set`` text, JSON spec files) resolve to the same params and
+        the same spec digest.
+
+        Raises:
+            ExperimentError: naming the axis, for a non-numeric value
+                on a numeric axis, a float on an int axis, a sequence on
+                a single-value axis, or ``trials`` < 1.
         """
         if isinstance(value, WireProfile):
             return profile_name(value)
@@ -2186,21 +2191,34 @@ class SweepEngine:
             )
         default = axis.reduced
         element = default[0] if isinstance(default, tuple) and default else default
-        if isinstance(element, float) and not isinstance(element, bool):
+        if _is_number(element):
+            kind = float if isinstance(element, float) else int
             if isinstance(value, tuple):
-                value = tuple(
-                    float(v) if isinstance(v, int) and not isinstance(v, bool) else v
-                    for v in value
-                )
-            elif isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
+                value = tuple(_axis_number(axis, v, kind) for v in value)
+            else:
+                value = _axis_number(axis, value, kind)
         if isinstance(default, tuple) and not isinstance(value, tuple):
             value = (value,)
         elif not isinstance(default, tuple) and isinstance(value, tuple):
             raise ExperimentError(
                 f"axis {axis.name!r} takes a single value, got {value!r}"
             )
+        if axis.name == "trials" and value < 1:
+            raise ExperimentError(f"axis 'trials' needs at least 1, got {value}")
         return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _axis_number(axis: AxisSpec, value, kind: type):
+    """One value of a numeric axis, cast to the default's type."""
+    if not _is_number(value):
+        raise ExperimentError(f"axis {axis.name!r} takes numbers, got {value!r}")
+    if kind is int and isinstance(value, float):
+        raise ExperimentError(f"axis {axis.name!r} takes integers, got {value!r}")
+    return kind(value)
 
 
 #: the process-wide engine.
@@ -2213,7 +2231,7 @@ def run_figure(
     overrides: Mapping[str, object] | None = None,
     workers: int | None = None,
 ) -> FigureData:
-    """Convenience wrapper: run one registered figure by id."""
+    """Run one registered figure by id (:meth:`SweepEngine.run`)."""
     return SWEEP_ENGINE.run(
         figure_id, scale=scale, overrides=overrides, workers=workers
     )

@@ -1,7 +1,7 @@
 """Extensions beyond the paper's core: its cited substrate (Dolev
-reliable communication), its conclusion's conjecture (signature-free
-partition detection) and its footnote-2 operational mode (continuous
-monitoring)."""
+reliable communication) and its conclusion's conjecture (signature-free
+partition detection).  Footnote 2's continuous monitoring is the
+mission engine (:mod:`repro.experiments.mission`)."""
 
 from repro.extensions.dolev import (
     DIRECT,
@@ -9,11 +9,6 @@ from repro.extensions.dolev import (
     DolevNode,
     disjoint_path_support,
     dolev_round_count,
-)
-from repro.extensions.monitor import (
-    MonitorReport,
-    PartitionMonitor,
-    first_escalation,
 )
 from repro.extensions.unsigned import (
     EdgeClaim,
@@ -29,9 +24,6 @@ __all__ = [
     "DolevNode",
     "disjoint_path_support",
     "dolev_round_count",
-    "MonitorReport",
-    "PartitionMonitor",
-    "first_escalation",
     "EdgeClaim",
     "LyingClaimantNode",
     "UnsignedNectarNode",

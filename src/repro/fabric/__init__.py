@@ -27,7 +27,6 @@ from repro.fabric.chaos import (
     JitteredBackoff,
     PLAN_ENV,
     RetryPolicy,
-    STALL_ENV,
 )
 from repro.fabric.client import (
     FabricRun,
@@ -65,7 +64,6 @@ __all__ = [
     "QUEUE_ENV",
     "QueueUnreachable",
     "RetryPolicy",
-    "STALL_ENV",
     "Supervisor",
     "SupervisorReport",
     "WorkerStats",

@@ -30,9 +30,8 @@ Fault kinds:
     ``list-jobs``, ``cells``, ``connect``); omitted, any op matches.
     Supported errnos: ``EIO``, ``ENOSPC``, ``EACCES``.
 ``stall``
-    Sleep ``seconds`` before executing a shard.  This generalises the
-    old ad-hoc ``REPRO_FABRIC_STALL`` hook: setting that env var now
-    simply appends a stall fault to the active plan.
+    Sleep ``seconds`` before executing a shard — how a plan holds a
+    worker mid-shard long enough to SIGKILL it holding a lease.
 ``corrupt-result``
     Garble the just-published result bytes of a matching shard
     (``max_fires`` times, default once) — the storage-rot scenario the
@@ -67,16 +66,12 @@ import pathlib
 import random
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 
 #: env var naming a JSON fault-plan file; presence activates injection.
 PLAN_ENV = "REPRO_CHAOS_PLAN"
-
-#: legacy test/CI hook: seconds slept before executing each shard.
-#: Kept as an alias of a ``stall`` fault so PR-8 call sites still work.
-STALL_ENV = "REPRO_FABRIC_STALL"
 
 #: plan format version; unknown versions refuse to load (a chaos run
 #: with a half-understood plan would *look* like a pass).
@@ -230,9 +225,6 @@ class FaultPlan:
         except json.JSONDecodeError as exc:
             raise ExperimentError(f"fault plan {path} is not JSON: {exc}") from exc
         return cls.from_payload(payload)
-
-    def with_fault(self, fault: Fault) -> "FaultPlan":
-        return replace(self, faults=self.faults + (fault,))
 
 
 class JitteredBackoff:
@@ -505,23 +497,10 @@ def install(
 
 
 def env_plan(environ=None) -> FaultPlan | None:
-    """The fault plan the environment asks for, or None.
-
-    ``REPRO_CHAOS_PLAN`` names a JSON plan file; the legacy
-    ``REPRO_FABRIC_STALL`` seconds become a ``stall`` fault appended to
-    it (or a one-fault plan of their own), so the old hook is now just
-    a spelling of the general one.
-    """
+    """The fault plan ``REPRO_CHAOS_PLAN`` names, or None."""
     environ = os.environ if environ is None else environ
-    plan: FaultPlan | None = None
     path = environ.get(PLAN_ENV)
-    if path:
-        plan = FaultPlan.load(path)
-    stall = float(environ.get(STALL_ENV, "0") or 0)
-    if stall > 0:
-        extra = Fault(kind="stall", seconds=stall)
-        plan = plan.with_fault(extra) if plan is not None else FaultPlan(faults=(extra,))
-    return plan
+    return FaultPlan.load(path) if path else None
 
 
 def activate(
@@ -573,7 +552,6 @@ __all__ = [
     "JitteredBackoff",
     "PLAN_ENV",
     "RetryPolicy",
-    "STALL_ENV",
     "activate",
     "active",
     "deactivate",

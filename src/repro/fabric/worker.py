@@ -23,10 +23,10 @@ failure is useless churn), while a worker that dies mid-shard leaves a
 stale lease that any peer breaks and re-runs.  Transient queue I/O
 errors are retried with jittered backoff (DESIGN.md §14.2) before the
 worker degrades; a persistent ``QueueUnreachable`` ends the loop with a
-reported reason, never a traceback.  Fault injection (the old ad-hoc
-``REPRO_FABRIC_STALL`` plus SIGKILLs, errno bursts, result rot — see
-:mod:`repro.fabric.chaos`) activates from the environment at loop
-start, so a committed plan steers spawned workers deterministically.
+reported reason, never a traceback.  Fault injection (stalls,
+SIGKILLs, errno bursts, result rot — see :mod:`repro.fabric.chaos`)
+activates from the environment at loop start, so a committed plan
+steers spawned workers deterministically.
 """
 
 from __future__ import annotations
@@ -175,10 +175,9 @@ def run_worker(
     else:
         queue = FabricQueue(queue_root, retry=DEFAULT_RETRY_POLICY, identity=me)
     if chaos.active() is None:
-        # Env-gated: a committed plan in REPRO_CHAOS_PLAN (or the legacy
-        # REPRO_FABRIC_STALL seconds) steers this process; nothing set
-        # means zero injection overhead.  Never clobber an injector a
-        # test installed directly.
+        # Env-gated: a committed plan in REPRO_CHAOS_PLAN steers this
+        # process; nothing set means zero injection overhead.  Never
+        # clobber an injector a test installed directly.
         chaos.activate("worker", identity=me, queue_root=queue.root)
     stats = WorkerStats(worker_id=me)
     contexts: dict[str, _JobContext] = {}

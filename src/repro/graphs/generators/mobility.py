@@ -12,8 +12,7 @@ module generates the evolving topologies those runs observe:
   topology sequence: two drone scatters separating (or approaching)
   step by step.
 
-Both yield one proximity graph per time step, ready for
-:class:`repro.extensions.monitor.PartitionMonitor` and the mission
+Both yield one proximity graph per time step, ready for the mission
 layer (:mod:`repro.experiments.mission`, DESIGN.md §10), whose
 ``drifting-scatters`` / ``waypoint`` trajectory kinds are declarative
 wrappers over these generators.

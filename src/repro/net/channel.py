@@ -125,9 +125,8 @@ RELIABLE_CHANNEL = ReliableChannel()
 class _LossyState(ChannelState):
     """One RNG draw per delivery, in delivery order.
 
-    The seed derivation and drop rule replicate the historical
-    ``SyncNetwork(loss_rate=..., loss_seed=...)`` stream exactly, so
-    pre-existing lossy experiments keep their drop sets bit-identical.
+    The drop set of a run is a pure function of its seed and the
+    delivery order, so lossy experiments replay bit-identically.
     """
 
     def __init__(self, loss_rate: float, seed: int) -> None:

@@ -20,9 +20,7 @@ What the physical channel does to in-flight messages is delegated to a
 (the paper's model, the default), ``lossy`` (MindTheGap's Sec. VI-A
 regime — "MtG detects 90% of partitions despite a 40% message loss
 rate" — reproduced by ``benchmarks/bench_mtg_loss_tolerance.py``),
-``jittered`` and ``mobility``.  The historical ``loss_rate`` /
-``loss_seed`` constructor knobs survive as a shorthand for the lossy
-model and keep their exact RNG stream.
+``jittered``, ``mobility`` and ``budgeted``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.graphs.graph import Graph
 from repro.net.channel import (
     RELIABLE_CHANNEL,
     ChannelModel,
-    LossyChannel,
     NetworkBackend,
     register_backend,
 )
@@ -84,10 +81,9 @@ class SyncNetwork:
         protocols: one :class:`RoundProtocol` per node id of ``graph``.
         profile: wire profile used for byte accounting.
         channel: what the physical channel does to in-flight messages
-            (default: the paper's reliable channels).  Dropped
-            messages count as sent but not received.
-        loss_rate: shorthand for ``channel=LossyChannel(loss_rate)``;
-            mutually exclusive with an explicit ``channel``.
+            (default: the paper's reliable channels); message loss is
+            ``channel=LossyChannel(p)``.  Dropped messages count as
+            sent but not received.
         loss_seed: RNG seed for the channel model's state.
         quiescence_skip: stop iterating once a round emits zero sends
             (DESIGN.md §6.2).  A round without sends delivers nothing,
@@ -102,8 +98,7 @@ class SyncNetwork:
             never quiesce).
 
     Raises:
-        ProtocolError: when the protocol map does not cover the graph
-            or ``loss_rate`` is outside [0, 1).
+        ProtocolError: when the protocol map does not cover the graph.
     """
 
     def __init__(
@@ -111,8 +106,7 @@ class SyncNetwork:
         graph: Graph,
         protocols: Mapping[NodeId, RoundProtocol],
         profile: WireProfile = DEFAULT_PROFILE,
-        channel: ChannelModel | None = None,
-        loss_rate: float = 0.0,
+        channel: ChannelModel = RELIABLE_CHANNEL,
         loss_seed: int = 0,
         quiescence_skip: bool = True,
     ) -> None:
@@ -123,17 +117,6 @@ class SyncNetwork:
                 raise ProtocolError(
                     f"protocol registered at {node_id} claims id {protocol.node_id}"
                 )
-        if channel is None:
-            if not 0.0 <= loss_rate < 1.0:
-                raise ProtocolError(f"loss_rate {loss_rate} outside [0, 1)")
-            channel = (
-                LossyChannel(loss_rate) if loss_rate > 0.0 else RELIABLE_CHANNEL
-            )
-        elif loss_rate != 0.0:
-            raise ProtocolError(
-                "pass message loss through the channel model, not both "
-                "channel= and loss_rate="
-            )
         self._graph = graph
         self._protocols = dict(protocols)
         self._profile = profile

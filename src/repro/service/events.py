@@ -20,8 +20,8 @@ The per-mission stream is, in order::
     (EpochStarted  EpochCompleted  [VerdictChanged]  [CutEmerged]) * epochs
     MissionCompleted | MissionCancelled | MissionFailed
 
-``VerdictChanged`` fires on the transition the legacy monitor calls a
-change (decision or confirmation flip); ``CutEmerged`` fires once, at
+``VerdictChanged`` fires on the transition the mission engine calls a
+change (decision or confirmation flip, ``EpochReport.changed``); ``CutEmerged`` fires once, at
 the first epoch whose topology is truly t-partitionable (ground truth,
 so only on missions run with it).
 """
@@ -89,7 +89,7 @@ class EpochCompleted(MissionEvent):
 
 @dataclass(frozen=True)
 class VerdictChanged(MissionEvent):
-    """The verdict flipped vs the previous epoch (monitor semantics)."""
+    """The verdict flipped vs the previous epoch (``EpochReport.changed``)."""
 
     epoch: int
     danger: int

@@ -5,6 +5,7 @@ import pytest
 from repro.core.validation import ValidationMode
 from repro.crypto.sizes import DEFAULT_PROFILE
 from repro.errors import CodecError, ProtocolError
+from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.runner import (
     NodeSetup,
     build_deployment,
@@ -40,8 +41,10 @@ class TestBackendEquivalence:
         "graph", [cycle_graph(6), grid_graph(3, 3), harary_graph(4, 10)]
     )
     def test_nectar_verdicts_and_bytes(self, graph):
-        sync_result = run_trial(graph, t=1, backend="sync", with_ground_truth=False)
-        async_result = run_trial(graph, t=1, backend="async", with_ground_truth=False)
+        sync_result = run_trial(graph, t=1, with_ground_truth=False)
+        async_result = run_trial(
+            graph, t=1, with_ground_truth=False, env=EnvironmentSpec(backend="async")
+        )
         assert async_result.verdicts == sync_result.verdicts
         assert (
             async_result.stats.bytes_sent == sync_result.stats.bytes_sent
@@ -82,7 +85,7 @@ class TestBackendEquivalence:
     def test_zero_rounds_rejected(self):
         graph = cycle_graph(4)
         with pytest.raises(ProtocolError):
-            run_trial(graph, t=0, backend="async", rounds=0)
+            run_trial(graph, t=0, rounds=0, env=EnvironmentSpec(backend="async"))
 
 
 def _nectar_protocols(graph, t=1, seed=0):

@@ -92,21 +92,6 @@ class TestModelValidation:
 
 
 class TestSyncChannelEquivalence:
-    def test_explicit_lossy_channel_matches_legacy_kwargs(self):
-        """channel=LossyChannel(p) reproduces loss_rate=p bit-identically."""
-        graph = cycle_graph(8)
-        legacy = SyncNetwork(
-            graph, _mtg_protocols(graph), loss_rate=0.4, loss_seed=5
-        )
-        legacy_verdicts = legacy.run(6)
-        modelled = SyncNetwork(
-            graph, _mtg_protocols(graph), channel=LossyChannel(0.4), loss_seed=5
-        )
-        modelled_verdicts = modelled.run(6)
-        assert modelled_verdicts == legacy_verdicts
-        assert modelled.stats.bytes_received == legacy.stats.bytes_received
-        assert modelled.stats.bytes_sent == legacy.stats.bytes_sent
-
     def test_zero_loss_channel_is_reliable(self):
         graph = cycle_graph(6)
         network = SyncNetwork(graph, _mtg_protocols(graph), channel=LossyChannel(0.0))
@@ -114,8 +99,9 @@ class TestSyncChannelEquivalence:
         assert network.stats.conservation_gap() == 0
 
     def test_channel_and_loss_rate_both_rejected(self):
+        """Loss is a channel model; the scheduler takes no loss_rate."""
         graph = cycle_graph(4)
-        with pytest.raises(ProtocolError, match="not both"):
+        with pytest.raises(TypeError):
             SyncNetwork(
                 graph,
                 _mtg_protocols(graph),

@@ -192,25 +192,16 @@ class TestFaultPlan:
         with pytest.raises(ExperimentError, match="version"):
             FaultPlan.load(path)
 
-    def test_legacy_stall_env_becomes_a_fault(self, monkeypatch):
-        monkeypatch.delenv(chaos.PLAN_ENV, raising=False)
-        monkeypatch.setenv(chaos.STALL_ENV, "1.5")
-        plan = chaos.env_plan()
-        assert plan is not None
-        (fault,) = plan.faults
-        assert fault.kind == "stall"
-        assert fault.seconds == 1.5
-
     def test_env_plan_absent_means_no_injection(self, monkeypatch):
         monkeypatch.delenv(chaos.PLAN_ENV, raising=False)
-        monkeypatch.delenv(chaos.STALL_ENV, raising=False)
         assert chaos.env_plan() is None
         assert chaos.activate("client") is None
         assert chaos.active() is None
 
     def test_committed_plans_all_load(self):
         plans = sorted(PLANS_DIR.glob("*.json"))
-        assert len(plans) >= 4  # eio-burst, storage-rot, skew, ci-smoke
+        # eio-burst, storage-rot, skew, ci-smoke, sigkill-stall
+        assert len(plans) >= 5
         for path in plans:
             assert isinstance(FaultPlan.load(path), FaultPlan)
 
@@ -525,12 +516,17 @@ class TestCiSmokePlan:
 
 
 class TestServeDrain:
-    def test_sigterm_drains_and_exits_130(self):
+    def test_sigterm_drains_and_exits_130(self, tmp_path):
+        # Run the serve daemon of the checkout under test, not whatever
+        # a fixed path or the working directory would put first.
+        src_root = pathlib.Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src_root), env.get("PYTHONPATH")])
+        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve"],
-            cwd="/root/repo",
+            cwd=tmp_path,
             env=env,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,

@@ -367,6 +367,42 @@ class TestAttack:
         assert "MtG success rate   : 0%" in out
 
 
+class TestMalformedInput:
+    """Bad input exits 2 with an ``error:`` line, never a traceback
+    (``repro check`` keeps exit 1 for PARTITIONABLE alone)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--drone", "--n", "1"], "at least 2 drones"),
+            (["map", "--n", "1"], "at least 2 drones"),
+            (["sweep", "fig4", "--set", "n=1"], "at least 2 drones"),
+            (["sweep", "fig6", "--set", "trials=0"], "axis 'trials'"),
+            (["figure", "fig8", "--set", "trials=0"], "axis 'trials'"),
+            (["mission", "partition-detection", "--set", "trials=0"], "axis 'trials'"),
+            (["sweep", "fig3", "--set", "ns="], "axis 'ns' takes numbers"),
+            (["sweep", "fig3", "--set", "ns=8,x"], "axis 'ns' takes numbers"),
+            (["sweep", "fig3", "--set", "ks=2.5"], "axis 'ks' takes integers"),
+        ],
+        ids=[
+            "check-one-drone",
+            "map-one-drone",
+            "sweep-one-drone",
+            "sweep-zero-trials",
+            "figure-zero-trials",
+            "mission-zero-trials",
+            "empty-numeric-axis",
+            "non-numeric-axis-value",
+            "non-integral-axis-value",
+        ],
+    )
+    def test_exits_two_with_error_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "error:" in out
+        assert message in out
+
+
 class TestParser:
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -4,12 +4,13 @@ adversaries over the asyncio backend, environment switches."""
 import pytest
 
 from repro.adversary.behaviors import TwoFacedNectarNode
-from repro.experiments.figures import paper_scale
+from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.runner import (
     NodeSetup,
     honest_nectar_factory,
     run_trial,
 )
+from repro.experiments.spec import paper_scale
 from repro.graphs.generators.classic import path_graph, two_cliques_bridge
 from repro.graphs.graph import Graph
 from repro.types import Decision
@@ -82,8 +83,8 @@ class TestAsyncAdversarial:
                 t=1,
                 byzantine_factories={0: byz},
                 honest_factory=honest_nectar_factory,
-                backend=backend,
                 with_ground_truth=False,
+                env=EnvironmentSpec(backend=backend),
             )
         assert (
             results["sync"].correct_verdicts == results["async"].correct_verdicts

@@ -131,31 +131,6 @@ class TestRunTrialAdapter:
         assert via_env.stats.bytes_received == legacy.stats.bytes_received
         assert via_env.rounds_executed == legacy.rounds_executed
 
-    def test_legacy_loss_kwarg_equals_env_loss(self):
-        from repro.experiments.runner import honest_mtg_factory
-
-        graph = cycle_graph(8)
-        legacy = run_trial(
-            graph,
-            t=0,
-            honest_factory=honest_mtg_factory,
-            rounds=6,
-            loss_rate=0.4,
-            seed=3,
-            with_ground_truth=False,
-        )
-        via_env = run_trial(
-            graph,
-            t=0,
-            honest_factory=honest_mtg_factory,
-            rounds=6,
-            seed=3,
-            with_ground_truth=False,
-            env=EnvironmentSpec(loss_rate=0.4),
-        )
-        assert via_env.verdicts == legacy.verdicts
-        assert via_env.stats.bytes_received == legacy.stats.bytes_received
-
     @pytest.mark.parametrize("graph", [cycle_graph(6), grid_graph(3, 3)])
     def test_sync_async_verdict_and_byte_equality_through_env(self, graph):
         sync = run_trial(
@@ -192,15 +167,15 @@ class TestRunTrialAdapter:
         assert result.cache_stats is None
 
     def test_legacy_kwargs_alongside_env_rejected(self):
-        """A conflicting specification raises instead of one side
-        being silently ignored."""
+        """Backend, loss and quiescence exist only as env fields: the
+        old shorthand keywords are not accepted at all."""
         graph = cycle_graph(5)
         for kwargs in (
             {"loss_rate": 0.4},
             {"backend": "async"},
             {"quiescence_skip": False},
         ):
-            with pytest.raises(ExperimentError, match="not alongside"):
+            with pytest.raises(TypeError):
                 run_trial(
                     graph,
                     t=0,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import pickle
 import signal
 import subprocess
@@ -26,6 +27,7 @@ import time
 
 import pytest
 
+import repro
 from repro import cli
 from repro.errors import ExperimentError
 from repro.experiments.artifacts import ARTIFACTS, clear_artifact_cache
@@ -33,7 +35,10 @@ from repro.experiments.parallel import colocation_chunks
 from repro.experiments.persistence import atomic_write_bytes, dump_figure_json
 from repro.experiments.spec import SWEEP_ENGINE, _cell_colocation_key
 from repro.fabric import (
+    PLAN_ENV,
     FabricQueue,
+    Fault,
+    FaultPlan,
     QUEUE_ENV,
     QueueUnreachable,
     job_id_of,
@@ -45,6 +50,10 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptio
 
 SMALL = {"ns": (8, 10), "ks": (2,)}
 TINY = {"ns": (8,), "ks": (2,)}
+
+#: the ``src`` directory of the checkout under test: subprocesses put
+#: it on PYTHONPATH so they run this code, wherever the suite runs.
+SRC_ROOT = pathlib.Path(repro.__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -345,15 +354,23 @@ class TestCrashResume:
         _assert_no_double_execution(queue, job_id, cells)
 
     def test_sigkilled_worker_leaves_recoverable_lease(self, tmp_path):
-        """A worker SIGKILLed mid-shard (stalled via REPRO_FABRIC_STALL)
-        leaves a lease whose owner is provably dead; the next worker
-        breaks it, re-executes, and the final rows still match serial."""
+        """A worker SIGKILLed mid-shard (held there by a chaos-plan
+        stall) leaves a lease whose owner is provably dead; the next
+        worker breaks it, re-executes, and the final rows still match
+        serial."""
         queue = FabricQueue(tmp_path / "q")
         resolved = _resolve()
         job_id, _, cells, _ = _submit_only(queue, resolved)
+        plan = FaultPlan(
+            faults=(
+                Fault(kind="stall", role="worker", target="w-doomed", seconds=120),
+            )
+        ).save(tmp_path / "stall.json")
         env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
-        env["REPRO_FABRIC_STALL"] = "120"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")])
+        )
+        env[PLAN_ENV] = str(plan)
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -366,7 +383,7 @@ class TestCrashResume:
                 "--worker-id",
                 "w-doomed",
             ],
-            cwd="/root/repo",
+            cwd=tmp_path,
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,

@@ -1,27 +1,14 @@
-"""Smoke and shape tests for the figure reproduction functions.
+"""Smoke and shape tests for the registered paper figures.
 
-These run the real experiment code at a tiny scale and assert the
-*qualitative* shapes the paper reports; the benchmark harness runs the
-same functions at larger scale and prints the quantitative tables.
+These run the real experiment code at a tiny scale through
+:func:`repro.experiments.spec.run_figure` and assert the *qualitative*
+shapes the paper reports; the benchmark harness runs the same figure
+ids at larger scale and prints the quantitative tables.
 """
 
 import pytest
 
-from repro.experiments.figures import (
-    ablation_batching,
-    ablation_round_count,
-    ablation_signature_size,
-    ablation_spam_dedup,
-    connectivity_resilience,
-    fig3_random_regular,
-    fig3_regular_cost,
-    fig4_drone_nectar,
-    fig5_drone_mtgv2,
-    fig6_drone_scaling_nectar,
-    fig7_drone_scaling_mtgv2,
-    fig8_byzantine_resilience,
-    topology_cost_comparison,
-)
+from repro.experiments.spec import run_figure
 
 
 def series_map(figure):
@@ -30,7 +17,7 @@ def series_map(figure):
 
 class TestFig3:
     def test_cost_grows_with_n_and_k(self):
-        figure = fig3_regular_cost(ns=(10, 16, 22), ks=(2, 4))
+        figure = run_figure("fig3", overrides={"ns": (10, 16, 22), "ks": (2, 4)})
         data = series_map(figure)
         k2 = data["Nectar: k = 2"]
         k4 = data["Nectar: k = 4"]
@@ -41,9 +28,11 @@ class TestFig3:
 class TestFig3Random:
     def test_random_regular_matches_harary_means(self):
         """Sampling noise aside, both Fig. 3 variants tell one story."""
-        deterministic = series_map(fig3_regular_cost(ns=(16,), ks=(4,)))
+        deterministic = series_map(run_figure("fig3", overrides={"ns": (16,), "ks": (4,)}))
         sampled = series_map(
-            fig3_random_regular(ns=(16,), ks=(4,), trials=3)
+            run_figure(
+                "fig3-random", overrides={"ns": (16,), "ks": (4,), "trials": 3}
+            )
         )
         harary_mean = deterministic["Nectar: k = 4"][16]
         random_mean = sampled["Nectar: k = 4"][16]
@@ -53,8 +42,9 @@ class TestFig3Random:
 class TestFig4:
     def test_nectar_cost_decreases_with_distance(self):
         """Denser graphs (small d) cost more; MtG stays tiny and flat."""
-        figure = fig4_drone_nectar(
-            distances=(0.0, 6.0), radii=(2.4,), n=12, trials=2
+        figure = run_figure(
+            "fig4",
+            overrides={"distances": (0.0, 6.0), "radii": (2.4,), "n": 12, "trials": 2},
         )
         data = series_map(figure)
         nectar = data["Nectar: radius = 2.4"]
@@ -66,8 +56,9 @@ class TestFig4:
 
 class TestFig5:
     def test_mtgv2_cheaper_when_separated(self):
-        figure = fig5_drone_mtgv2(
-            distances=(0.0, 6.0), radii=(1.8,), n=12, trials=2
+        figure = run_figure(
+            "fig5",
+            overrides={"distances": (0.0, 6.0), "radii": (1.8,), "n": 12, "trials": 2},
         )
         data = series_map(figure)
         mtgv2 = data["MtGv2: radius = 1.8"]
@@ -80,10 +71,10 @@ class TestFig6And7:
     def test_nectar_grows_much_faster_than_mtgv2(self):
         ns = (8, 14, 20)
         nectar = series_map(
-            fig6_drone_scaling_nectar(ns=ns, distances=(0.0,), trials=2)
+            run_figure("fig6", overrides={"ns": ns, "distances": (0.0,), "trials": 2})
         )["Nectar: d = 0.0"]
         mtgv2 = series_map(
-            fig7_drone_scaling_mtgv2(ns=ns, distances=(0.0,), trials=2)
+            run_figure("fig7", overrides={"ns": ns, "distances": (0.0,), "trials": 2})
         )["MtGv2: d = 0.0"]
         assert nectar[8] < nectar[14] < nectar[20]
         assert mtgv2[8] < mtgv2[20]
@@ -91,8 +82,8 @@ class TestFig6And7:
         assert nectar[20] / mtgv2[20] > nectar[8] / mtgv2[8]
 
     def test_distance_ordering(self):
-        figure = fig6_drone_scaling_nectar(
-            ns=(16,), distances=(0.0, 5.0), trials=2
+        figure = run_figure(
+            "fig6", overrides={"ns": (16,), "distances": (0.0, 5.0), "trials": 2}
         )
         data = series_map(figure)
         assert data["Nectar: d = 0.0"][16] > data["Nectar: d = 5.0"][16]
@@ -100,8 +91,15 @@ class TestFig6And7:
 
 class TestConnectivityResilience:
     def test_nectar_and_mtg_claims_on_one_family(self):
-        figure = connectivity_resilience(
-            families=("k-diamond",), n=16, k=4, ts=(2,), trials=2
+        figure = run_figure(
+            "connectivity-resilience",
+            overrides={
+                "families": ("k-diamond",),
+                "n": 16,
+                "k": 4,
+                "ts": (2,),
+                "trials": 2,
+            },
         )
         data = series_map(figure)
         assert data["Nectar [k-diamond]"][2] == pytest.approx(1.0)
@@ -110,7 +108,7 @@ class TestConnectivityResilience:
 
 class TestFig8:
     def test_headline_resilience_shape(self):
-        figure = fig8_byzantine_resilience(n=15, ts=(0, 2), trials=2)
+        figure = run_figure("fig8", overrides={"n": 15, "ts": (0, 2), "trials": 2})
         data = series_map(figure)
         # t = 0: everyone detects the plain partition.
         assert data["Nectar (ours)"][0] == pytest.approx(1.0)
@@ -124,7 +122,9 @@ class TestFig8:
 
 class TestTopologyComparison:
     def test_all_families_measured(self):
-        figure = topology_cost_comparison(n=18, k=4, trials=1)
+        figure = run_figure(
+            "topology-comparison", overrides={"n": 18, "k": 4, "trials": 1}
+        )
         names = {s.name for s in figure.series}
         assert "k-regular" in names
         assert "generalized-wheel" in names
@@ -133,22 +133,22 @@ class TestTopologyComparison:
 
 class TestAblations:
     def test_rounds_flat_beyond_diameter(self):
-        figure = ablation_round_count(n=16, k=4)
+        figure = run_figure("ablation-rounds", overrides={"n": 16, "k": 4})
         points = figure.series[0].points
         beyond = [p.mean for p in points if p.x > points[0].x]
         assert max(beyond) == pytest.approx(min(beyond))
 
     def test_spam_does_not_inflate_correct_nodes(self):
-        figure = ablation_spam_dedup(n=12, k=4)
+        figure = run_figure("ablation-spam", overrides={"n": 12, "k": 4})
         points = {p.x: p.mean for p in figure.series[0].points}
         assert points[1] < points[0] * 1.5  # dedup keeps it bounded
 
     def test_batching_saves_bytes(self):
-        figure = ablation_batching(n=12, k=4)
+        figure = run_figure("ablation-batching", overrides={"n": 12, "k": 4})
         points = {p.x: p.mean for p in figure.series[0].points}
         assert points[0] < points[1]
 
     def test_smaller_signatures_cost_less(self):
-        figure = ablation_signature_size(n=12, k=4)
+        figure = run_figure("ablation-sigsize", overrides={"n": 12, "k": 4})
         points = {p.x: p.mean for p in figure.series[0].points}
         assert points[32] < points[64]

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.baselines.mtg import MtgNode, mtg_epoch_count
-from repro.errors import ExperimentError, ProtocolError
+from repro.errors import ChannelError, ExperimentError, ProtocolError
+from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.runner import NodeSetup, honest_mtg_factory, run_trial
 from repro.graphs.generators.classic import cycle_graph, path_graph
+from repro.net.channel import LossyChannel
 from repro.net.simulator import SyncNetwork
 from repro.types import BaselineDecision
 
@@ -21,8 +23,8 @@ class TestLossMechanics:
             t=0,
             honest_factory=honest_mtg_factory,
             rounds=5,
-            loss_rate=0.5,
             with_ground_truth=False,
+            env=EnvironmentSpec(loss_rate=0.5),
         )
         # Sends are counted in full; receives miss the dropped ones.
         assert result.stats.conservation_gap() > 0
@@ -34,9 +36,9 @@ class TestLossMechanics:
                 t=0,
                 honest_factory=honest_mtg_factory,
                 rounds=6,
-                loss_rate=0.4,
                 seed=seed,
                 with_ground_truth=False,
+                env=EnvironmentSpec(loss_rate=0.4),
             )
 
         assert run(3).stats.bytes_received == run(3).stats.bytes_received
@@ -45,19 +47,23 @@ class TestLossMechanics:
         )
 
     def test_invalid_rate_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ChannelError):
             SyncNetwork(
                 cycle_graph(4),
                 {
                     v: MtgNode(v, 4, cycle_graph(4).neighbors(v))
                     for v in range(4)
                 },
-                loss_rate=1.0,
+                channel=LossyChannel(1.0),
             )
 
     def test_async_backend_refuses_loss(self):
         with pytest.raises(ExperimentError):
-            run_trial(cycle_graph(4), t=0, backend="async", loss_rate=0.1)
+            run_trial(
+                cycle_graph(4),
+                t=0,
+                env=EnvironmentSpec(backend="async", loss_rate=0.1),
+            )
 
 
 class TestMtgUnderLoss:
@@ -72,9 +78,9 @@ class TestMtgUnderLoss:
             t=0,
             honest_factory=factory,
             rounds=4 * mtg_epoch_count(graph.n),
-            loss_rate=0.4,
             seed=1,
             with_ground_truth=False,
+            env=EnvironmentSpec(loss_rate=0.4),
         )
         assert set(result.verdicts.values()) == {BaselineDecision.CONNECTED}
 

@@ -1,9 +1,8 @@
 """Tests for the mission layer (DESIGN.md §10).
 
 Covers the temporal engine (verdict streams, detection metrics), the
-legacy ``PartitionMonitor`` equivalence contract, the registered
-detection scenarios (golden rows pinned serial ≡ sharded, artifact
-cache on ≡ off), the budgeted-channel mission path and the
+registered detection scenarios (golden rows pinned serial ≡ sharded,
+artifact cache on ≡ off), the budgeted-channel mission path and the
 ``repro mission`` CLI.
 """
 
@@ -27,7 +26,6 @@ from repro.experiments.mission import (
     run_mission,
 )
 from repro.experiments.spec import FIGURE_SPECS, SWEEP_ENGINE
-from repro.extensions.monitor import PartitionMonitor, first_escalation
 from repro.graphs.generators.classic import cycle_graph, path_graph
 from repro.graphs.generators.drone import drone_graph
 from repro.graphs.graph import Graph
@@ -227,55 +225,6 @@ class TestMissionEngine:
             result.metric("clairvoyance")
         for measure in MISSION_MEASURES:
             assert isinstance(result.metric(measure), float)
-
-
-class TestMonitorEquivalence:
-    """The legacy PartitionMonitor is a thin adapter over the engine."""
-
-    def test_watch_bit_identical_to_stride_mission(self):
-        graphs = drifting_fleet()
-        monitor = PartitionMonitor(t=2)
-        legacy = list(monitor.watch(graphs, seed=0))
-        mission = MissionSpec(
-            trajectory=TrajectorySpec.explicit(graphs),
-            t=2,
-            seed=0,
-            epoch_seeds="stride",
-        )
-        engine = run_mission(mission, with_truth=False)
-        assert len(legacy) == len(engine.reports)
-        for monitor_report, engine_report in zip(legacy, engine.reports):
-            assert monitor_report.epoch == engine_report.epoch
-            assert monitor_report.verdict == engine_report.verdict
-            assert monitor_report.changed == engine_report.changed
-            assert monitor_report.escalated == engine_report.escalated
-            assert monitor_report.mean_kb_sent == engine_report.mean_kb_sent
-
-    def test_observe_bit_identical_to_run_epoch(self):
-        graph = cycle_graph(6)
-        monitor = PartitionMonitor(t=1)
-        report = monitor.observe(graph, seed=5)
-        outcome = run_epoch(graph, t=1, seed=5)
-        assert report.verdict == outcome.verdict
-        assert report.mean_kb_sent == outcome.mean_kb_sent
-
-    def test_monitor_accepts_environment(self):
-        # bandwidth=1 on a cycle (degree 2): each node reaches only one
-        # neighbor per round, so relaying visibly degrades.
-        env = EnvironmentSpec(channel="budgeted", bandwidth=1)
-        monitor = PartitionMonitor(t=1, env=env)
-        degraded = monitor.observe(cycle_graph(8))
-        baseline = PartitionMonitor(t=1).observe(cycle_graph(8))
-        assert degraded.mean_kb_sent != baseline.mean_kb_sent
-
-    def test_legacy_escalation_helper_still_works(self):
-        monitor = PartitionMonitor(t=2)
-        report = first_escalation(monitor, drifting_fleet())
-        assert report is not None and report.escalated
-
-    def test_rejects_negative_t(self):
-        with pytest.raises(ExperimentError):
-            PartitionMonitor(t=-1)
 
 
 FAST = {"trials": 2, "epochs": 5, "drifts": (1.0,)}

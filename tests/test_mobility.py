@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import TopologyError
-from repro.extensions.monitor import PartitionMonitor
+from repro.experiments.mission import MissionSpec, TrajectorySpec, run_mission
 from repro.graphs.generators.mobility import (
     MobilitySnapshot,
     drifting_scatters_mission,
@@ -69,12 +69,14 @@ class TestDriftingScatters:
         assert len(graphs) == 3
 
     def test_monitor_integration(self):
-        """The mission drives the PartitionMonitor end to end."""
+        """The generated graphs drive a stride-seeded mission end to end."""
         graphs = drifting_scatters_mission(
             12, [0.0, 2.0, 4.0, 6.0], radius=1.8, seed=11
         )
-        monitor = PartitionMonitor(t=1)
-        reports = list(monitor.watch(graphs))
+        mission = MissionSpec(
+            trajectory=TrajectorySpec.explicit(graphs), t=1, epoch_seeds="stride"
+        )
+        reports = run_mission(mission, with_truth=False).reports
         assert reports[0].verdict.decision is Decision.NOT_PARTITIONABLE
         assert reports[-1].verdict.confirmed
 

@@ -1,15 +1,15 @@
-"""Tests for the continuous partition monitor."""
+"""Continuous partition monitoring (the paper's footnote 2) on the
+mission engine: one NECTAR run per topology epoch, read as a verdict
+stream with change and escalation flags."""
 
-import pytest
-
-from repro.errors import ExperimentError
-from repro.extensions.monitor import (
-    MonitorReport,
-    PartitionMonitor,
-    first_escalation,
+from repro.experiments.mission import (
+    MissionSession,
+    MissionSpec,
+    TrajectorySpec,
+    run_mission,
 )
-from repro.graphs.generators.drone import drone_graph
 from repro.graphs.generators.classic import cycle_graph
+from repro.graphs.generators.drone import drone_graph
 from repro.types import Decision
 
 
@@ -18,26 +18,19 @@ def drifting_fleet(n=12, radius=1.8, steps=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)):
     return [drone_graph(n, d, radius, seed=11) for d in steps]
 
 
-class TestPartitionMonitor:
-    def test_first_epoch_never_reports_change(self):
-        monitor = PartitionMonitor(t=1)
-        report = monitor.observe(cycle_graph(6))
-        assert report.epoch == 0
-        assert not report.changed
-        assert not report.escalated
+def stride_mission(graphs, t):
+    """One epoch per graph, the deployment seed advancing by epoch."""
+    return MissionSpec(
+        trajectory=TrajectorySpec.explicit(graphs), t=t, epoch_seeds="stride"
+    )
 
-    def test_stable_topology_stays_quiet(self):
-        monitor = PartitionMonitor(t=1)
-        graph = cycle_graph(6)
-        monitor.observe(graph)
-        second = monitor.observe(graph)
-        assert not second.changed
-        assert not second.escalated
 
+class TestContinuousMonitoring:
     def test_mission_escalates_before_the_split(self):
         """The decision flips to PARTITIONABLE before confirmed=True."""
-        monitor = PartitionMonitor(t=2)
-        reports = list(monitor.watch(drifting_fleet()))
+        reports = run_mission(
+            stride_mission(drifting_fleet(), t=2), with_truth=False
+        ).reports
         assert reports[0].verdict.decision is Decision.NOT_PARTITIONABLE
         final = reports[-1]
         assert final.verdict.decision is Decision.PARTITIONABLE
@@ -51,32 +44,23 @@ class TestPartitionMonitor:
         assert warn_epoch < confirm_epoch  # early warning, then the split
 
     def test_escalation_flags_transitions_only(self):
-        monitor = PartitionMonitor(t=2)
-        reports = list(monitor.watch(drifting_fleet()))
-        escalations = [r for r in reports if r.escalated]
+        result = run_mission(stride_mission(drifting_fleet(), t=2), with_truth=False)
+        first = result.reports[0]
+        assert not (first.changed or first.escalated)  # nothing to differ from
+        escalations = [r for r in result.reports if r.escalated]
         # Two level changes: safe -> partitionable -> confirmed.
         assert len(escalations) == 2
         assert all(r.changed for r in escalations)
-
-    def test_first_escalation_helper(self):
-        monitor = PartitionMonitor(t=2)
-        report = first_escalation(monitor, drifting_fleet())
-        assert isinstance(report, MonitorReport)
-        assert report.escalated
+        assert result.first_escalation() == escalations[0]
 
     def test_no_escalation_returns_none(self):
-        monitor = PartitionMonitor(t=1)
-        assert first_escalation(monitor, [cycle_graph(6)] * 3) is None
-
-    def test_epochs_counted(self):
-        monitor = PartitionMonitor(t=1)
-        list(monitor.watch([cycle_graph(6)] * 4))
-        assert monitor.epochs_observed == 4
+        result = run_mission(
+            stride_mission([cycle_graph(6)] * 3, t=1), with_truth=False
+        )
+        assert result.first_escalation() is None
 
     def test_cost_reported(self):
-        monitor = PartitionMonitor(t=1)
-        assert monitor.observe(cycle_graph(6)).mean_kb_sent > 0
-
-    def test_rejects_negative_t(self):
-        with pytest.raises(ExperimentError):
-            PartitionMonitor(t=-1)
+        session = MissionSession(
+            stride_mission([cycle_graph(6)], t=1), with_truth=False
+        )
+        assert session.step().mean_kb_sent > 0

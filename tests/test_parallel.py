@@ -12,13 +12,13 @@ import random
 
 import pytest
 
-from repro.experiments.figures import fig3_regular_cost, fig8_byzantine_resilience
 from repro.experiments.parallel import (
     WORKERS_ENV,
     parallel_map,
     resolve_workers,
     trial_seeds,
 )
+from repro.experiments.spec import run_figure
 
 
 def _seeded_cell(args):
@@ -100,20 +100,23 @@ class TestSweepEquivalence:
     """Serial and parallel sweeps must emit identical result rows."""
 
     def test_fig3_rows_identical_for_any_worker_count(self):
-        serial = fig3_regular_cost(ns=(8, 10, 12), ks=(2, 3))
+        overrides = {"ns": (8, 10, 12), "ks": (2, 3)}
+        serial = run_figure("fig3", overrides=overrides)
         for workers in (2, 3):
-            parallel = fig3_regular_cost(ns=(8, 10, 12), ks=(2, 3), workers=workers)
+            parallel = run_figure("fig3", overrides=overrides, workers=workers)
             assert parallel == serial
 
     def test_fig8_rows_identical_under_sharding(self):
-        serial = fig8_byzantine_resilience(n=13, ts=(1,), trials=2)
-        parallel = fig8_byzantine_resilience(n=13, ts=(1,), trials=2, workers=2)
+        overrides = {"n": 13, "ts": (1,), "trials": 2}
+        serial = run_figure("fig8", overrides=overrides)
+        parallel = run_figure("fig8", overrides=overrides, workers=2)
         assert parallel == serial
 
     def test_workers_env_variable_reaches_sweeps(self, monkeypatch):
-        serial = fig3_regular_cost(ns=(8, 10), ks=(2,))
+        overrides = {"ns": (8, 10), "ks": (2,)}
+        serial = run_figure("fig3", overrides=overrides)
         monkeypatch.setenv(WORKERS_ENV, "2")
-        assert fig3_regular_cost(ns=(8, 10), ks=(2,)) == serial
+        assert run_figure("fig3", overrides=overrides) == serial
 
 
 def _pid_cell(item):

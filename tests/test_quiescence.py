@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from repro.adversary.behaviors import SpamNectarNode
 from repro.core.nectar import nectar_round_count
+from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.runner import NodeSetup, run_trial
 from repro.graphs.generators.classic import path_graph
 from repro.graphs.generators.regular import harary_graph
+from repro.net.channel import LossyChannel
 from repro.net.message import Outgoing, RawPayload
 from repro.net.simulator import RoundProtocol, SyncNetwork
 
@@ -53,6 +55,10 @@ class RelayOnce(RoundProtocol):
         return frozenset(self._seen)
 
 
+#: the round scheduler without its quiescence short-circuit.
+NO_SKIP = EnvironmentSpec(quiescence_skip=False)
+
+
 def _relay_network(n, rounds, **kwargs):
     graph = path_graph(n)
     protocols = {v: RelayOnce(v, graph.neighbors(v)) for v in graph.nodes()}
@@ -80,8 +86,8 @@ class TestQuiescenceSkip:
     def test_nectar_trial_equivalence(self):
         graph = harary_graph(4, 16)
         rounds = nectar_round_count(16)
-        skipped = run_trial(graph, t=1, quiescence_skip=True)
-        full = run_trial(graph, t=1, quiescence_skip=False)
+        skipped = run_trial(graph, t=1)
+        full = run_trial(graph, t=1, env=NO_SKIP)
         assert skipped.verdicts == full.verdicts
         assert skipped.stats == full.stats
         assert skipped.ground_truth == full.ground_truth
@@ -106,12 +112,8 @@ class TestQuiescenceSkip:
 
         graph = harary_graph(4, 10)
         rounds = nectar_round_count(10)
-        skipped = run_trial(
-            graph, t=1, byzantine_factories={0: spammer}, quiescence_skip=True
-        )
-        full = run_trial(
-            graph, t=1, byzantine_factories={0: spammer}, quiescence_skip=False
-        )
+        skipped = run_trial(graph, t=1, byzantine_factories={0: spammer})
+        full = run_trial(graph, t=1, byzantine_factories={0: spammer}, env=NO_SKIP)
         assert skipped.rounds_executed == rounds
         assert skipped.verdicts == full.verdicts
         assert skipped.stats == full.stats
@@ -120,22 +122,24 @@ class TestQuiescenceSkip:
 class TestLossyDeterminism:
     def test_same_loss_seed_same_drop_set(self):
         """The lossy channel is a pure function of (loss_rate, loss_seed)."""
-        first, verdicts_first = _relay_network(8, 20, loss_rate=0.3, loss_seed=7)
-        second, verdicts_second = _relay_network(8, 20, loss_rate=0.3, loss_seed=7)
+        lossy = LossyChannel(0.3)
+        first, verdicts_first = _relay_network(8, 20, channel=lossy, loss_seed=7)
+        second, verdicts_second = _relay_network(8, 20, channel=lossy, loss_seed=7)
         assert verdicts_first == verdicts_second
         assert first.stats == second.stats
 
     def test_different_loss_seed_different_drop_set(self):
-        first, _ = _relay_network(8, 20, loss_rate=0.3, loss_seed=7)
-        second, _ = _relay_network(8, 20, loss_rate=0.3, loss_seed=8)
+        first, _ = _relay_network(8, 20, channel=LossyChannel(0.3), loss_seed=7)
+        second, _ = _relay_network(8, 20, channel=LossyChannel(0.3), loss_seed=8)
         assert first.stats != second.stats
 
     def test_quiescence_skip_preserves_lossy_run(self):
         """Skipped rounds carry no messages, so they consume no loss-RNG
         draws: the drop set is identical with and without the skip."""
-        skipped, verdicts_skipped = _relay_network(8, 30, loss_rate=0.25, loss_seed=3)
+        lossy = LossyChannel(0.25)
+        skipped, verdicts_skipped = _relay_network(8, 30, channel=lossy, loss_seed=3)
         full, verdicts_full = _relay_network(
-            8, 30, loss_rate=0.25, loss_seed=3, quiescence_skip=False
+            8, 30, channel=lossy, loss_seed=3, quiescence_skip=False
         )
         assert verdicts_skipped == verdicts_full
         assert skipped.stats == full.stats

@@ -6,6 +6,7 @@ from repro.core.validation import ValidationMode
 from repro.crypto.proofs import verify_proof
 from repro.crypto.signer import NullScheme
 from repro.errors import ExperimentError
+from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.runner import (
     NodeSetup,
     baseline_cost_trial,
@@ -129,7 +130,7 @@ class TestRunTrial:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExperimentError):
-            run_trial(cycle_graph(4), backend="quantum")
+            run_trial(cycle_graph(4), env=EnvironmentSpec(backend="quantum"))
 
     def test_mean_kb(self):
         result = run_trial(cycle_graph(5), t=1)

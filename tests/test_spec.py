@@ -6,8 +6,9 @@ worker count — including ``connectivity-resilience`` and
 ``topology-comparison``, which used to run serially.
 ``tests/golden/figures.json`` holds reference outputs captured from
 the pre-redesign figure functions (including cases that exercise the
-skip-note semantics); these tests replay the same calls through the
-declarative engine and compare whole figures, not just means.
+skip-note semantics); these tests replay each case's keyword arguments
+as axis overrides through ``SWEEP_ENGINE.run`` and compare whole
+figures, not just means.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.core.validation import ValidationMode
 from repro.crypto.signer import NullScheme
 from repro.crypto.sizes import PAYLOAD_PROFILE, WireProfile
 from repro.errors import ExperimentError
-from repro.experiments import figures
 from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.persistence import figure_to_dict, spec_digest
 from repro.experiments.runner import run_trial
@@ -44,31 +44,15 @@ GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "figures.json").read_text()
 )
 
-#: golden case name -> public wrapper (several cases share a wrapper).
-WRAPPERS = {
-    "fig3": figures.fig3_regular_cost,
-    "fig3-random": figures.fig3_random_regular,
-    "fig4": figures.fig4_drone_nectar,
-    "fig5": figures.fig5_drone_mtgv2,
-    "fig6": figures.fig6_drone_scaling_nectar,
-    "fig7": figures.fig7_drone_scaling_mtgv2,
-    "fig8": figures.fig8_byzantine_resilience,
-    "topology-comparison": figures.topology_cost_comparison,
-    "topology-comparison-skip": figures.topology_cost_comparison,
-    "connectivity-resilience": figures.connectivity_resilience,
-    "connectivity-resilience-skip": figures.connectivity_resilience,
-    "ablation-rounds": figures.ablation_round_count,
-    "ablation-spam": figures.ablation_spam_dedup,
-    "ablation-batching": figures.ablation_batching,
-    "ablation-sigsize": figures.ablation_signature_size,
-}
 
-
-def golden_kwargs(case: str) -> dict:
-    return {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in GOLDEN[case]["kwargs"].items()
-    }
+def golden_figure(case: str, workers: int | None = None):
+    """Replay one golden case; a ``-skip`` case reruns its figure id
+    at parameters that exercise the skip notes."""
+    return SWEEP_ENGINE.run(
+        case.removesuffix("-skip"),
+        overrides=GOLDEN[case]["kwargs"],
+        workers=workers,
+    )
 
 
 class TestGoldenRows:
@@ -76,28 +60,18 @@ class TestGoldenRows:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_serial_rows_bit_identical(self, case):
-        figure = WRAPPERS[case](**golden_kwargs(case))
+        figure = golden_figure(case)
         assert figure_to_dict(figure) == GOLDEN[case]["figure"]
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "fig3",
-            "fig4",
-            "fig8",
-            # The two historically-serial sweeps now shard too:
-            "topology-comparison",
-            "topology-comparison-skip",
-            "connectivity-resilience",
-            "connectivity-resilience-skip",
-        ],
-    )
+    # Every case shards, including the two historically-serial sweeps
+    # (topology-comparison, connectivity-resilience).
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_sharded_rows_bit_identical(self, case):
-        figure = WRAPPERS[case](**golden_kwargs(case), workers=2)
+        figure = golden_figure(case, workers=2)
         assert figure_to_dict(figure) == GOLDEN[case]["figure"]
 
     def test_rows_helper_matches_golden_flat_view(self):
-        figure = figures.ablation_signature_size(**golden_kwargs("ablation-sigsize"))
+        figure = golden_figure("ablation-sigsize")
         expected = [
             (s["name"], p["x"], p["mean"], p["ci_half_width"], p["trials"])
             for s in GOLDEN["ablation-sigsize"]["figure"]["series"]
@@ -171,6 +145,16 @@ class TestResolve:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ExperimentError, match="unknown figure"):
             SWEEP_ENGINE.resolve("fig99")
+
+    def test_malformed_numeric_overrides_name_the_axis(self):
+        for figure_id, overrides, message in (
+            ("fig6", {"trials": 0}, "axis 'trials' needs at least 1"),
+            ("fig3", {"ns": (8, "x")}, "axis 'ns' takes numbers"),
+            ("fig3", {"ns": ""}, "axis 'ns' takes numbers"),
+            ("fig3", {"ks": 2.5}, "axis 'ks' takes integers"),
+        ):
+            with pytest.raises(ExperimentError, match=message):
+                SWEEP_ENGINE.resolve(figure_id, overrides=overrides)
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ExperimentError, match="unknown scale"):
