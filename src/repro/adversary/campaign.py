@@ -11,14 +11,11 @@ per-node protocol factories by :func:`campaign_factories`.
 
 Two design constraints shape the API:
 
-* **Determinism under sharding.**  Mission epochs execute as
-  independent tasks, possibly across worker processes; placements for
-  *all* epochs are therefore computed up front in a sequential
-  pre-pass (the trajectory builds every graph before execution, so the
-  ``adaptive`` policy can consult epoch e-1's topology without
-  coupling the epoch tasks).  Factories are rebuilt inside each worker
-  from plain spec data — nothing closure-shaped crosses a process
-  boundary.
+* **Determinism.**  Placements for *all* epochs are computed up front
+  in a sequential pre-pass (the trajectory builds every graph before
+  execution, so the ``adaptive`` policy can consult epoch e-1's
+  topology), and each epoch's factories are rebuilt from plain spec
+  data — nothing closure-shaped lives in a mission spec.
 * **The Validity shape stays reachable.**  The ``deceptive`` profile
   reproduces the exact coalition behind the Definition-3 bug (a
   correct-acting sleeper shielded by silent colluders), so the class
@@ -156,9 +153,8 @@ def plan_placements(
     """Byzantine sets for every epoch, computed as a sequential pre-pass.
 
     The adaptive policy reads epoch e-1's topology to position epoch
-    e's coalition; running this *before* the (possibly sharded) epoch
-    executions keeps every epoch task independent, so rows are
-    bit-identical under any worker count.
+    e's coalition; :class:`~repro.experiments.mission.MissionSession`
+    runs this once, before its first epoch flies.
     """
     placements: list[frozenset[NodeId]] = []
     for epoch, graph in enumerate(graphs):

@@ -877,13 +877,10 @@ def _list_missions() -> int:
     return 0
 
 
-def _first_mission(resolved: ResolvedSweep) -> MissionSpec | None:
-    """The first cell's mission of a resolved mission sweep (or None)."""
-    plan = SWEEP_ENGINE.plan(resolved)
-    cells = [cell for group in plan.groups for cell in group.cells]
-    if not cells:
-        return None
-    return cells[0].with_env(resolved.env, resolved.env_fields).mission
+def _first_mission(resolved: ResolvedSweep) -> MissionSpec:
+    """The first cell's mission of a resolved mission sweep."""
+    _plan, cells = SWEEP_ENGINE.prepare(resolved)
+    return cells[0].mission
 
 
 def _print_epoch_line(report: EpochReport) -> None:
@@ -956,12 +953,8 @@ def _run_mission_cmd(args: argparse.Namespace) -> int:
     )
     _render_figure(figure)
     metadata = _report_artifacts()
-    mission = None
     if args.timeline or args.events or args.mission_out or args.mission_spec:
         mission = _first_mission(resolved)
-        if mission is None:
-            print("timeline: the resolved sweep has no cells")
-    if mission is not None:
         if args.timeline:
             _print_timeline(mission)
         if args.mission_spec:

@@ -31,19 +31,9 @@ Hit/miss counters live in :class:`CacheStats`, mirroring the style of
 :class:`repro.net.stats.TrafficStats`, and are surfaced per trial via
 ``TrialResult.cache_stats``.
 
-By default a cache is **unbounded** — a deployment's distinct-signature
-count is bounded by the protocol itself, and unbounded retention keeps
-cached and uncached runs bit-identical.  For long-lived caches (e.g. a
-service verifying many deployments, or trials with n well past 200)
-pass ``max_entries`` to cap the memo maps: the proof and chain verdict
-maps evict least-recently-used first, counted in
-``CacheStats.proof_evictions`` / ``chain_evictions``, while the
-object-identity fast paths (announcements, signed-message handoffs)
-are simply capped in insertion order — their entries are one-shot
-accelerators, not verdicts, so precision there buys nothing.  Eviction
-never changes a verdict — an evicted signature is simply re-verified
-on its next appearance (the chain prefix short-circuit degrades to a
-full scan when its prefix entry was evicted).
+A cache is unbounded: it lives one trial (:func:`run_trial` creates
+it), whose distinct-signature count the protocol itself bounds, and
+unbounded retention keeps cached and uncached runs bit-identical.
 """
 
 from __future__ import annotations
@@ -73,8 +63,6 @@ class CacheStats:
         chain_prefix_hits: chains whose prefix was known-good, so only
             the outermost link had to be verified.
         chain_misses: chains verified from scratch.
-        proof_evictions / chain_evictions: verdicts dropped by the
-            bounded (LRU) mode; zero on unbounded caches.
     """
 
     announcement_hits: int = 0
@@ -83,8 +71,6 @@ class CacheStats:
     chain_hits: int = 0
     chain_prefix_hits: int = 0
     chain_misses: int = 0
-    proof_evictions: int = 0
-    chain_evictions: int = 0
 
     def hits(self) -> int:
         """Lookups that avoided a full re-verification."""
@@ -108,35 +94,17 @@ class CacheStats:
         total = self.total()
         return self.hits() / total if total else 0.0
 
-    def evictions(self) -> int:
-        """Verdicts dropped by the bounded mode (0 when unbounded)."""
-        return self.proof_evictions + self.chain_evictions
-
 
 class VerificationCache:
     """Memo table for proof and chain verification.
 
     Results (including negative ones — replayed garbage stays garbage)
-    are stored forever by default; a cache is meant to live as long as
-    one node or one simulated deployment, whose distinct-signature
-    count is bounded by the protocol itself (n · m chain extensions
-    for NECTAR).
-
-    Args:
-        max_entries: optional bound on *each* memo map.  ``None``
-            (default) keeps everything — the equivalence-pinned
-            historical behaviour.  A bound evicts least-recently-used
-            verdicts from the proof and chain maps (counted in
-            :class:`CacheStats`) and caps the identity fast-path maps
-            in insertion order (uncounted — those entries are one-shot
-            accelerators, not verdicts); it changes memory use and hit
-            rates, never verdicts.
+    are stored forever; a cache is meant to live as long as one node or
+    one simulated deployment, whose distinct-signature count is bounded
+    by the protocol itself (n · m chain extensions for NECTAR).
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.stats = CacheStats()
         self._proofs: dict[tuple, bool] = {}
         self._chains: dict[tuple, bool] = {}
@@ -151,21 +119,6 @@ class VerificationCache:
 
     def __len__(self) -> int:
         return len(self._proofs) + len(self._chains)
-
-    def _touch(self, table: dict, key) -> None:
-        """Mark ``key`` most-recently-used (bounded mode only)."""
-        if self.max_entries is None:
-            return
-        table[key] = table.pop(key)
-
-    def _bound(self, table: dict, counter: str | None = None) -> None:
-        """Evict least-recently-used entries beyond ``max_entries``."""
-        if self.max_entries is None:
-            return
-        while len(table) > self.max_entries:
-            table.pop(next(iter(table)))
-            if counter is not None:
-                setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def verify_announcement(self, scheme, directory, announcement) -> bool:
         """Cached rules 4-5 for one relayed announcement.
@@ -186,7 +139,6 @@ class VerificationCache:
             scheme, directory, proof_bytes(proof), announcement.chain
         )
         self._announcements[id(announcement)] = (announcement, result)
-        self._bound(self._announcements)
         return result
 
     def verify_proof(
@@ -200,12 +152,10 @@ class VerificationCache:
         cached = self._proofs.get(key)
         if cached is not None:
             self.stats.proof_hits += 1
-            self._touch(self._proofs, key)
             return cached
         self.stats.proof_misses += 1
         result = verify_proof(scheme, directory, proof)
         self._proofs[key] = result
-        self._bound(self._proofs, "proof_evictions")
         return result
 
     def verify_chain(
@@ -227,13 +177,11 @@ class VerificationCache:
         cached = self._chains.get(key)
         if cached is not None:
             self.stats.chain_hits += 1
-            self._touch(self._chains, key)
             return cached
         prefix = links[:-1]
         if not prefix or self._chains.get((payload, prefix)) is True:
             if prefix:
                 self.stats.chain_prefix_hits += 1
-                self._touch(self._chains, (payload, prefix))
             else:
                 self.stats.chain_misses += 1
             result = self._verify_outer_link(scheme, directory, payload, links)
@@ -241,7 +189,6 @@ class VerificationCache:
             self.stats.chain_misses += 1
             result = verify_chain(scheme, directory, payload, links)
         self._chains[key] = result
-        self._bound(self._chains, "chain_evictions")
         return result
 
     def extend_chain(
@@ -271,7 +218,6 @@ class VerificationCache:
         signature = scheme.sign(key_pair, message)
         extended = links + (ChainLink(signer=key_pair.node_id, signature=signature),)
         self._outer_messages[id(extended)] = (extended, payload, message)
-        self._bound(self._outer_messages)
         return extended
 
     def _verify_outer_link(
@@ -296,5 +242,4 @@ class VerificationCache:
             return False
         following = next_chain_message(message, link)
         self._sign_messages[id(links)] = (links, payload, following)
-        self._bound(self._sign_messages)
         return True

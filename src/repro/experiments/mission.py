@@ -23,24 +23,24 @@ gap on the modern spec architecture:
   interned once and the deployment's key pool is reused by every
   epoch (keys do not rotate mid-mission), which is what makes long
   missions dramatically cheaper than *epochs* independent trials.
-* :func:`run_mission` — the engine: replays the trajectory, emits the
-  per-epoch verdict stream (:class:`EpochReport`) and derives the
-  temporal metrics — **detection latency** (epochs from ground-truth
-  cut emergence to the first elevated verdict), **false-alarm rate**
-  and per-epoch cost.  Epochs are independent trials, so they shard
-  through :func:`~repro.experiments.parallel.parallel_map` like any
-  sweep grid.
+* :class:`MissionSession` — the engine: replays the trajectory one
+  :meth:`~MissionSession.step` (one epoch) at a time and emits the
+  per-epoch verdict stream (:class:`EpochReport`).  It is the one
+  epoch loop: :func:`run_mission` steps a session to the end, and the
+  footnote-2 operational mode (continuous monitoring of a live
+  topology, ``epoch_seeds="stride"`` re-keying every epoch), the CLI
+  timeline and the fleet service step it as epochs land.
+  :class:`MissionResult` derives the temporal metrics — **detection
+  latency** (epochs from ground-truth cut emergence to the first
+  elevated verdict), **false-alarm rate** and per-epoch cost.
 * :class:`MissionCellSpec` — the sweep-cell adapter: any measure of a
   mission as one scalar cell, which registers the temporal scenarios
-  ``partition-detection`` and ``mtg-vs-nectar-detection`` in
+  ``partition-detection``, ``mtg-vs-nectar-detection`` and
+  ``detection-under-deception`` in
   :data:`~repro.experiments.spec.FIGURE_SPECS` — sweepable over
-  mission/mobility axes and ``env.*``, shardable across seeds via
+  mission/mobility axes and ``env.*``, sharded across missions by
   :class:`~repro.experiments.spec.SweepEngine`, and surfaced as
   ``repro mission`` on the CLI.
-* :class:`MissionSession` — the same engine one epoch at a time: the
-  footnote-2 operational mode (continuous monitoring of a live
-  topology, ``epoch_seeds="stride"`` re-keying every epoch) and the
-  fleet service's stepping cursor.
 
 Determinism: a mission's randomness flows exclusively from its
 explicit seeds (trajectory seed, mission seed), so mission rows are
@@ -58,22 +58,14 @@ from repro.adversary.campaign import (
     campaign_factories,
     plan_placements,
 )
-from repro.baselines.mtg import mtg_epoch_count
-from repro.baselines.mtgv2 import mtgv2_epoch_count
-from repro.crypto import resolve_scheme
-from repro.crypto.keys import KeyStore
-from repro.crypto.signer import NullScheme
-from repro.crypto.sizes import DEFAULT_PROFILE
 from repro.errors import ExperimentError
 from repro.experiments.artifacts import ARTIFACTS, artifact_key
 from repro.experiments.envspec import DEFAULT_ENVIRONMENT, EnvironmentSpec
-from repro.experiments.parallel import parallel_map
 from repro.experiments.persistence import dump_figure_json
 from repro.experiments.report import FigureData
 from repro.experiments.runner import (
+    baseline_cost_trial,
     compute_ground_truth,
-    honest_mtg_factory,
-    honest_mtgv2_factory,
     run_trial,
 )
 from repro.experiments.spec import (
@@ -465,30 +457,13 @@ def _verdict_signature(verdict: Any) -> tuple:
 
 
 @dataclass(frozen=True)
-class EpochOutcome:
-    """The raw, transition-free result of one epoch (picklable)."""
-
-    epoch: int
-    verdict: Any
-    danger: int
-    mean_kb_sent: float
-    rounds_executed: int | None
-    #: ground truth: was the epoch's topology t-partitionable?  None
-    #: when the engine ran without ground truth.
-    partitionable: bool | None
-    #: ground truth: did the epoch's *actual* Byzantine placement cut
-    #: the correct subgraph?  None without ground truth; False in
-    #: adversary-free epochs unless the topology itself is split.
-    correct_cut: bool | None = None
-
-
-@dataclass(frozen=True)
 class EpochReport:
-    """One epoch of the mission's verdict stream, with transitions.
+    """One epoch of the mission's verdict stream.
 
     ``changed`` / ``escalated`` compare against the previous epoch: a
     change is a decision or confirmation flip, an escalation is a move
-    toward danger.
+    toward danger.  :func:`run_epoch` reports a lone epoch with both
+    False; :meth:`MissionSession.step` sets them.
     """
 
     epoch: int
@@ -498,7 +473,12 @@ class EpochReport:
     escalated: bool
     mean_kb_sent: float
     rounds_executed: int | None
+    #: ground truth: was the epoch's topology t-partitionable?  None
+    #: when the epoch ran without ground truth.
     partitionable: bool | None
+    #: ground truth: did the epoch's *actual* Byzantine placement cut
+    #: the correct subgraph?  None without ground truth; False in
+    #: adversary-free epochs unless the topology itself is split.
     correct_cut: bool | None = None
 
 
@@ -512,19 +492,20 @@ def run_epoch(
     epoch: int = 0,
     with_truth: bool = False,
     byzantine_factories: Mapping[int, Any] | None = None,
-) -> EpochOutcome:
-    """Run one mission epoch on ``graph`` and report the raw outcome.
+) -> EpochReport:
+    """Run one mission epoch on ``graph`` and report it.
 
-    The single-epoch primitive behind :func:`run_mission` and
-    :class:`MissionSession`: one trial through the
-    :func:`~repro.experiments.runner.run_trial` pipeline, read through
-    the smallest *correct* node (Agreement, Def. 3, lets NECTAR read
-    any single correct node; the baselines have no agreement property,
-    so node 0's view *is* the continuous-detector vantage point being
-    compared).  ``byzantine_factories`` hosts an epoch's adversarial
-    coalition (NECTAR only): the verdict then comes from the smallest
-    node *outside* the coalition, and the ground truth accounts for
-    the actual placement.
+    The single-epoch primitive behind :class:`MissionSession`: one
+    trial through the :func:`~repro.experiments.runner.run_trial`
+    pipeline (the baselines through
+    :func:`~repro.experiments.runner.baseline_cost_trial`), read
+    through the smallest *correct* node (Agreement, Def. 3, lets NECTAR
+    read any single correct node; the baselines have no agreement
+    property, so node 0's view *is* the continuous-detector vantage
+    point being compared).  ``byzantine_factories`` hosts an epoch's
+    adversarial coalition (NECTAR only): the verdict then comes from
+    the smallest node *outside* the coalition, and the ground truth
+    accounts for the actual placement.
     """
     byzantine = frozenset(byzantine_factories or {})
     if byzantine and protocol != "nectar":
@@ -542,22 +523,7 @@ def run_epoch(
             env=env,
         )
     elif protocol in ("mtg", "mtgv2"):
-        factory = honest_mtg_factory if protocol == "mtg" else honest_mtgv2_factory
-        rounds = (
-            mtg_epoch_count(graph.n)
-            if protocol == "mtg"
-            else mtgv2_epoch_count(graph.n)
-        )
-        result = run_trial(
-            graph,
-            t=0,
-            honest_factory=factory,
-            rounds=rounds,
-            scheme=NullScheme(signature_size=DEFAULT_PROFILE.signature_bytes),
-            seed=seed,
-            with_ground_truth=False,
-            env=env,
-        )
+        result = baseline_cost_trial(graph, protocol, seed=seed, env=env)
     else:
         raise ExperimentError(
             f"unknown mission protocol {protocol!r}; "
@@ -579,54 +545,16 @@ def run_epoch(
         )
         partitionable = truth.byzantine_partitionable
         correct_cut = truth.correct_subgraph_partitioned
-    return EpochOutcome(
+    return EpochReport(
         epoch=epoch,
         verdict=verdict,
         danger=_danger_level(verdict),
+        changed=False,
+        escalated=False,
         mean_kb_sent=result.mean_kb_sent(),
         rounds_executed=result.rounds_executed,
         partitionable=partitionable,
         correct_cut=correct_cut,
-    )
-
-
-@dataclass(frozen=True)
-class _EpochTask:
-    """One epoch's work unit for the sharded engine (picklable).
-
-    ``byzantine`` is this epoch's coalition, decided by the sequential
-    placement pre-pass; the worker rebuilds the actual factories from
-    it (closures do not cross process boundaries).
-    """
-
-    mission: MissionSpec
-    epoch: int
-    graph: Graph
-    with_truth: bool
-    byzantine: frozenset[int] = frozenset()
-
-
-def _execute_epoch(task: _EpochTask) -> EpochOutcome:
-    """Module-level epoch executor (what ``parallel_map`` ships)."""
-    mission = task.mission
-    factories = None
-    if task.byzantine and mission.adversary is not None:
-        factories = campaign_factories(
-            mission.adversary.profile,
-            task.byzantine,
-            task.graph.n,
-            seed=mission.adversary.seed,
-        )
-    return run_epoch(
-        task.graph,
-        t=mission.t,
-        connectivity_cutoff=mission.connectivity_cutoff,
-        seed=mission.epoch_seed(task.epoch),
-        protocol=mission.protocol,
-        env=mission.env,
-        epoch=task.epoch,
-        with_truth=task.with_truth,
-        byzantine_factories=factories,
     )
 
 
@@ -760,41 +688,6 @@ class MissionResult:
         return None
 
 
-def _annotate(previous: EpochOutcome | None, outcome: EpochOutcome) -> EpochReport:
-    """One outcome as a transition-annotated report (vs its predecessor).
-
-    The single definition of ``changed``/``escalated`` shared by the
-    batch fold (:func:`_derive_reports`) and the streaming
-    :meth:`MissionSession.step`, so both paths annotate identically by
-    construction.
-    """
-    changed = previous is not None and _verdict_signature(
-        previous.verdict
-    ) != _verdict_signature(outcome.verdict)
-    escalated = previous is not None and outcome.danger > previous.danger
-    return EpochReport(
-        epoch=outcome.epoch,
-        verdict=outcome.verdict,
-        danger=outcome.danger,
-        changed=changed,
-        escalated=escalated,
-        mean_kb_sent=outcome.mean_kb_sent,
-        rounds_executed=outcome.rounds_executed,
-        partitionable=outcome.partitionable,
-        correct_cut=outcome.correct_cut,
-    )
-
-
-def _derive_reports(outcomes: Sequence[EpochOutcome]) -> tuple[EpochReport, ...]:
-    """Fold raw outcomes into the transition-annotated verdict stream."""
-    reports = []
-    previous: EpochOutcome | None = None
-    for outcome in outcomes:
-        reports.append(_annotate(previous, outcome))
-        previous = outcome
-    return tuple(reports)
-
-
 def topology_delta(graphs: Sequence[Graph], epoch: int) -> tuple[int, int]:
     """``(added, removed)`` undirected edges of ``epoch`` vs its
     predecessor.
@@ -816,16 +709,15 @@ def topology_delta(graphs: Sequence[Graph], epoch: int) -> tuple[int, int]:
 
 
 class MissionSession:
-    """Resumable epoch stepping: the batch loop factored into a cursor.
+    """The one epoch loop: a mission flown one :meth:`step` at a time.
 
-    The streaming half of :func:`run_mission` (DESIGN.md §12): the same
-    trajectory build, the same sequential adversary placement pre-pass,
-    and the same :func:`_execute_epoch` per epoch — but advanced one
-    :meth:`step` at a time, so a long-lived service can interleave many
-    missions on one loop and emit each epoch's report as it lands.
-    Because epochs are independent pure tasks, the report stream is
-    bit-identical to the batch engine's for the same spec (pinned by
-    ``tests/test_service.py``).
+    The session builds the trajectory and fixes the adversary's
+    placements up front; each :meth:`step` flies one epoch through
+    :func:`run_epoch` and annotates it against the previous one.
+    :func:`run_mission` steps a session to the end, and a long-lived
+    service interleaves many sessions on one loop, emitting each
+    epoch's report as it lands (DESIGN.md §12) — so streamed and batch
+    verdict streams are identical because they are the same loop.
 
     With ``env.artifacts`` on, the trajectory is interned and every
     epoch reuses the cached per-``(graph, scheme, seed)`` deployment —
@@ -839,13 +731,11 @@ class MissionSession:
         self.with_truth = with_truth
         self.graphs = mission_graphs(mission)
         if mission.adversary is not None:
-            # Sequential pre-pass, exactly as in run_mission: the
-            # adaptive policy reads epoch e-1's topology, so placements
-            # are fixed before any epoch executes.
+            # The adaptive policy reads epoch e-1's topology, so every
+            # placement is fixed before any epoch flies.
             self.placements = plan_placements(self.graphs, mission.adversary)
         else:
             self.placements = [frozenset()] * len(self.graphs)
-        self._previous: EpochOutcome | None = None
         self._reports: list[EpochReport] = []
 
     @property
@@ -866,24 +756,6 @@ class MissionSession:
         """The verdict stream completed so far."""
         return tuple(self._reports)
 
-    def task(self, epoch: int) -> _EpochTask:
-        """One epoch's work unit (shared with the batch engine)."""
-        if not 0 <= epoch < self.total_epochs:
-            raise ExperimentError(
-                f"epoch {epoch} outside the mission (0..{self.total_epochs - 1})"
-            )
-        return _EpochTask(
-            mission=self.mission,
-            epoch=epoch,
-            graph=self.graphs[epoch],
-            with_truth=self.with_truth,
-            byzantine=self.placements[epoch],
-        )
-
-    def tasks(self) -> list[_EpochTask]:
-        """Every epoch's work unit, in epoch order (the batch plan)."""
-        return [self.task(epoch) for epoch in range(self.total_epochs)]
-
     def topology_delta(self, epoch: int) -> tuple[int, int]:
         """``(added, removed)`` edges this epoch applies in place."""
         return topology_delta(self.graphs, epoch)
@@ -894,9 +766,33 @@ class MissionSession:
             raise ExperimentError(
                 f"mission is complete ({self.total_epochs} epochs flown)"
             )
-        outcome = _execute_epoch(self.task(self.epoch))
-        report = _annotate(self._previous, outcome)
-        self._previous = outcome
+        mission, epoch = self.mission, self.epoch
+        graph, byzantine = self.graphs[epoch], self.placements[epoch]
+        factories = None
+        if byzantine:
+            adversary = mission.adversary
+            factories = campaign_factories(
+                adversary.profile, byzantine, graph.n, seed=adversary.seed
+            )
+        report = run_epoch(
+            graph,
+            t=mission.t,
+            connectivity_cutoff=mission.connectivity_cutoff,
+            seed=mission.epoch_seed(epoch),
+            protocol=mission.protocol,
+            env=mission.env,
+            epoch=epoch,
+            with_truth=self.with_truth,
+            byzantine_factories=factories,
+        )
+        if self._reports:
+            previous = self._reports[-1]
+            report = replace(
+                report,
+                changed=_verdict_signature(previous.verdict)
+                != _verdict_signature(report.verdict),
+                escalated=report.danger > previous.danger,
+            )
         self._reports.append(report)
         return report
 
@@ -910,46 +806,31 @@ class MissionSession:
         return MissionResult(mission=self.mission, reports=tuple(self._reports))
 
 
-def run_mission(
-    mission: MissionSpec,
-    workers: int | None = None,
-    with_truth: bool = True,
-) -> MissionResult:
-    """Replay one mission and return its verdict stream and metrics.
-
-    Epochs are independent trials (each carries its own explicit seed),
-    so they shard through :func:`parallel_map` exactly like sweep
-    cells; the transition annotations and temporal metrics are derived
-    afterwards in epoch order, making the result bit-identical for any
-    worker count.
+def run_mission(mission: MissionSpec, *, with_truth: bool = True) -> MissionResult:
+    """Fly one mission to the end: a :class:`MissionSession` stepped
+    through every epoch.
 
     Args:
-        workers: epoch-level sharding (``None`` defers to
-            ``REPRO_WORKERS``; sweep cells force 1 — the sweep layer
-            already shards across missions).
         with_truth: also compute the per-epoch ground-truth
             partitionability (required for the temporal metrics; a
             plain verdict stream can skip it).
     """
     session = MissionSession(mission, with_truth=with_truth)
-    outcomes = parallel_map(_execute_epoch, session.tasks(), workers=workers)
-    return MissionResult(mission=mission, reports=_derive_reports(outcomes))
+    while not session.done:
+        session.step()
+    return session.result()
 
 
 # ----------------------------------------------------------------------
 # Sweep integration: mission cells + registered temporal scenarios
 # ----------------------------------------------------------------------
-#: worker-local memo of executed missions: the measure series of one
-#: scenario ask several questions of the same mission, and re-flying
-#: it per measure would multiply the work.  Results are a pure
-#: function of the spec, so memoisation cannot change rows — it only
-#: dedupes work that lands on the same process.  Under sharding,
-#: same-mission cells may land on different workers (chunksize 1), so
-#: a mission can still fly up to once per measure series — bounded CPU
-#: overhead, never worse wall-clock than the serial run (colocating
-#: same-mission cells per worker is a ROADMAP follow-up).  Bounded:
-#: cleared wholesale when it outgrows the plausible working set of one
-#: sweep.
+#: per-process memo of flown missions: the measure series of one
+#: scenario ask several questions of the same mission, and the sweep
+#: engine plans them into one shard (:attr:`MissionCellSpec.colocation_key`),
+#: so each mission flies once.  Results are a pure function of the
+#: spec, so memoisation cannot change rows.  It holds outputs, so it
+#: stays out of the artifact cache and its ``--artifact-store``
+#: snapshots; bounded by clearing it wholesale at the cap.
 _MISSION_MEMO: dict[MissionSpec, MissionResult] = {}
 _MISSION_MEMO_CAP = 128
 
@@ -983,14 +864,13 @@ def mission_result(mission: MissionSpec) -> MissionResult:
     """The mission's result, served from the per-process memo.
 
     The public memoised accessor behind every sweep cell and the CLI
-    timeline: one serial flight per distinct spec per process, then
-    free.  Use :func:`run_mission` directly to control epoch sharding
-    or skip ground truth.
+    timeline: one flight per distinct spec per process, then free.
+    Use :func:`run_mission` directly to skip ground truth.
     """
     cached = _MISSION_MEMO.get(mission)
     if cached is not None:
         return cached
-    result = run_mission(mission, workers=1)
+    result = run_mission(mission)
     store_mission_result(mission, result)
     return result
 
@@ -1088,10 +968,10 @@ class MissionCellSpec:
 
     Implements the sweep-cell protocol of
     :func:`repro.experiments.spec.execute_trial` (``env`` /
-    ``with_env`` / ``execute`` / ``warm_artifacts``), so
+    ``with_env`` / ``execute``), so
     :class:`~repro.experiments.spec.SweepEngine` shards mission cells
-    exactly like trial cells — ``env.*`` overrides, artifact warm-up
-    and worker deltas included.
+    exactly like trial cells — ``env.*`` overrides and worker artifact
+    deltas included.
     """
 
     mission: MissionSpec
@@ -1121,26 +1001,6 @@ class MissionCellSpec:
             ),
         )
 
-    def warm_artifacts(self) -> None:
-        """Parent-side warm-up: intern the trajectory + the key pool."""
-        mission = self.mission
-        # Only artifact cells are warmed, so this interns (one policy,
-        # shared with execution — same keys by construction).
-        graphs = mission_graphs(mission)
-        if mission.env.scheme and graphs:
-            scheme = resolve_scheme(mission.env.scheme)
-            nodes = graphs[0].nodes()
-            seeds = sorted(
-                {mission.epoch_seed(epoch) for epoch in range(len(graphs))}
-            )
-            for seed in seeds:
-                ARTIFACTS.key_store(
-                    scheme,
-                    nodes,
-                    seed,
-                    lambda seed=seed: KeyStore(scheme, nodes, seed=seed),
-                )
-
     def execute(self) -> float:
         """The cell executor: fly (or recall) the mission, read one metric."""
         return mission_result(self.mission).metric(self.measure)
@@ -1151,14 +1011,6 @@ MISSION_FIGURES = (
     "partition-detection",
     "mtg-vs-nectar-detection",
     "detection-under-deception",
-)
-
-#: display names of the temporal measure series, in row order.
-_MEASURE_SERIES = (
-    ("detection-latency", "detection latency (epochs)"),
-    ("cut-emergence", "cut-emergence rate"),
-    ("false-alarm-rate", "false-alarm rate"),
-    ("kb-per-epoch", "KB sent per epoch"),
 )
 
 #: trajectory kinds the mission sweeps accept through the
@@ -1208,81 +1060,103 @@ def _mission_trajectory(params: dict, x: float, seed: int) -> TrajectorySpec:
     )
 
 
-def _mission_cell(
+#: each mission figure's rows as ``(series, protocol, measure)``, in
+#: display order.  ``adversary-cut rate`` reports how often the
+#: campaign's placement actually severed the correct subgraph (the
+#: ceiling an adaptive adversary chases).
+_DETECTION_TABLE = (
+    ("detection latency (epochs)", "nectar", "detection-latency"),
+    ("cut-emergence rate", "nectar", "cut-emergence"),
+    ("false-alarm rate", "nectar", "false-alarm-rate"),
+    ("KB sent per epoch", "nectar", "kb-per-epoch"),
+)
+_MTG_VS_NECTAR_TABLE = (
+    ("Nectar (ours)", "nectar", "detection-latency"),
+    ("MtG", "mtg", "detection-latency"),
+)
+_DECEPTION_TABLE = _DETECTION_TABLE[:3] + (
+    ("adversary-cut rate", "nectar", "adversary-cut-rate"),
+)
+
+
+def _plan_mission(
     params: dict,
-    x: float,
-    seed: int,
-    protocol: str,
-    measure: str,
-    adversary: AdversarySpec | None = None,
-) -> MissionCellSpec:
-    return MissionCellSpec(
-        mission=MissionSpec(
-            trajectory=_mission_trajectory(params, x, seed),
-            t=params["t"],
-            connectivity_cutoff=params["t"] + 1,
-            seed=seed,
-            protocol=protocol,
-            adversary=adversary,
-        ),
-        measure=measure,
-    )
+    figure_id: str,
+    title: str,
+    y_label: str,
+    notes: Sequence[str],
+    table: Sequence[tuple[str, str, str]],
+    adversarial: bool = False,
+) -> FigurePlan:
+    """One mission figure: x → table row → seed, one cell each.
+
+    The rows ask their questions of the same missions (memoised, so
+    each flies once).  Undefined latencies (no cut emerged) are
+    dropped from aggregation via the group's ``NO_CUT_SENTINEL``.
+    ``adversarial`` hosts the ``adversary.*`` axes' campaign in every
+    mission, its seed derived per trial so each trial fights a
+    different (reproducible) adversary.
+    """
+    xs, x_label = _mission_xs(params)
+    figure = _new_figure(figure_id, title, x_label, y_label, params)
+    figure.notes.extend(notes)
+    for series, _, _ in table:
+        figure.series_named(series)  # pin display order
+    plan = FigurePlan(figure)
+    seeds = _seeds(params, params["trials"])
+    t = params["t"]
+    for x in xs:
+        for series, protocol, measure in table:
+            cells = tuple(
+                MissionCellSpec(
+                    mission=MissionSpec(
+                        trajectory=_mission_trajectory(params, x, seed),
+                        t=t,
+                        connectivity_cutoff=t + 1,
+                        seed=seed,
+                        protocol=protocol,
+                        adversary=(
+                            AdversarySpec(
+                                profile=params["adversary.profile"],
+                                placement=params["adversary.placement"],
+                                count=params["adversary.count"],
+                                seed=seed,
+                            )
+                            if adversarial
+                            else None
+                        ),
+                    ),
+                    measure=measure,
+                )
+                for seed in seeds
+            )
+            drop = NO_CUT_SENTINEL if measure == "detection-latency" else None
+            plan.groups.append(CellGroup(series, x, cells, drop_value=drop))
+    return plan
 
 
 def _plan_partition_detection(params: dict) -> FigurePlan:
-    """Detection-over-time on the Fig. 2 separation mission.
-
-    x is the per-epoch barycenter drift — how fast the fleet comes
-    apart.  One NECTAR epoch per trajectory step; the measure series
-    report the temporal metrics of the same missions (memoised, so the
-    missions fly once).  Undefined latencies (no cut emerged) are
-    dropped from aggregation via the group's ``NO_CUT_SENTINEL``.
-    """
-    xs, x_label = _mission_xs(params)
-    trials = params["trials"]
-    figure = _new_figure(
+    """Detection-over-time on the Fig. 2 separation mission; x is how
+    fast the fleet comes apart."""
+    return _plan_mission(
+        params,
         "partition-detection",
         (
             f"NECTAR detection-over-time on a separating fleet "
             f"(n={params['n']}, t={params['t']}, {params['epochs']} epochs)"
         ),
-        x_label,
         "detection latency (epochs) / rate / KB",
-        params,
+        (
+            "off-model: footnote 2 assumes the topology holds still; the "
+            "mission layer replays one NECTAR epoch per trajectory step",
+            "detection latency: epochs from ground-truth cut emergence "
+            "(κ <= t) to the first PARTITIONABLE verdict, censored at "
+            "mission end if undetected; missions whose cut never emerges "
+            "are excluded from the latency mean (the cut-emergence rate "
+            "and the point's trials count record how many remained)",
+        ),
+        _DETECTION_TABLE,
     )
-    figure.notes.append(
-        "off-model: footnote 2 assumes the topology holds still; the "
-        "mission layer replays one NECTAR epoch per trajectory step"
-    )
-    figure.notes.append(
-        "detection latency: epochs from ground-truth cut emergence "
-        "(κ <= t) to the first PARTITIONABLE verdict, censored at "
-        "mission end if undetected; missions whose cut never emerges "
-        "are excluded from the latency mean (the cut-emergence rate "
-        "and the point's trials count record how many remained)"
-    )
-    for _, series in _MEASURE_SERIES:
-        figure.series_named(series)  # pin display order
-    plan = FigurePlan(figure)
-    seeds = _seeds(params, trials)
-    for x in xs:
-        for measure, series in _MEASURE_SERIES:
-            plan.groups.append(
-                CellGroup(
-                    series,
-                    x,
-                    tuple(
-                        _mission_cell(params, x, seed, "nectar", measure)
-                        for seed in seeds
-                    ),
-                    drop_value=(
-                        NO_CUT_SENTINEL
-                        if measure == "detection-latency"
-                        else None
-                    ),
-                )
-            )
-    return plan
 
 
 def _plan_mtg_vs_nectar(params: dict) -> FigurePlan:
@@ -1293,55 +1167,21 @@ def _plan_mtg_vs_nectar(params: dict) -> FigurePlan:
     partitioned one — the continuous-detection comparison the paper's
     one-shot spec leaves open.
     """
-    xs, x_label = _mission_xs(params)
-    trials = params["trials"]
-    figure = _new_figure(
+    return _plan_mission(
+        params,
         "mtg-vs-nectar-detection",
         (
             f"Detection latency on a separating fleet, NECTAR vs MtG "
             f"(n={params['n']}, t={params['t']}, {params['epochs']} epochs)"
         ),
-        x_label,
         "detection latency (epochs)",
-        params,
+        (
+            "MtG detects actual partitions only; NECTAR escalates on "
+            "t-partitionability, so it warns earlier by design; missions "
+            "whose cut never emerges are excluded from the latency means",
+        ),
+        _MTG_VS_NECTAR_TABLE,
     )
-    figure.notes.append(
-        "MtG detects actual partitions only; NECTAR escalates on "
-        "t-partitionability, so it warns earlier by design; missions "
-        "whose cut never emerges are excluded from the latency means"
-    )
-    for series in ("Nectar (ours)", "MtG"):
-        figure.series_named(series)
-    plan = FigurePlan(figure)
-    seeds = _seeds(params, trials)
-    for x in xs:
-        for series, protocol in (("Nectar (ours)", "nectar"), ("MtG", "mtg")):
-            plan.groups.append(
-                CellGroup(
-                    series,
-                    x,
-                    tuple(
-                        _mission_cell(
-                            params, x, seed, protocol, "detection-latency"
-                        )
-                        for seed in seeds
-                    ),
-                    drop_value=NO_CUT_SENTINEL,
-                )
-            )
-    return plan
-
-
-#: the deception scenario's series: the temporal metrics that matter
-#: under an active adversary, headline first.  ``adversary-cut rate``
-#: reports how often the campaign's placement actually severed the
-#: correct subgraph (the ceiling an adaptive adversary chases).
-_DECEPTION_SERIES = (
-    ("detection-latency", "detection latency (epochs)"),
-    ("cut-emergence", "cut-emergence rate"),
-    ("false-alarm-rate", "false-alarm rate"),
-    ("adversary-cut-rate", "adversary-cut rate"),
-)
 
 
 def _plan_detection_under_deception(params: dict) -> FigurePlan:
@@ -1349,74 +1189,36 @@ def _plan_detection_under_deception(params: dict) -> FigurePlan:
 
     Same separating-fleet missions as ``partition-detection``, but
     every epoch hosts an adversarial coalition — behaviour profile,
-    placement policy and size set by the ``adversary.*`` axes, the
-    campaign seed derived per trial so each trial fights a different
-    (reproducible) adversary.  The headline metric is detection
-    latency under active deception: how much longer a sleeper cell,
-    an equivocating coalition or an adaptive cut-chaser keeps the
-    fleet blind compared to the adversary-free baseline.
+    placement policy and size set by the ``adversary.*`` axes.  The
+    headline metric is detection latency under active deception: how
+    much longer a sleeper cell, an equivocating coalition or an
+    adaptive cut-chaser keeps the fleet blind compared to the
+    adversary-free baseline.
     """
-    xs, x_label = _mission_xs(params)
-    trials = params["trials"]
     profile = params["adversary.profile"]
     placement = params["adversary.placement"]
     count = params["adversary.count"]
-    figure = _new_figure(
+    return _plan_mission(
+        params,
         "detection-under-deception",
         (
             f"NECTAR detection under deception "
             f"({count}x {profile}, {placement} placement, "
             f"n={params['n']}, t={params['t']}, {params['epochs']} epochs)"
         ),
-        x_label,
         "detection latency (epochs) / rate",
-        params,
+        (
+            "every epoch hosts a live Byzantine coalition "
+            f"(profile={profile}, placement={placement}, count={count}); "
+            "the verdict stream is read from the smallest correct node and "
+            "ground truth accounts for the actual placement",
+            "the deceptive profile is the Definition-3 Validity shape — a "
+            "correct-acting sleeper shielded by silent colluders — fixed "
+            "in the decision phase and kept under fire here",
+        ),
+        _DECEPTION_TABLE,
+        adversarial=True,
     )
-    figure.notes.append(
-        "every epoch hosts a live Byzantine coalition "
-        f"(profile={profile}, placement={placement}, count={count}); "
-        "the verdict stream is read from the smallest correct node and "
-        "ground truth accounts for the actual placement"
-    )
-    figure.notes.append(
-        "the deceptive profile is the Definition-3 Validity shape — a "
-        "correct-acting sleeper shielded by silent colluders — fixed "
-        "in the decision phase and kept under fire here"
-    )
-    for _, series in _DECEPTION_SERIES:
-        figure.series_named(series)  # pin display order
-    plan = FigurePlan(figure)
-    seeds = _seeds(params, trials)
-    for x in xs:
-        for measure, series in _DECEPTION_SERIES:
-            plan.groups.append(
-                CellGroup(
-                    series,
-                    x,
-                    tuple(
-                        _mission_cell(
-                            params,
-                            x,
-                            seed,
-                            "nectar",
-                            measure,
-                            adversary=AdversarySpec(
-                                profile=profile,
-                                placement=placement,
-                                count=count,
-                                seed=seed,
-                            ),
-                        )
-                        for seed in seeds
-                    ),
-                    drop_value=(
-                        NO_CUT_SENTINEL
-                        if measure == "detection-latency"
-                        else None
-                    ),
-                )
-            )
-    return plan
 
 
 register_plan("partition-detection", _plan_partition_detection)
@@ -1487,7 +1289,6 @@ register_sweep(
 __all__ = [
     "AdversarySpec",
     "EPOCH_SEED_MODES",
-    "EpochOutcome",
     "EpochReport",
     "MISSION_FIGURES",
     "MISSION_FIGURE_SERIES",

@@ -610,8 +610,9 @@ def _warm_artifacts(cells: Sequence[object]) -> None:
     signature scheme through the environment, pre-generates the signer
     key pool — so after the worker pool forks (or adopts the snapshot
     under spawn) no worker ever rebuilds a topology or regenerates a
-    key pair another already has.  Cell types that are not plain trial
-    specs (mission cells) bring their own ``warm_artifacts`` hook.
+    key pair another already has.  Mission cells are not warmed: the
+    sweep engine colocates a mission's cells on one worker, which
+    interns its trajectory and key pool on first use.
 
     The warm-up also produces the κ certificates: every adversarial
     artifact cell will ask
@@ -628,12 +629,6 @@ def _warm_artifacts(cells: Sequence[object]) -> None:
     """
     for cell in cells:
         if not isinstance(cell, TrialSpec):
-            warm = getattr(cell, "warm_artifacts", None)
-            if warm is not None:
-                try:
-                    warm()
-                except ExperimentError:
-                    pass
             continue
         top = cell.topology
         try:
@@ -2053,9 +2048,20 @@ class SweepEngine:
         ``assemble``; the distributed fabric client (:mod:`repro.fabric`,
         DESIGN.md §13) substitutes its queue for the execute step and is
         row-identical by construction because both ends are shared.
+
+        Raises:
+            ExperimentError: naming the figure (and quoting its skip
+                notes) when the axis values leave no cells to run.
         """
         plan = self.plan(resolved)
         cells = [cell for group in plan.groups for cell in group.cells]
+        if not cells:
+            skips = [note for note in plan.figure.notes if "skipped" in note]
+            raise ExperimentError(
+                f"figure {resolved.spec.figure_id!r}: the axis values leave "
+                "no cells to run"
+                + "".join(f"; {note}" for note in skips)
+            )
         if resolved.env_fields:
             # Sweep-wide env.* overrides: apply exactly the fields the
             # user named, so cells that already carry a non-default
@@ -2176,9 +2182,10 @@ class SweepEngine:
         the same spec digest.
 
         Raises:
-            ExperimentError: naming the axis, for a non-numeric value
-                on a numeric axis, a float on an int axis, a sequence on
-                a single-value axis, or ``trials`` < 1.
+            ExperimentError: naming the axis, for an empty sequence, a
+                non-numeric value on a numeric axis, a float on an int
+                axis, a sequence on a single-value axis, or ``trials``
+                < 1.
         """
         if isinstance(value, WireProfile):
             return profile_name(value)
@@ -2189,6 +2196,8 @@ class SweepEngine:
             value = tuple(
                 profile_name(v) if isinstance(v, WireProfile) else v for v in value
             )
+            if not value:
+                raise ExperimentError(f"axis {axis.name!r} needs at least one value")
         default = axis.reduced
         element = default[0] if isinstance(default, tuple) and default else default
         if _is_number(element):

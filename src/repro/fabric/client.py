@@ -142,18 +142,9 @@ def run_sweep_via_queue(
             not match this code's plan for the same digest.
     """
     plan, cells = SWEEP_ENGINE.prepare(resolved)
-    job_id = job_id_of(resolved)
-    if not cells:
-        return FabricRun(
-            figure=SWEEP_ENGINE.assemble(plan, []),
-            job_id=job_id,
-            total_shards=0,
-            resumed_shards=0,
-            client_shards=0,
-        )
     with artifact_scope(resolved, cells, artifact_store) as snapshot:
         record = JobRecord(
-            job_id=job_id,
+            job_id=job_id_of(resolved),
             figure_id=resolved.spec.figure_id,
             payload=resolved.payload(),
             shards=tuple(

@@ -14,7 +14,6 @@ from repro.net.channel import (
     MobilityChannel,
     NetworkBackend,
     ReliableChannel,
-    build_backend,
     channel_model,
     register_backend,
     register_channel_model,
@@ -47,7 +46,6 @@ __all__ = [
     "MobilityChannel",
     "NetworkBackend",
     "ReliableChannel",
-    "build_backend",
     "channel_model",
     "register_backend",
     "register_channel_model",

@@ -47,7 +47,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.errors import ChannelError, ExperimentError
 from repro.graphs.graph import Graph
@@ -408,25 +408,3 @@ def resolve_backend(name: str) -> BackendFactory:
             f"unknown backend {name!r}; known: {sorted(BACKENDS)}"
         )
     return factory
-
-
-def build_backend(
-    name: str,
-    graph: Graph,
-    protocols: Mapping[NodeId, Any],
-    *,
-    profile: Any,
-    channel: ChannelModel = RELIABLE_CHANNEL,
-    seed: int = 0,
-    quiescence_skip: bool = True,
-) -> NetworkBackend:
-    """Resolve ``name`` and build the backend in one call."""
-    factory = resolve_backend(name)
-    return factory(
-        graph,
-        protocols,
-        profile=profile,
-        channel=channel,
-        seed=seed,
-        quiescence_skip=quiescence_skip,
-    )

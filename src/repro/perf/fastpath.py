@@ -68,16 +68,15 @@ closed-form-safe types:
 * MtGv2: ``Mtgv2Node`` and ``TwoFacedMtgv2Node``.
 
 Anything else (equivocating, bad-aggregator, spam and every forging
-behaviour) returns None and the caller runs the round scheduler, as
-does any bounded verification cache (its LRU counters depend on the
-order of operations).  An all-``NectarNode`` population whose FULL
-validation uses a cache also replays its signature work round by
-round (``_replay_signatures``): the same messages are signed and
-verified, through each node's own chain extension and validator, so
-``cache_stats`` equals the scheduler's.  One documented observability
-divergence remains: Byzantine populations never touch the cache here,
-so their ``cache_stats`` counters stay zero where the scheduler would
-count hits (verdicts, traffic and rows are unaffected).
+behaviour) returns None and the caller runs the round scheduler.  An
+all-``NectarNode`` population whose FULL validation uses a cache also
+replays its signature work round by round (``_replay_signatures``):
+the same messages are signed and verified, through each node's own
+chain extension and validator, so ``cache_stats`` equals the
+scheduler's.  One documented observability divergence remains:
+Byzantine populations never touch the cache here, so their
+``cache_stats`` counters stay zero where the scheduler would count
+hits (verdicts, traffic and rows are unaffected).
 """
 
 from __future__ import annotations
@@ -179,12 +178,10 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
                 or p._neighbors != graph.neighbors(node_id)
             ):
                 return None
-            cache = p._validator.cache
-            if p._validator.mode is ValidationMode.FULL and cache is not None:
-                if cache.max_entries is not None:
-                    # LRU counters depend on the order of operations,
-                    # which only the scheduler reproduces.
-                    return None
+            if (
+                p._validator.mode is ValidationMode.FULL
+                and p._validator.cache is not None
+            ):
                 uses_cache = True
         if uses_cache and kinds == {NectarNode}:
             return "signed-nectar"

@@ -19,9 +19,8 @@ Design decisions, and why:
   ticks) and serialises access to the shared caches; concurrency across
   missions comes from interleaving epochs, which is what a tick window
   bounds.  Verdicts are therefore bit-identical to batch
-  :func:`~repro.experiments.mission.run_mission` by construction — both
-  paths execute the same pure epoch tasks in the same per-mission
-  order.
+  :func:`~repro.experiments.mission.run_mission` by construction — it
+  steps the same :class:`MissionSession` loop to the end.
 * **Backpressure sheds, never stalls.**  Subscription queues are
   bounded (``queue_limit``); when a slow consumer's queue is full the
   event is dropped *for that subscriber* and counted

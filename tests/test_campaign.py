@@ -261,15 +261,15 @@ class TestAdversarialEpochs:
                 profile="deceptive", placement="adaptive", count=2, seed=1
             ),
         )
-        first = run_mission(mission, workers=1)
+        first = run_mission(mission)
         clear_mission_memo()
         clear_artifact_cache()
-        second = run_mission(mission, workers=4)
+        second = run_mission(mission)
         assert first.reports == second.reports
 
     def test_adversary_cut_rate_requires_ground_truth(self):
         mission = MissionSpec(trajectory=SCATTERS, t=2, seed=1)
-        result = run_mission(mission, workers=1, with_truth=False)
+        result = run_mission(mission, with_truth=False)
         with pytest.raises(ExperimentError, match="ground truth"):
             result.adversary_cut_rate
 

@@ -383,6 +383,9 @@ class TestMalformedInput:
             (["sweep", "fig3", "--set", "ns="], "axis 'ns' takes numbers"),
             (["sweep", "fig3", "--set", "ns=8,x"], "axis 'ns' takes numbers"),
             (["sweep", "fig3", "--set", "ks=2.5"], "axis 'ks' takes integers"),
+            (["sweep", "fig3", "--set", "ns=,"], "axis 'ns' needs at least one"),
+            (["sweep", "fig3", "--set", "ns=-5"], "figure 'fig3'"),
+            (["figure", "fig3", "--set", "ks=40"], "figure 'fig3'"),
         ],
         ids=[
             "check-one-drone",
@@ -394,6 +397,9 @@ class TestMalformedInput:
             "empty-numeric-axis",
             "non-numeric-axis-value",
             "non-integral-axis-value",
+            "empty-axis-sequence",
+            "sweep-without-cells",
+            "figure-without-cells",
         ],
     )
     def test_exits_two_with_error_line(self, argv, message, capsys):

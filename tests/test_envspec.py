@@ -28,7 +28,6 @@ from repro.experiments.spec import (
     execute_trial,
 )
 from repro.graphs.generators.classic import cycle_graph, grid_graph
-from repro.graphs.generators.regular import harary_graph
 
 
 class TestEnvironmentSpec:
@@ -120,17 +119,6 @@ class TestEnvironmentSpec:
 
 
 class TestRunTrialAdapter:
-    def test_default_env_matches_legacy_path_bit_identically(self):
-        graph = harary_graph(4, 10)
-        legacy = run_trial(graph, t=1, with_ground_truth=False)
-        via_env = run_trial(
-            graph, t=1, with_ground_truth=False, env=DEFAULT_ENVIRONMENT
-        )
-        assert via_env.verdicts == legacy.verdicts
-        assert via_env.stats.bytes_sent == legacy.stats.bytes_sent
-        assert via_env.stats.bytes_received == legacy.stats.bytes_received
-        assert via_env.rounds_executed == legacy.rounds_executed
-
     @pytest.mark.parametrize("graph", [cycle_graph(6), grid_graph(3, 3)])
     def test_sync_async_verdict_and_byte_equality_through_env(self, graph):
         sync = run_trial(

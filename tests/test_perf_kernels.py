@@ -24,8 +24,8 @@ contract that makes that safe:
   ``TrialResult`` (cache counters included) and the multisets of
   messages it signs and verifies equal the scheduler's (random graphs
   and round budgets, Harary graphs under HMAC and RSA, one cache
-  reused across trials); a bounded cache keeps the scheduler, and a
-  copy that fails validation makes the replay raise;
+  reused across trials), and a copy that fails validation makes the
+  replay raise;
 * the fast path's wire-framing constants match the payloads' real
   ``encoded_size`` arithmetic;
 * a warmed connectivity-resilience sweep yields the same rows with
@@ -842,26 +842,6 @@ def test_reused_cache_counters_match_scheduler():
     scheduled, default = _routed_legs(run_all, fast=True)
     assert default == scheduled
     assert default[1].chain_hits > 0
-
-
-def test_bounded_cache_keeps_the_scheduler():
-    """A bounded cache's LRU counters depend on the order of
-    operations, so its trial runs on the scheduler on both legs."""
-    graph = harary_graph(4, 12)
-
-    def trial():
-        return run_trial(
-            graph,
-            t=0,
-            seed=1,
-            validation_mode=ValidationMode.FULL,
-            verification_cache=VerificationCache(max_entries=3),
-            with_ground_truth=False,
-        )
-
-    scheduled, default = _routed_legs(trial, fast=False)
-    assert default == scheduled
-    assert default.cache_stats.evictions() > 0
 
 
 def test_replay_raises_on_a_rejected_copy():

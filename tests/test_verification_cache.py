@@ -293,69 +293,3 @@ class TestTrialEquivalence:
         )
         assert result.cache_stats.hit_rate() > 0.5
 
-
-class TestBoundedCache:
-    """The LRU mode: bounded memory, counted evictions, same verdicts."""
-
-    def test_max_entries_must_be_positive(self):
-        with pytest.raises(ValueError):
-            VerificationCache(max_entries=0)
-
-    def test_proof_map_bounded_with_eviction_counters(self, scheme, keystore):
-        cache = VerificationCache(max_entries=2)
-        proofs = [
-            make_proof(
-                scheme, keystore.key_pair_of(a), keystore.key_pair_of(a + 1)
-            )
-            for a in range(4)
-        ]
-        for proof in proofs:
-            assert cache.verify_proof(scheme, keystore.directory, proof)
-        assert len(cache._proofs) == 2
-        assert cache.stats.proof_evictions == 2
-        assert cache.stats.evictions() == 2
-
-    def test_evicted_verdict_recomputed_not_wrong(self, scheme, keystore):
-        cache = VerificationCache(max_entries=1)
-        first = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(1))
-        second = make_proof(scheme, keystore.key_pair_of(2), keystore.key_pair_of(3))
-        assert cache.verify_proof(scheme, keystore.directory, first)
-        assert cache.verify_proof(scheme, keystore.directory, second)  # evicts first
-        # First's verdict was evicted: next lookup is a miss, same answer.
-        misses = cache.stats.proof_misses
-        assert cache.verify_proof(scheme, keystore.directory, first)
-        assert cache.stats.proof_misses == misses + 1
-
-    def test_lru_order_hit_refreshes_recency(self, scheme, keystore):
-        cache = VerificationCache(max_entries=2)
-        a = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(1))
-        b = make_proof(scheme, keystore.key_pair_of(2), keystore.key_pair_of(3))
-        c = make_proof(scheme, keystore.key_pair_of(4), keystore.key_pair_of(5))
-        cache.verify_proof(scheme, keystore.directory, a)
-        cache.verify_proof(scheme, keystore.directory, b)
-        cache.verify_proof(scheme, keystore.directory, a)  # a most recent
-        cache.verify_proof(scheme, keystore.directory, c)  # evicts b, not a
-        hits = cache.stats.proof_hits
-        cache.verify_proof(scheme, keystore.directory, a)
-        assert cache.stats.proof_hits == hits + 1
-
-    def test_unbounded_default_never_evicts(self):
-        graph = harary_graph(4, 12)
-        cache = VerificationCache()
-        run_trial(graph, t=1, validation_mode=ValidationMode.FULL,
-                  verification_cache=cache)
-        assert cache.max_entries is None
-        assert cache.stats.evictions() == 0
-
-    def test_bounded_trial_matches_uncached_verdicts(self):
-        """A tiny bound thrashes the cache yet never changes results."""
-        graph = random_regular_graph(12, 4, seed=5)
-        kwargs = dict(t=1, validation_mode=ValidationMode.FULL, seed=5)
-        bounded_cache = VerificationCache(max_entries=8)
-        bounded = run_trial(graph, verification_cache=bounded_cache, **kwargs)
-        uncached = run_trial(graph, verification_cache=False, **kwargs)
-        assert bounded.verdicts == uncached.verdicts
-        assert bounded.stats == uncached.stats
-        assert bounded_cache.stats.evictions() > 0
-        assert len(bounded_cache._proofs) <= 8
-        assert len(bounded_cache._chains) <= 8
