@@ -10,16 +10,29 @@ canonical edge encoding co-signed by *both* endpoints:
 * two colluding Byzantine nodes *can* fabricate a proof for a
   fictitious edge between themselves — explicitly allowed by the model
   and harmless for NECTAR (Sec. IV, "Impact of Byzantine deviations").
+
+A proof from :func:`make_proof` signs on first read: both endpoint
+signatures are computed together the first time either is read.  Every
+scheme signs deterministically, so they are the bytes an eagerly signed
+proof carries, and a trial that never reads one — MtG and MtGv2 nodes,
+the crypto-free closed-form populations — never computes or stores it
+(DESIGN.md §15.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import FrozenInstanceError
 
 from repro.crypto.signer import KeyPair, PublicDirectory, SignatureScheme
 from repro.types import Edge, NodeId, canonical_edge
 
 _PROOF_DOMAIN = b"repro-neighborhood-proof|"
+
+#: Held while an unsigned proof signs, so that threads racing on one
+#: proof (the fleet service steps epochs on worker threads over a
+#: shared deployment store) sign it once between them.
+_SIGNING = threading.Lock()
 
 
 def proof_message(u: NodeId, v: NodeId) -> bytes:
@@ -28,9 +41,14 @@ def proof_message(u: NodeId, v: NodeId) -> bytes:
     return _PROOF_DOMAIN + lo.to_bytes(2, "big") + hi.to_bytes(2, "big")
 
 
-@dataclass(frozen=True)
 class NeighborhoodProof:
     """An edge attested by both of its endpoints.
+
+    An immutable value of its edge and two signatures: equality,
+    hashing, ``repr``, ``copy`` and pickling see those three fields and
+    nothing else, so a proof pickles without key material.  Built
+    directly, a proof holds the signatures it is given; built by
+    :func:`make_proof`, it holds its endpoints' keys until first read.
 
     Attributes:
         edge: the canonical (lo, hi) edge.
@@ -39,9 +57,80 @@ class NeighborhoodProof:
         signature_hi: signature of the higher-id endpoint.
     """
 
-    edge: Edge
-    signature_lo: bytes
-    signature_hi: bytes
+    # Until the proof signs, ``_signing`` holds (scheme, key of lo, key
+    # of hi) and the two signature slots are unset; ``_payload_cache``
+    # is :func:`proof_bytes`' memo.  There is no ``__getattr__`` hook:
+    # one would slow every attribute read of every proof.
+    __slots__ = (
+        "edge",
+        "_signature_lo",
+        "_signature_hi",
+        "_signing",
+        "_payload_cache",
+    )
+
+    def __init__(self, edge: Edge, signature_lo: bytes, signature_hi: bytes) -> None:
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "_signature_lo", signature_lo)
+        object.__setattr__(self, "_signature_hi", signature_hi)
+        object.__setattr__(self, "_signing", None)
+
+    @property
+    def signature_lo(self) -> bytes:
+        if self._signing is not None:
+            self._sign()
+        return self._signature_lo
+
+    @property
+    def signature_hi(self) -> bytes:
+        if self._signing is not None:
+            self._sign()
+        return self._signature_hi
+
+    def _sign(self) -> None:
+        """Compute both signatures, once.  An error from the scheme
+        reaches the reader and leaves the proof unsigned."""
+        with _SIGNING:
+            signing = self._signing
+            if signing is None:  # signed by another thread meanwhile
+                return
+            scheme, key_lo, key_hi = signing
+            message = proof_message(*self.edge)
+            signature_lo = scheme.sign(key_lo, message)
+            signature_hi = scheme.sign(key_hi, message)
+            # Publish before dropping the signing material: a reader
+            # that finds ``_signing`` None reads the slots without the
+            # lock.
+            object.__setattr__(self, "_signature_lo", signature_lo)
+            object.__setattr__(self, "_signature_hi", signature_hi)
+            object.__setattr__(self, "_signing", None)
+
+    def _fields(self) -> tuple[Edge, bytes, bytes]:
+        if self._signing is not None:
+            self._sign()
+        return self.edge, self._signature_lo, self._signature_hi
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "{}(edge={!r}, signature_lo={!r}, signature_hi={!r})".format(
+            type(self).__qualname__, *self._fields()
+        )
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def lo(self) -> NodeId:
@@ -59,21 +148,20 @@ class NeighborhoodProof:
 def make_proof(
     scheme: SignatureScheme, key_u: KeyPair, key_v: KeyPair
 ) -> NeighborhoodProof:
-    """Build the neighborhood proof for the edge between two key owners.
+    """The neighborhood proof for the edge between two key owners.
 
     Used by the setup harness for every real edge of G, and by
     colluding Byzantine pairs for fictitious edges (both cases hold the
     two private keys, which is exactly the forgeability boundary of the
-    model).
+    model).  The proof signs on first read, with ``scheme`` and the
+    two keys.
     """
     lo, hi = canonical_edge(key_u.node_id, key_v.node_id)
-    message = proof_message(lo, hi)
     by_id = {key_u.node_id: key_u, key_v.node_id: key_v}
-    return NeighborhoodProof(
-        edge=(lo, hi),
-        signature_lo=scheme.sign(by_id[lo], message),
-        signature_hi=scheme.sign(by_id[hi], message),
-    )
+    proof = object.__new__(NeighborhoodProof)
+    object.__setattr__(proof, "edge", (lo, hi))
+    object.__setattr__(proof, "_signing", (scheme, by_id[lo], by_id[hi]))
+    return proof
 
 
 def verify_proof(

@@ -33,8 +33,11 @@ Four stores:
   records (keys *and* per-edge neighborhood proofs) keyed by ``(graph
   digest, scheme fingerprint, seed)``.  A sweep that replays the same
   topology across its measure series — every mission scenario does —
-  signs each edge's proof once per process instead of once per cell;
-  the key-pool store alone only amortised keygen, not the proofs.
+  builds each edge's proof once per process instead of once per cell;
+  the key-pool store alone only amortised keygen, not the proofs.  A
+  proof signs on first read, so one that no trial reads is never
+  signed; pickling a store (snapshot or delta) signs every proof in
+  it.
 
 Correctness: every store memoises a *pure* builder, so a warm cache is
 bit-identical to a cold one — sweep rows, verdicts and traffic stats do
@@ -316,11 +319,12 @@ class ArtifactCache:
 
         Deployment construction is a pure function of the key (keygen
         and proof signing are seed-deterministic), so the cells of a
-        sweep that replay one topology share keys *and* signed
-        neighborhood proofs.  Schemes without a fingerprint are never
-        pooled — the builder's fresh deployment is returned as-is
-        (mirrors :meth:`key_store`).  Callers must treat the result as
-        immutable, like every store entry.
+        sweep that replay one topology share keys *and* neighborhood
+        proofs, each signed at most once, on first read.  Schemes
+        without a fingerprint are never pooled — the builder's fresh
+        deployment is returned as-is (mirrors :meth:`key_store`).
+        Callers must treat the result as immutable, like every store
+        entry.
         """
         fingerprint = scheme_fingerprint(scheme)
         if fingerprint is None:

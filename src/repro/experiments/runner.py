@@ -1,10 +1,11 @@
 """Trial execution: deployments, protocol wiring, ground truth.
 
-A *trial* is one end-to-end run: build a deployment (keys, proofs) for
-a topology, instantiate one protocol per node — honest or Byzantine —
-drive them on an execution backend, and collect verdicts, traffic and
-ground truth.  The registered figure sweeps of
-:mod:`repro.experiments.spec` are built from these pieces.
+A *trial* is one end-to-end run: build a deployment (keys, and
+per-edge proofs that sign on first read) for a topology, instantiate
+one protocol per node — honest or Byzantine — drive them on an
+execution backend, and collect verdicts, traffic and ground truth.
+The registered figure sweeps of :mod:`repro.experiments.spec` are
+built from these pieces.
 """
 
 from __future__ import annotations
@@ -83,7 +84,12 @@ ProtocolFactory = Callable[[NodeSetup], RoundProtocol]
 
 @dataclass(frozen=True)
 class Deployment:
-    """Keys and proofs for one topology (the out-of-band setup phase)."""
+    """Keys and proofs for one topology (the out-of-band setup phase).
+
+    The proofs come from :func:`~repro.crypto.proofs.make_proof`, so
+    each signs the first time a trial reads it: trials that never read
+    a signature never compute one.
+    """
 
     graph: Graph
     key_store: KeyStore
@@ -130,13 +136,16 @@ def build_deployment(
 ) -> Deployment:
     """Generate keys and per-edge neighborhood proofs for a topology.
 
+    Each proof signs on first read (:func:`~repro.crypto.proofs.make_proof`).
+
     Args:
         artifacts: consult the sweep-scoped deployment store
             (DESIGN.md §9.1): the full deployment — key material for
-            ``(scheme, node ids, seed)`` *and* the signed per-edge
+            ``(scheme, node ids, seed)`` *and* the per-edge
             neighborhood proofs — is generated once per process per
-            ``(graph, scheme, seed)`` and reused; safe because both
-            keygen and proof signing are pure functions of that key.
+            ``(graph, scheme, seed)`` and reused, so each proof signs
+            at most once per process; safe because both keygen and
+            proof signing are pure functions of that key.
             The deployment then carries the *pool's* scheme instance
             (stateful schemes keep their verification directory on the
             instance that generated the keys).  Schemes without a
@@ -337,7 +346,7 @@ def run_trial(
         verification_cache = False
     byzantine_factories = dict(byzantine_factories or {})
     byzantine = frozenset(byzantine_factories)
-    if len(byzantine) > t and t > 0:
+    if byzantine and len(byzantine) > t:
         raise ExperimentError(
             f"{len(byzantine)} Byzantine nodes exceed the declared bound t={t}"
         )

@@ -26,6 +26,10 @@ contract that makes that safe:
   and round budgets, Harary graphs under HMAC and RSA, one cache
   reused across trials), and a copy that fails validation makes the
   replay raise;
+* a proof signs where a trial first reads it: two-faced NECTAR, MtG
+  and MtGv2 trials on the closed form sign no proof, an honest FULL
+  trial signs each endpoint's proof once on either engine, and two
+  trials over one pooled deployment sign each proof once between them;
 * the fast path's wire-framing constants match the payloads' real
   ``encoded_size`` arithmetic;
 * a warmed connectivity-resilience sweep yields the same rows with
@@ -67,7 +71,12 @@ from repro.core.validation import ValidationMode
 from repro.crypto.cache import VerificationCache
 from repro.crypto.chain import extend_chain
 from repro.crypto.keys import build_keystore
-from repro.crypto.proofs import NeighborhoodProof, make_proof, proof_bytes
+from repro.crypto.proofs import (
+    NeighborhoodProof,
+    make_proof,
+    proof_bytes,
+    proof_message,
+)
 from repro.crypto.signer import HmacScheme
 from repro.crypto.sizes import DEFAULT_PROFILE
 from repro.errors import ProtocolError
@@ -76,9 +85,11 @@ from repro.experiments.runner import (
     build_deployment,
     honest_mtg_factory,
     honest_mtgv2_factory,
+    honest_nectar_factory,
     nectar_cost_trial,
     run_trial,
 )
+from repro.experiments.scenarios import bridged_partition_scenario
 from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
 from repro.net.channel import RELIABLE_CHANNEL
@@ -842,6 +853,109 @@ def test_reused_cache_counters_match_scheduler():
     scheduled, default = _routed_legs(run_all, fast=True)
     assert default == scheduled
     assert default[1].chain_hits > 0
+
+
+def _proof_signs(signed, graph):
+    """The ``(signer, proof message)`` part of a recorded multiset."""
+    messages = {proof_message(*edge) for edge in graph.edges()}
+    return Counter(
+        {key: count for key, count in signed.items() if key[1] in messages}
+    )
+
+
+def _each_endpoint_once(graph):
+    return Counter(
+        {(node, proof_message(*edge)): 1 for edge in graph.edges() for node in edge}
+    )
+
+
+def _fig8_trial(protocol, scheme):
+    """One Fig. 8 accuracy trial on a bridged drone scenario at t = 2:
+    two-faced bridges against NECTAR or MtGv2, or honest MtG nodes."""
+    scenario = bridged_partition_scenario(20, 2, seed=1)
+    t = scenario.t
+    factories = {}
+    if protocol == "nectar":
+        factories = {
+            b: _coalition_factory("two-faced", scenario.silent_towards_of(b))
+            for b in scenario.byzantine
+        }
+    elif protocol == "mtgv2":
+
+        def two_faced_mtgv2(setup):
+            return TwoFacedMtgv2Node(
+                setup.node_id,
+                setup.n,
+                setup.neighbors,
+                setup.key_store.key_pair_of(setup.node_id),
+                setup.scheme,
+                setup.key_store.directory,
+                silent_towards=scenario.silent_towards_of(setup.node_id),
+            )
+
+        factories = {b: two_faced_mtgv2 for b in scenario.byzantine}
+    honest = {
+        "nectar": honest_nectar_factory,
+        "mtg": honest_mtg_factory,
+        "mtgv2": honest_mtgv2_factory,
+    }[protocol]
+    run_trial(
+        scenario.graph,
+        t=t,
+        byzantine_factories=factories,
+        honest_factory=honest,
+        connectivity_cutoff=t + 1,
+        seed=1,
+        scheme=scheme,
+        ground_truth_cutoff=2 * t + 1,
+    )
+    return scenario.graph
+
+
+@pytest.mark.parametrize("protocol", ["nectar", "mtg", "mtgv2"])
+def test_crypto_free_trials_sign_no_proof(protocol):
+    """Two-faced NECTAR, MtG and MtGv2 trials on the closed form read no
+    proof signature, so their deployments sign none."""
+    scheme = _recording(HmacScheme())
+    with _engine(scheduler=False):
+        graph = _fig8_trial(protocol, scheme)
+    assert graph.edges()
+    assert _proof_signs(scheme.signed, graph) == Counter()
+
+
+def test_full_trials_sign_each_proof_once_on_both_engines():
+    graph = harary_graph(4, 12)
+    scheduled, default = _routed_legs(
+        lambda: _signed_trial(graph, HmacScheme()), fast=True
+    )
+    for _result, signed, _verified in scheduled, default:
+        assert _proof_signs(signed, graph) == _each_endpoint_once(graph)
+
+
+def test_a_pooled_deployment_signs_each_proof_once():
+    """Two FULL trials over one ``env.artifacts`` deployment share its
+    proofs, so each signs once in total."""
+    from repro.experiments.artifacts import ARTIFACTS, clear_artifact_cache
+    from repro.experiments.envspec import EnvironmentSpec
+
+    graph = harary_graph(4, 12)
+    scheme = _recording(HmacScheme())
+    clear_artifact_cache()
+    try:
+        for _ in range(2):
+            run_trial(
+                graph,
+                t=0,
+                seed=3,
+                scheme=scheme,
+                validation_mode=ValidationMode.FULL,
+                with_ground_truth=False,
+                env=EnvironmentSpec(artifacts=True),
+            )
+        assert ARTIFACTS.stats.deployment_hits == 1
+    finally:
+        clear_artifact_cache()
+    assert _proof_signs(scheme.signed, graph) == _each_endpoint_once(graph)
 
 
 def test_replay_raises_on_a_rejected_copy():

@@ -5,7 +5,7 @@ import pytest
 from repro.core.validation import ValidationMode
 from repro.crypto.proofs import verify_proof
 from repro.crypto.signer import NullScheme
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.runner import (
     NodeSetup,
@@ -105,6 +105,21 @@ class TestRunTrial:
                     3: lambda setup: SilentNode(3),
                 },
             )
+
+    def test_byzantine_rejected_when_t_is_zero(self):
+        """t = 0 declares no Byzantine node, so one is already too many."""
+        from repro.adversary.behaviors import SilentNode
+
+        with pytest.raises(ExperimentError, match=r"exceed the declared bound t=0"):
+            run_trial(
+                cycle_graph(5),
+                t=0,
+                byzantine_factories={2: lambda setup: SilentNode(2)},
+            )
+
+    def test_negative_t_keeps_the_protocol_error(self):
+        with pytest.raises(ReproError, match="t must be non-negative"):
+            run_trial(cycle_graph(5), t=-1)
 
     def test_accounting_mode_rejected_with_byzantine(self):
         from repro.adversary.behaviors import SilentNode
