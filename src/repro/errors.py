@@ -24,15 +24,6 @@ class SignatureError(CryptoError):
     """A signature failed verification."""
 
 
-class ForgeryError(CryptoError):
-    """An adversary attempted an operation the crypto layer forbids.
-
-    Raised when Byzantine code tries to sign on behalf of another node,
-    which models the unforgeability assumption of Sec. II ("Byzantine
-    nodes cannot forge signatures").
-    """
-
-
 class GraphError(ReproError):
     """Base class of graph-layer errors."""
 

@@ -18,8 +18,9 @@ optimisations that make it tractable on small graphs:
 * once delivered, a node stops relaying further copies of the same
   message (Bonomi et al. [12], optimisation MD.1-style).
 
-The disjoint-path test is exact: a unit-vertex-capacity max-flow over
-the union of the received paths.
+The disjoint-path test is exact: it counts internally vertex-disjoint
+source→target paths in the directed union of the received paths, with
+the engine that certifies κ (:mod:`repro.graphs.connectivity`).
 
 It is both a faithful reproduction of the paper's cited substrate and
 the engine behind :mod:`repro.extensions.unsigned`, the signature-free
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
 from repro.errors import ProtocolError
-from repro.graphs.maxflow import INFINITY, FlowNetwork
+from repro.graphs.connectivity import _disjoint_paths
 from repro.net.simulator import RoundProtocol
 from repro.net.message import Outgoing
 from repro.crypto.sizes import WireProfile
@@ -40,6 +41,15 @@ from repro.types import NodeId
 
 #: Marker meaning "received straight from the source over the channel".
 DIRECT: tuple[NodeId, ...] = ()
+
+
+def is_id_tuple(value: Any) -> bool:
+    """Whether ``value`` is a tuple of node ids, as honest paths and edges are.
+
+    The scheduler hands payloads over as sent, so a Byzantine neighbour
+    can put anything in a path field.
+    """
+    return type(value) is tuple and all(type(vertex) is int for vertex in value)
 
 
 def disjoint_path_support(
@@ -59,10 +69,12 @@ def disjoint_path_support(
             path can collide with.
         threshold: required number of internally disjoint paths.
 
-    The test runs a unit-vertex-capacity max flow over the union of
-    the paths, which is exactly the maximum number of internally
-    disjoint source→target routes within the received evidence
-    (Menger's theorem again).
+    The count runs on the directed union of the paths, with an arc a→b
+    for each pair of consecutive hops; an undirected union over-counts.
+    Its number of internally disjoint source→target paths is exactly
+    the number of disjoint routes within the received evidence
+    (Menger's theorem again).  A cyclic path, one that repeats a vertex
+    or passes through a terminal, adds nothing.
     """
     if threshold <= 0:
         return True
@@ -72,35 +84,28 @@ def disjoint_path_support(
         # by one and no relay vertex is consumed.
         remaining = [p for p in path_list if p != DIRECT]
         return disjoint_path_support(source, target, remaining, threshold - 1)
-    # Dense-index the vertices mentioned by the evidence.
-    vertices: dict[NodeId, int] = {}
-
-    def index_of(vertex: NodeId) -> int:
-        if vertex not in vertices:
-            vertices[vertex] = len(vertices)
-        return vertices[vertex]
-
-    index_of(source)
-    index_of(target)
-    arcs: set[tuple[NodeId, NodeId]] = set()
+    if source == target:
+        return False  # every path from a node to itself is cyclic
+    # Dense-index the vertices mentioned by the evidence: the source is
+    # 0 and the target 1, which has in-arcs only.
+    vertices = {source: 0, target: 1}
+    out_neighbors: list[set[int]] = [set(), set()]
+    into_target: set[int] = set()
     for path in path_list:
         hops = [source, *path, target]
         if len(set(hops)) != len(hops):
             continue  # cyclic path: worthless evidence
-        for a, b in zip(hops, hops[1:]):
-            arcs.add((a, b))
-        for vertex in path:
-            index_of(vertex)
-    network = FlowNetwork(2 * len(vertices))
-    for vertex, dense in vertices.items():
-        capacity = INFINITY if vertex in (source, target) else 1
-        network.add_edge(2 * dense, 2 * dense + 1, capacity)
-    for a, b in arcs:
-        network.add_edge(2 * vertices[a] + 1, 2 * vertices[b], INFINITY)
-    flow = network.max_flow(
-        2 * vertices[source] + 1, 2 * vertices[target], cutoff=threshold
-    )
-    return flow >= threshold
+        dense = []
+        for vertex in hops:
+            if vertex not in vertices:
+                vertices[vertex] = len(out_neighbors)
+                out_neighbors.append(set())
+            dense.append(vertices[vertex])
+        for a, b in zip(dense, dense[1:]):
+            out_neighbors[a].add(b)
+        into_target.add(dense[-2])
+    count, _ = _disjoint_paths(out_neighbors, 0, 1, threshold, into_target)
+    return count == threshold
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,12 @@ class DolevNode(RoundProtocol):
     def deliver(self, round_number: int, sender: NodeId, payload: Any) -> None:
         if not isinstance(payload, DolevMessage):
             return
+        if type(payload.source) is not int or not is_id_tuple(payload.path):
+            return
+        try:
+            hash(payload.content)
+        except TypeError:
+            return  # unhashable content cannot key the evidence
         if self._node_id in payload.path or payload.source == self._node_id:
             return  # our own relay echoed back: drop
         # The path must end at the delivering neighbor (or be direct

@@ -34,7 +34,7 @@ from typing import Any, Iterable
 
 from repro.core.decision import decide
 from repro.errors import ProtocolError
-from repro.extensions.dolev import DIRECT, disjoint_path_support
+from repro.extensions.dolev import DIRECT, disjoint_path_support, is_id_tuple
 from repro.graphs.graph import Graph
 from repro.net.message import Outgoing
 from repro.net.simulator import RoundProtocol
@@ -148,12 +148,13 @@ class UnsignedNectarNode(RoundProtocol):
     def deliver(self, round_number: int, sender: NodeId, payload: Any) -> None:
         if not isinstance(payload, EdgeClaim):
             return
-        if payload.claimant not in payload.edge:
+        edge = payload.edge
+        if not (is_id_tuple(payload.path) and is_id_tuple(edge) and len(edge) == 2):
+            return
+        if not 0 <= edge[0] < edge[1] < self._n:
+            return  # canonical edges only, as NECTAR's validation rule 3
+        if type(payload.claimant) is not int or payload.claimant not in edge:
             return  # only endpoints may claim an edge
-        if payload.edge[0] == payload.edge[1]:
-            return
-        if not (0 <= payload.edge[0] < self._n and 0 <= payload.edge[1] < self._n):
-            return
         if self._node_id in payload.path or payload.claimant == self._node_id:
             return
         if payload.path:

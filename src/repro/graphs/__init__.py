@@ -8,6 +8,7 @@ from repro.graphs.analysis import (
     summarize,
 )
 from repro.graphs.connectivity import (
+    INFINITY,
     is_byzantine_partitionable,
     is_vertex_cut,
     local_connectivity,
@@ -16,7 +17,6 @@ from repro.graphs.connectivity import (
     vertex_connectivity,
 )
 from repro.graphs.graph import Graph, complete_graph_edges, graph_from_adjacency
-from repro.graphs.maxflow import INFINITY, FlowNetwork
 
 __all__ = [
     "GraphSummary",
@@ -34,5 +34,4 @@ __all__ = [
     "complete_graph_edges",
     "graph_from_adjacency",
     "INFINITY",
-    "FlowNetwork",
 ]

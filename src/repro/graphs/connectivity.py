@@ -11,7 +11,9 @@ We implement the classical algorithm used for exact node connectivity:
   :func:`_disjoint_paths`, counts them as unit augmenting paths in the
   vertex-split digraph (Even & Tarjan, 1975) without building it: the
   digraph's v_in/v_out states stay implicit in the graph's adjacency
-  sets, and the flow is one path-predecessor pointer per vertex;
+  sets, and the flow is one path-predecessor pointer per vertex.
+  Dolev's delivery test (:mod:`repro.extensions.dolev`) runs the same
+  engine on the out-neighbour sets of a directed union of paths;
 * κ(G) = min over a quadratic-free pair family built from a minimum
   degree vertex v: pairs (v, w) for w non-adjacent to v, plus pairs of
   non-adjacent neighbors of v.  Every minimum cut either excludes v
@@ -27,30 +29,32 @@ least ``cutoff`` of them is decided without any search.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.maxflow import INFINITY
 from repro.types import NodeId
+
+#: κ(s, t) of adjacent vertices, which no vertex set separates.
+INFINITY = 10**9
 
 #: Final-search reach of :func:`_disjoint_paths`: ``(in_from, out_from)``.
 _Residual = tuple[list[int], list[int]]
 
 
 def _augmenting_search(
-    adjacency: Sequence[frozenset[NodeId]],
+    adjacency: Sequence[AbstractSet[NodeId]],
     prev: list[int],
     source: NodeId,
-    sink_adjacent: frozenset[NodeId],
+    sink_side: AbstractSet[NodeId],
     in_from: list[int],
     out_from: list[int],
 ) -> int:
     """Breadth-first search of the residual digraph from source_out.
 
-    Returns the first reached out-state adjacent to the sink (its arc
-    into sink_in is uncapacitated, so the search stops there), or -1
-    once everything reachable is explored.
+    Returns the first reached out-state with an arc into the sink (that
+    arc is uncapacitated, so the search stops there), or -1 once
+    everything reachable is explored.
     """
     queue = [source]
     for v in queue:  # grows while iterated
@@ -61,7 +65,7 @@ def _augmenting_search(
             in_from[v] = v
             if out_from[p] == -1:
                 out_from[p] = v
-                if p in sink_adjacent:
+                if p in sink_side:
                     return p
                 queue.append(p)
         for w in adjacency[v]:
@@ -76,16 +80,26 @@ def _augmenting_search(
                 out_from[p] = w
             else:
                 continue
-            if p in sink_adjacent:
+            if p in sink_side:
                 return p
             queue.append(p)
     return -1
 
 
 def _disjoint_paths(
-    adjacency: Sequence[frozenset[NodeId]], source: NodeId, sink: NodeId, cutoff: int
+    adjacency: Sequence[AbstractSet[NodeId]],
+    source: NodeId,
+    sink: NodeId,
+    cutoff: int,
+    sink_side: AbstractSet[NodeId] | None = None,
 ) -> tuple[int, _Residual | None]:
     """Count internally vertex-disjoint paths between non-adjacent terminals.
+
+    ``adjacency[v]`` holds v's out-neighbours and ``sink_side`` the
+    vertices with an arc into the sink.  An undirected graph is the
+    symmetric case, where ``sink_side`` defaults to ``adjacency[sink]``;
+    a digraph passes the sink's in-neighbours, since the search stops
+    at them and never expands the sink.
 
     Returns ``(min(κ(source, sink), cutoff), residual)``.  ``residual``
     is None when the count reached ``cutoff``; otherwise the flow is
@@ -94,11 +108,13 @@ def _disjoint_paths(
     unreachable from the source in the residual digraph (both source
     states count as reached).
 
-    The flow starts with the two-hop paths through common neighbors.
-    ``prev[v]`` is the vertex before v on the path through v (-1 when v
-    carries no flow); every residual arc follows from it:
+    The flow starts with the two-hop paths through the source's
+    out-neighbours in ``sink_side``.  ``prev[v]`` is the vertex before
+    v on the path through v (-1 when v carries no flow); every residual
+    arc follows from it:
 
-    * v_out -> w_in for every neighbor w (edge arcs are uncapacitated);
+    * v_out -> w_in for every out-neighbour w (edge arcs are
+      uncapacitated);
     * v_in -> v_out when v is free, and v_out -> v_in when it is not;
     * w_in -> prev[w]_out, cancelling the path's step into w.
 
@@ -109,7 +125,9 @@ def _disjoint_paths(
     its internal arc), so walking an augmenting path back from the sink
     rewrites ``prev`` of each in-state on it in one step.
     """
-    common = adjacency[source] & adjacency[sink]
+    if sink_side is None:
+        sink_side = adjacency[sink]
+    common = adjacency[source] & sink_side
     if len(common) >= cutoff:
         return cutoff, None
     paths = len(common)
@@ -121,9 +139,7 @@ def _disjoint_paths(
         in_from = [-1] * n
         out_from = [-1] * n
         in_from[source] = out_from[source] = source
-        v = _augmenting_search(
-            adjacency, prev, source, adjacency[sink], in_from, out_from
-        )
+        v = _augmenting_search(adjacency, prev, source, sink_side, in_from, out_from)
         if v == -1:
             return paths, (in_from, out_from)
         while v != source:

@@ -1,9 +1,10 @@
 """Tests for vertex connectivity — including property tests vs networkx.
 
 The path-counting engine behind every function here is also pinned to
-two independent references: networkx, and a brute-force Menger
-reference built on :class:`FlowNetwork` (one vertex-split max flow per
-non-adjacent pair).
+independent references built from networkx: its own connectivity
+functions, and a brute-force Menger reference over the vertex-split
+digraph (one max flow per non-adjacent pair, and the source side of
+its residual for cuts).
 """
 
 import networkx as nx
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.connectivity import local_node_connectivity
+from networkx.algorithms.flow import edmonds_karp
 
 from repro.errors import GraphError
+from repro.graphs import INFINITY
 from repro.graphs.connectivity import (
     is_byzantine_partitionable,
     is_vertex_cut,
@@ -30,7 +33,6 @@ from repro.graphs.generators.classic import (
     two_cliques_bridge,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.maxflow import INFINITY, FlowNetwork
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
@@ -229,20 +231,23 @@ def test_minimum_cut_is_a_cut_of_kappa_size(graph):
 # ----------------------------------------------------------------------
 # The engine against a brute-force Menger reference and networkx
 # ----------------------------------------------------------------------
-def split_network(graph: Graph, source: int, sink: int) -> FlowNetwork:
+def split_network(graph: Graph, source: int, sink: int) -> nx.DiGraph:
     """The vertex-split digraph of a κ(source, sink) query.
 
     v becomes v_in = 2v and v_out = 2v + 1 joined by a unit arc
     (uncapacitated for the terminals); each edge (u, v) becomes the
-    uncapacitated arcs u_out -> v_in and v_out -> u_in.
+    uncapacitated arcs u_out -> v_in and v_out -> u_in.  networkx reads
+    an arc without a ``capacity`` as uncapacitated.
     """
-    network = FlowNetwork(2 * graph.n)
+    network = nx.DiGraph()
     for vertex in graph.nodes():
-        capacity = INFINITY if vertex in (source, sink) else 1
-        network.add_edge(2 * vertex, 2 * vertex + 1, capacity)
+        if vertex in (source, sink):
+            network.add_edge(2 * vertex, 2 * vertex + 1)
+        else:
+            network.add_edge(2 * vertex, 2 * vertex + 1, capacity=1)
     for u, v in graph.edges():
-        network.add_edge(2 * u + 1, 2 * v, INFINITY)
-        network.add_edge(2 * v + 1, 2 * u, INFINITY)
+        network.add_edge(2 * u + 1, 2 * v)
+        network.add_edge(2 * v + 1, 2 * u)
     return network
 
 
@@ -253,16 +258,28 @@ def reference_kappa(graph: Graph, cutoff: int | None) -> int:
     for s in range(n):
         for t in range(s + 1, n):
             if not graph.has_edge(s, t):
-                flow = split_network(graph, s, t).max_flow(2 * s + 1, 2 * t)
-                kappa = min(kappa, flow)
+                network = split_network(graph, s, t)
+                kappa = min(kappa, nx.maximum_flow_value(network, 2 * s + 1, 2 * t))
     return kappa if cutoff is None else min(kappa, cutoff)
 
 
 def reference_cut(graph: Graph, source: int, sink: int) -> set[int]:
-    """The cut read off FlowNetwork's residual after a maximum flow."""
+    """The saturated unit arcs leaving the source side of the residual.
+
+    The source side is what the source reaches over arcs with
+    ``flow < capacity``; it is the same for every maximum flow.
+    ``nx.minimum_cut`` partitions by the sink side instead, which can
+    give a different minimum cut.
+    """
     network = split_network(graph, source, sink)
-    network.max_flow(2 * source + 1, 2 * sink)
-    reachable = network.residual_reachable(2 * source + 1)
+    residual = edmonds_karp(network, 2 * source + 1, 2 * sink)
+    reachable = {2 * source + 1}
+    queue = [2 * source + 1]
+    for u in queue:  # grows while iterated
+        for v, arc in residual[u].items():
+            if arc["flow"] < arc["capacity"] and v not in reachable:
+                reachable.add(v)
+                queue.append(v)
     return {
         v
         for v in graph.nodes()
@@ -316,7 +333,7 @@ def test_local_connectivity_matches_networkx(drawn, cutoff):
 
 @settings(max_examples=80, deadline=None)
 @given(graph_with_pair())
-def test_st_cut_matches_flow_network_residual_cut(drawn):
+def test_st_cut_matches_networkx_residual_cut(drawn):
     graph, source, sink = drawn
     if graph.has_edge(source, sink):
         return

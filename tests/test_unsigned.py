@@ -15,7 +15,7 @@ from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
 from repro.net.message import Outgoing, RawPayload
 from repro.net.simulator import RoundProtocol, SyncNetwork
-from repro.types import Decision
+from repro.types import Decision, Verdict
 
 
 def run_unsigned(graph, t, byzantine=None):
@@ -45,6 +45,39 @@ class LyingClaimNode(RoundProtocol):
         fake_edge = tuple(sorted((self._node_id, self._victim)))
         claim = EdgeClaim(claimant=self._node_id, edge=fake_edge, path=DIRECT)
         return [Outgoing(destination=v, payload=claim) for v in self._neighbors]
+
+    def deliver(self, round_number, sender, payload):
+        pass
+
+    def conclude(self):
+        return None
+
+
+class GarblingClaimNode(RoundProtocol):
+    """Byzantine node sending malformed claims in round 1."""
+
+    def __init__(self, node_id, neighbors):
+        self._node_id = node_id
+        self._neighbors = sorted(neighbors)
+
+    @property
+    def node_id(self):
+        return self._node_id
+
+    def begin_round(self, round_number):
+        if round_number != 1:
+            return []
+        me = self._node_id
+        garbled = [
+            EdgeClaim(claimant=me, edge=(me,), path=DIRECT),
+            EdgeClaim(claimant=me, edge=(me, me + 1), path=[me]),
+            EdgeClaim(claimant=me, edge=(me + 1, me), path=DIRECT),
+        ]
+        return [
+            Outgoing(destination=v, payload=claim)
+            for claim in garbled
+            for v in self._neighbors
+        ]
 
     def deliver(self, round_number, sender, payload):
         pass
@@ -122,12 +155,61 @@ class TestByzantineResistance:
         assert (6, 7) not in node.accepted_edges()
 
     def test_junk_ignored(self):
-        node = UnsignedNectarNode(5, 8, 1, {1})
-        node.deliver(1, 1, RawPayload(b"zz"))
-        assert node.accepted_edges() <= {(1, 5)}
+        """Junk and garbled claims are dropped: no crash, no evidence,
+        no relay."""
+        junk = [
+            RawPayload(b"zz"),
+            EdgeClaim(claimant=5, edge=(5,), path=DIRECT),
+            EdgeClaim(claimant=5, edge=(5, 6), path=[5]),
+            EdgeClaim(claimant=6, edge=(5, 6), path=([1], 5)),
+            EdgeClaim(claimant=5, edge=(6, 5), path=DIRECT),
+        ]
+        for payload in junk:
+            node = UnsignedNectarNode(0, 8, 0, {1, 5})
+            node.deliver(1, 5, payload)
+            assert node.accepted_edges() == {(0, 1), (0, 5)}, payload
+            assert node.begin_round(2) == [], payload
+
+    def test_reversed_claims_never_accepted(self):
+        """Two colluders claiming (2, 1) must not add a second copy of
+        edge (1, 2) to a correct node's view."""
+        node = UnsignedNectarNode(0, 8, 0, {1, 2})
+        for claimant in (1, 2):
+            node.deliver(1, claimant, EdgeClaim(claimant, (2, 1), DIRECT))
+        assert node.accepted_edges() == {(0, 1), (0, 2)}
+
+    def test_garbling_neighbor_does_not_stop_the_run(self):
+        graph = harary_graph(4, 10)
+        garbler = 3
+        byzantine = {garbler: GarblingClaimNode(garbler, graph.neighbors(garbler))}
+        protocols, verdicts, _ = run_unsigned(graph, t=1, byzantine=byzantine)
+        for v, node in protocols.items():
+            if v == garbler:
+                continue
+            assert isinstance(verdicts[v], Verdict)
+            assert node.accepted_edges() <= graph.edges()
 
 
 class TestCostGap:
+    @pytest.mark.parametrize(
+        "graph, messages, decision",
+        [
+            (harary_graph(4, 8), 1239, Decision.NOT_PARTITIONABLE),
+            (harary_graph(4, 10), 2241, Decision.NOT_PARTITIONABLE),
+            (harary_graph(4, 12), 3700, Decision.NOT_PARTITIONABLE),
+            (harary_graph(4, 14), 5901, Decision.NOT_PARTITIONABLE),
+            (two_cliques_bridge(4, bridges=1), 722, Decision.PARTITIONABLE),
+            (two_cliques_bridge(4, bridges=2), 1060, Decision.PARTITIONABLE),
+        ],
+        ids=["harary-8", "harary-10", "harary-12", "harary-14", "bridge-1", "bridge-2"],
+    )
+    def test_exact_traffic_at_t1(self, graph, messages, decision):
+        """Pinned totals: a delivered claim stops being relayed, so any
+        change to a delivery answer moves them."""
+        _, verdicts, network = run_unsigned(graph, t=1)
+        assert sum(network.stats.messages_sent.values()) == messages
+        assert {v.decision for v in verdicts.values()} == {decision}
+
     def test_unsigned_sends_more_messages_than_signed(self):
         """The paper's 'albeit at a significant cost'."""
         from repro.experiments.runner import nectar_cost_trial
