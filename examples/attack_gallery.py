@@ -21,7 +21,7 @@ from repro import (
     run_trial,
     success_rate,
 )
-from repro.experiments.runner import NodeSetup
+from repro.experiments import protocol_factory
 from repro.experiments.scenarios import PARTITIONED_DRONE_DISTANCE
 
 N = 21
@@ -29,18 +29,7 @@ T = 2
 
 
 def nectar_under_two_faced(scenario):
-    def byz(setup: NodeSetup):
-        return TwoFacedNectarNode(
-            setup.node_id,
-            setup.n,
-            setup.t,
-            setup.key_store.key_pair_of(setup.node_id),
-            setup.scheme,
-            setup.key_store.directory,
-            setup.neighbor_proofs,
-            silent_towards=scenario.muted,
-        )
-
+    byz = protocol_factory(TwoFacedNectarNode, silent_towards=scenario.muted)
     return run_trial(
         scenario.graph,
         t=scenario.t,
@@ -50,17 +39,7 @@ def nectar_under_two_faced(scenario):
 
 
 def mtgv2_under_two_faced(scenario):
-    def byz(setup: NodeSetup):
-        return TwoFacedMtgv2Node(
-            setup.node_id,
-            setup.n,
-            setup.neighbors,
-            setup.key_store.key_pair_of(setup.node_id),
-            setup.scheme,
-            setup.key_store.directory,
-            silent_towards=scenario.muted,
-        )
-
+    byz = protocol_factory(TwoFacedMtgv2Node, silent_towards=scenario.muted)
     return run_trial(
         scenario.graph,
         t=scenario.t,
@@ -74,10 +53,7 @@ def mtg_under_saturation():
     byzantine = balanced_placement(
         [range(N // 2), range(N // 2, N)], T, seed=3
     )
-
-    def byz(setup: NodeSetup):
-        return SaturatingMtgNode(setup.node_id, setup.n, setup.neighbors)
-
+    byz = protocol_factory(SaturatingMtgNode)
     return run_trial(
         graph,
         t=T,

@@ -183,31 +183,6 @@ def plan_placements(
     return placements
 
 
-def _nectar_factory(cls, **extra):
-    """A factory building ``cls`` (a NectarNode subclass) from a setup."""
-
-    def factory(setup):
-        return cls(
-            setup.node_id,
-            setup.n,
-            setup.t,
-            setup.key_store.key_pair_of(setup.node_id),
-            setup.scheme,
-            setup.key_store.directory,
-            setup.neighbor_proofs,
-            validation_mode=setup.validation_mode,
-            connectivity_cutoff=setup.connectivity_cutoff,
-            verification_cache=setup.verification_cache,
-            **extra,
-        )
-
-    return factory
-
-
-def _silent_factory(setup):
-    return SilentNode(setup.node_id)
-
-
 def campaign_factories(
     profile: str,
     byzantine: frozenset[NodeId],
@@ -219,53 +194,46 @@ def campaign_factories(
 
     Built from plain data (profile name, node ids, seed) so callers in
     worker processes can reconstruct identical coalitions without
-    shipping closures.  Coordinated profiles (``equivocate``,
-    ``two-faced``) share one :class:`CollusionTracker` across the
-    coalition — pass ``tracker`` to observe it, otherwise one is
-    created internally.
+    shipping closures.  Every member is built by
+    :func:`~repro.experiments.runner.protocol_factory`, which builds
+    the honest nodes and the sweep attack coalitions too.
+    Coordinated profiles (``equivocate``, ``two-faced``) share one
+    :class:`CollusionTracker` across the coalition — pass ``tracker``
+    to observe it, otherwise one is created internally.
     """
+    # repro.experiments imports the mission layer, which imports this
+    # module: a top-level import of the runner would be a cycle.
+    from repro.experiments.runner import protocol_factory
+
     if not byzantine:
         return {}
+    if profile == "deceptive":
+        # The lowest id is the sleeper; its colluders stay silent.
+        sleeper = min(byzantine)
+        return {
+            b: protocol_factory(SleeperNectarNode if b == sleeper else SilentNode)
+            for b in sorted(byzantine)
+        }
     correct = sorted(set(range(n)) - byzantine)
     if profile == "sleeper":
-        return {b: _nectar_factory(SleeperNectarNode) for b in byzantine}
-    if profile == "silent":
-        return _silent_only(byzantine)
-    if profile == "two-faced":
+        factory = protocol_factory(SleeperNectarNode)
+    elif profile == "silent":
+        factory = protocol_factory(SilentNode)
+    elif profile == "two-faced":
         shared = tracker or CollusionTracker(correct, seed=seed)
-        starved = shared.halves[1]
-        return {
-            b: _nectar_factory(TwoFacedNectarNode, silent_towards=starved)
-            for b in byzantine
-        }
-    if profile == "equivocate":
+        factory = protocol_factory(TwoFacedNectarNode, silent_towards=shared.halves[1])
+    elif profile == "equivocate":
         shared = tracker or CollusionTracker(correct, seed=seed)
-        return {
-            b: _nectar_factory(EquivocatingNectarNode, tracker=shared)
-            for b in byzantine
-        }
-    if profile == "bad-aggregator":
+        factory = protocol_factory(EquivocatingNectarNode, tracker=shared)
+    elif profile == "bad-aggregator":
         rng = random.Random(("campaign-victims", seed).__repr__())
         victims = frozenset(
             rng.sample(correct, min(2, len(correct))) if correct else ()
         )
-        return {
-            b: _nectar_factory(BadAggregatorNectarNode, victims=victims)
-            for b in byzantine
-        }
-    if profile == "deceptive":
-        ordered = sorted(byzantine)
-        factories: dict[NodeId, Callable[[Any], Any]] = {
-            ordered[0]: _nectar_factory(SleeperNectarNode)
-        }
-        for b in ordered[1:]:
-            factories[b] = _silent_factory
-        return factories
-    raise ExperimentError(f"unknown adversary profile {profile!r}")
-
-
-def _silent_only(byzantine: frozenset[NodeId]):
-    return {b: _silent_factory for b in byzantine}
+        factory = protocol_factory(BadAggregatorNectarNode, victims=victims)
+    else:
+        raise ExperimentError(f"unknown adversary profile {profile!r}")
+    return {b: factory for b in byzantine}
 
 
 __all__ = [

@@ -25,7 +25,7 @@ from repro.core.decision import decide
 from repro.core.messages import EdgeAnnouncement, NectarBatch
 from repro.core.validation import AnnouncementValidator, ValidationMode
 from repro.crypto.cache import VerificationCache
-from repro.crypto.chain import ChainLink, extend_chain
+from repro.crypto.chain import ChainLink, extend_chain, well_formed
 from repro.crypto.proofs import NeighborhoodProof, proof_bytes
 from repro.crypto.signer import KeyPair, PublicDirectory, SignatureScheme
 from repro.errors import ProtocolError
@@ -148,21 +148,45 @@ class NectarNode(RoundProtocol):
     def deliver(self, round_number: int, sender: NodeId, payload: Any) -> None:
         if not isinstance(payload, NectarBatch):
             return  # foreign or junk payload: ignore (l. 13)
+        announcements = payload.announcements
+        if type(announcements) is not tuple:
+            return  # a malformed batch: ignore it whole
         # Local bindings: this loop runs once per announcement copy per
         # receiver and dominates large sweeps.
         discovered = self._discovered
         known = discovered.proofs
         validate = self._validator.validate
         pending = self._pending
-        for announcement in payload.announcements:
+        for announcement in announcements:
+            # The scheduler hands a Byzantine neighbour's objects over
+            # as sent, so a copy that is not an announcement of a proof
+            # of an id pair is dropped here, in O(1) and without reading
+            # a signature.
+            if type(announcement) is not EdgeAnnouncement:
+                continue
             proof = announcement.proof
+            if type(proof) is not NeighborhoodProof:
+                continue
+            edge = proof.edge
+            if (
+                type(edge) is not tuple
+                or len(edge) != 2
+                or type(edge[0]) is not int
+                or type(edge[1]) is not int
+            ):
+                continue
             # Dedup before any signature work: an already-known edge is
             # skipped outright (l. 14), which also bounds the
             # verification load under announcement spam (see the
             # dedup ablation).  Known edges are keyed canonically, and
             # validation rejects every other orientation, so a reversed
             # or self-loop edge matches nothing here and dies there.
-            if proof.edge in known:
+            if edge in known:
+                continue
+            # The chain's links, only for copies that survive dedup.
+            # Here rather than in validation: the closed form's replay
+            # validates only chains that honest nodes built.
+            if not well_formed(announcement.chain):
                 continue
             if not validate(announcement, round_number, sender):
                 continue

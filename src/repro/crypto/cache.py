@@ -148,7 +148,10 @@ class VerificationCache:
         proof: NeighborhoodProof,
     ) -> bool:
         """Cached :func:`repro.crypto.proofs.verify_proof`."""
-        key = (proof.edge, proof.signature_lo, proof.signature_hi)
+        signature_lo, signature_hi = proof.signature_lo, proof.signature_hi
+        if type(signature_lo) is not bytes or type(signature_hi) is not bytes:
+            return False  # garbage, possibly unhashable: never a key
+        key = (proof.edge, signature_lo, signature_hi)
         cached = self._proofs.get(key)
         if cached is not None:
             self.stats.proof_hits += 1

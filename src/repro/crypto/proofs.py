@@ -177,10 +177,13 @@ def verify_proof(
         return False
     if lo not in directory or hi not in directory:
         return False
-    message = proof_message(lo, hi)
-    if not scheme.verify(directory.public_key_of(lo), message, proof.signature_lo):
+    signature_lo, signature_hi = proof.signature_lo, proof.signature_hi
+    if type(signature_lo) is not bytes or type(signature_hi) is not bytes:
         return False
-    return scheme.verify(directory.public_key_of(hi), message, proof.signature_hi)
+    message = proof_message(lo, hi)
+    if not scheme.verify(directory.public_key_of(lo), message, signature_lo):
+        return False
+    return scheme.verify(directory.public_key_of(hi), message, signature_hi)
 
 
 def proof_bytes(proof: NeighborhoodProof) -> bytes:

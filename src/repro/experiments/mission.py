@@ -1225,8 +1225,6 @@ register_plan("partition-detection", _plan_partition_detection)
 register_plan("mtg-vs-nectar-detection", _plan_mtg_vs_nectar)
 register_plan("detection-under-deception", _plan_detection_under_deception)
 
-_SCALED_SWEEP = frozenset({"workers", "paper-scale"})
-
 _MISSION_AXES = (
     AxisSpec("n", 12, 20),
     AxisSpec("t", 2),
@@ -1258,7 +1256,6 @@ register_sweep(
         title="NECTAR detection-over-time on a separating fleet (mission layer)",
         axes=_MISSION_AXES,
         plan="partition-detection",
-        capabilities=_SCALED_SWEEP,
         seed_mode="hashed",
     )
 )
@@ -1269,7 +1266,6 @@ register_sweep(
         title="Detection latency, NECTAR epochs vs the MtG continuous detector",
         axes=_MISSION_AXES,
         plan="mtg-vs-nectar-detection",
-        capabilities=_SCALED_SWEEP,
         seed_mode="hashed",
     )
 )
@@ -1280,7 +1276,6 @@ register_sweep(
         title="NECTAR detection latency under an active Byzantine campaign",
         axes=_MISSION_AXES + _ADVERSARY_AXES,
         plan="detection-under-deception",
-        capabilities=_SCALED_SWEEP,
         seed_mode="hashed",
     )
 )

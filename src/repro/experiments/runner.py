@@ -4,6 +4,8 @@ A *trial* is one end-to-end run: build a deployment (keys, and
 per-edge proofs that sign on first read) for a topology, instantiate
 one protocol per node — honest or Byzantine — drive them on an
 execution backend, and collect verdicts, traffic and ground truth.
+Every node, honest or Byzantine, in a sweep cell or a mission epoch,
+is built from its :class:`NodeSetup` by a :func:`protocol_factory`.
 The registered figure sweeps of :mod:`repro.experiments.spec` are
 built from these pieces.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.adversary.behaviors import SilentNode
 from repro.baselines.mtg import MtgNode, mtg_epoch_count
 from repro.baselines.mtgv2 import Mtgv2Node, mtgv2_epoch_count
 from repro.core.nectar import NectarNode, nectar_round_count
@@ -80,6 +83,81 @@ class NodeSetup:
 
 #: A factory turning a :class:`NodeSetup` into a protocol instance.
 ProtocolFactory = Callable[[NodeSetup], RoundProtocol]
+
+
+def protocol_factory(cls: type = NectarNode, **extra: Any) -> ProtocolFactory:
+    """A factory building one ``cls`` node per setup.  Honest nodes,
+    sweep attack coalitions and mission campaign coalitions all come
+    from here.  Each class family takes its slice of the setup, then
+    ``extra`` (a behaviour's knobs, such as ``silent_towards``):
+
+    * :class:`NectarNode` and subclasses: the seven positional setup
+      fields, plus the setup's validation mode, cutoff and cache;
+    * :class:`Mtgv2Node` and subclasses: id, n, Γ, own key pair,
+      scheme and directory;
+    * :class:`MtgNode` and subclasses: id, n and Γ;
+    * :class:`SilentNode`: the id.
+
+    Raises:
+        ExperimentError: for any other class.
+    """
+    if issubclass(cls, NectarNode):
+        def build(setup: NodeSetup) -> RoundProtocol:
+            return cls(
+                setup.node_id,
+                setup.n,
+                setup.t,
+                setup.key_store.key_pair_of(setup.node_id),
+                setup.scheme,
+                setup.key_store.directory,
+                setup.neighbor_proofs,
+                validation_mode=setup.validation_mode,
+                connectivity_cutoff=setup.connectivity_cutoff,
+                verification_cache=setup.verification_cache,
+                **extra,
+            )
+
+    elif issubclass(cls, Mtgv2Node):
+        def build(setup: NodeSetup) -> RoundProtocol:
+            return cls(
+                setup.node_id,
+                setup.n,
+                setup.neighbors,
+                setup.key_store.key_pair_of(setup.node_id),
+                setup.scheme,
+                setup.key_store.directory,
+                **extra,
+            )
+
+    elif issubclass(cls, MtgNode):
+        def build(setup: NodeSetup) -> RoundProtocol:
+            return cls(setup.node_id, setup.n, setup.neighbors, **extra)
+
+    elif issubclass(cls, SilentNode):
+        def build(setup: NodeSetup) -> RoundProtocol:
+            return cls(setup.node_id, **extra)
+
+    else:
+        raise ExperimentError(f"protocol_factory cannot build {cls.__name__}")
+    return build
+
+
+#: The honest factories: correct nodes take only their own key pair
+#: and Γ(i) from the setup.
+honest_nectar_factory = protocol_factory(NectarNode)
+honest_mtg_factory = protocol_factory(MtgNode)
+honest_mtgv2_factory = protocol_factory(Mtgv2Node)
+
+
+#: protocol name -> honest factory, the registry the declarative spec
+#: layer (:mod:`repro.experiments.spec`) resolves ``TrialSpec.protocol``
+#: against.  Factories are referenced by name so trial specs stay plain
+#: picklable data.
+HONEST_FACTORIES: dict[str, ProtocolFactory] = {
+    "nectar": honest_nectar_factory,
+    "mtg": honest_mtg_factory,
+    "mtgv2": honest_mtgv2_factory,
+}
 
 
 @dataclass(frozen=True)
@@ -161,50 +239,6 @@ def build_deployment(
             lambda: _fresh_deployment(graph, scheme, seed, artifacts=True),
         )
     return _fresh_deployment(graph, scheme, seed, artifacts=False)
-
-
-def honest_nectar_factory(setup: NodeSetup) -> NectarNode:
-    """Build an honest NECTAR node from a setup."""
-    return NectarNode(
-        node_id=setup.node_id,
-        n=setup.n,
-        t=setup.t,
-        key_pair=setup.key_store.key_pair_of(setup.node_id),
-        scheme=setup.scheme,
-        directory=setup.key_store.directory,
-        neighbor_proofs=setup.neighbor_proofs,
-        validation_mode=setup.validation_mode,
-        connectivity_cutoff=setup.connectivity_cutoff,
-        verification_cache=setup.verification_cache,
-    )
-
-
-def honest_mtg_factory(setup: NodeSetup) -> MtgNode:
-    """Build an honest MindTheGap node from a setup."""
-    return MtgNode(node_id=setup.node_id, n=setup.n, neighbors=setup.neighbors)
-
-
-def honest_mtgv2_factory(setup: NodeSetup) -> Mtgv2Node:
-    """Build an honest MtGv2 node from a setup."""
-    return Mtgv2Node(
-        node_id=setup.node_id,
-        n=setup.n,
-        neighbors=setup.neighbors,
-        key_pair=setup.key_store.key_pair_of(setup.node_id),
-        scheme=setup.scheme,
-        directory=setup.key_store.directory,
-    )
-
-
-#: protocol name -> honest factory, the registry the declarative spec
-#: layer (:mod:`repro.experiments.spec`) resolves ``TrialSpec.protocol``
-#: against.  Factories are referenced by name so trial specs stay plain
-#: picklable data.
-HONEST_FACTORIES: dict[str, ProtocolFactory] = {
-    "nectar": honest_nectar_factory,
-    "mtg": honest_mtg_factory,
-    "mtgv2": honest_mtgv2_factory,
-}
 
 
 @dataclass(frozen=True)
@@ -322,8 +356,9 @@ def run_trial(
         with_ground_truth: compute the :class:`GroundTruth` record.
         ground_truth_cutoff: κ truncation for the ground truth.
         verification_cache: ``True`` (default) shares one
-            :class:`VerificationCache` across all honest NECTAR nodes
-            of the trial, ``False`` disables caching (the historical
+            :class:`VerificationCache` across all NECTAR nodes of the
+            trial that :func:`protocol_factory` builds, honest and
+            Byzantine; ``False`` disables caching (the historical
             uncached behaviour), or pass an instance to reuse/observe
             one.  Equivalence-tested: verdicts and traffic are
             identical either way (DESIGN.md §6.1).  ``env.cache=False``

@@ -21,8 +21,8 @@ by hand.  This module replaces that with *data*:
 * :class:`SweepSpec` — a registered figure: named axes with reduced-
   and paper-scale presets (replacing ad-hoc ``REPRO_FULL`` checks), a
   plan builder that expands resolved axes into ordered cell groups,
-  and a capability set the CLI surfaces instead of sniffing function
-  signatures.
+  and a capability set, read off the axes, that the CLI surfaces
+  instead of sniffing function signatures.
 * :class:`SweepEngine` — resolves a spec against a scale and axis
   overrides, executes all cells through the shared executor (``workers``
   shards *every* sweep, including ``connectivity-resilience`` and
@@ -58,7 +58,6 @@ from repro.adversary.behaviors import (
     TwoFacedMtgv2Node,
     TwoFacedNectarNode,
 )
-from repro.baselines.mtg import MtgNode
 from repro.core.complexity import predict_nectar_traffic
 from repro.core.decision import clear_connectivity_cache
 from repro.core.nectar import NectarNode
@@ -91,13 +90,10 @@ from repro.experiments.persistence import spec_digest
 from repro.experiments.report import FigureData
 from repro.experiments.runner import (
     HONEST_FACTORIES,
-    NodeSetup,
     baseline_cost_trial,
     closed_form_admits,
-    honest_mtg_factory,
-    honest_mtgv2_factory,
-    honest_nectar_factory,
     nectar_cost_trial,
+    protocol_factory,
     run_trial,
 )
 from repro.experiments.scenarios import (
@@ -348,147 +344,75 @@ class TrialSpec:
 # ----------------------------------------------------------------------
 # The one cell executor
 # ----------------------------------------------------------------------
-def _spam_nectar_factory(setup: NodeSetup) -> SpamNectarNode:
-    """A Byzantine announcement spammer (otherwise protocol-faithful)."""
-    return SpamNectarNode(
-        setup.node_id,
-        setup.n,
-        setup.t,
-        setup.key_store.key_pair_of(setup.node_id),
-        setup.scheme,
-        setup.key_store.directory,
-        setup.neighbor_proofs,
-    )
+#: kinds whose artifact is a plain graph (``TopologySpec.build``).
+_GRAPH_KINDS = ("family", "drone")
+#: kinds whose artifact is a bridged scenario (``build_scenario``).
+_SCENARIO_KINDS = ("bridged-drone", "split")
+
+#: The Sec. V-D attacks: adversary -> (the protocols it attacks, the
+#: topology kinds it runs on).  ``spam`` is not among them: it measures
+#: correct-node traffic (:func:`_spam_kb_sent`), not verdicts.
+_ATTACKS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "two-faced": (("nectar", "mtgv2"), _SCENARIO_KINDS),
+    "mixed": (("nectar",), _SCENARIO_KINDS),
+    "saturating": (("mtg",), _SCENARIO_KINDS + ("partitioned-drone",)),
+}
 
 
-def _two_faced_nectar_factory(scenario: BridgedPartitionScenario):
-    def factory(setup: NodeSetup):
-        return TwoFacedNectarNode(
-            setup.node_id,
-            setup.n,
-            setup.t,
-            setup.key_store.key_pair_of(setup.node_id),
-            setup.scheme,
-            setup.key_store.directory,
-            setup.neighbor_proofs,
-            silent_towards=scenario.silent_towards_of(setup.node_id),
-        )
+def _success_rate(spec: TrialSpec) -> float:
+    """Success rate of the cell's protocol under its Sec. V-D attack.
 
-    return factory
-
-
-def _two_faced_nectar_rate(
-    scenario: BridgedPartitionScenario,
-    seed: int,
-    env: EnvironmentSpec = DEFAULT_ENVIRONMENT,
-) -> float:
-    """Success rate of NECTAR under the two-faced bridge attack."""
-    t = scenario.t
-    factory = _two_faced_nectar_factory(scenario)
-    result = run_trial(
-        scenario.graph,
-        t=t,
-        byzantine_factories={b: factory for b in scenario.byzantine},
-        honest_factory=honest_nectar_factory,
-        connectivity_cutoff=t + 1,
-        seed=seed,
-        ground_truth_cutoff=2 * t + 1,
-        env=env,
-    )
-    return success_rate(result.correct_verdicts, result.ground_truth)
-
-
-def _mixed_nectar_rate(
-    scenario: BridgedPartitionScenario,
-    seed: int,
-    env: EnvironmentSpec = DEFAULT_ENVIRONMENT,
-) -> float:
-    """Success rate of NECTAR against a heterogeneous coalition.
-
-    The ``mixed`` adversary profile: the Byzantine bridges do not all
-    misbehave the same way — in bridge-id order they cycle through
+    The scenario's Byzantine nodes form the coalition: ``two-faced``
+    bridges stay silent towards the muted side, ``saturating`` MtG
+    nodes send all-ones filters, and the ``mixed`` coalition cycles in
+    id order through
     :data:`~repro.adversary.behaviors.MIXED_ADVERSARY_CYCLE`
-    (two-faced, silent, spamming), the coalition a real attacker with
-    heterogeneous footholds would field.
+    (two-faced, silent, spamming), as a real attacker with
+    heterogeneous footholds would.
     """
-    t = scenario.t
-    two_faced = _two_faced_nectar_factory(scenario)
-
-    def silent(setup: NodeSetup):
-        return SilentNode(setup.node_id)
-
-    behaviours = {
-        "two-faced": two_faced,
-        "silent": silent,
-        "spam": _spam_nectar_factory,
-    }
-    byzantine_factories = {
-        b: behaviours[MIXED_ADVERSARY_CYCLE[i % len(MIXED_ADVERSARY_CYCLE)]]
-        for i, b in enumerate(sorted(scenario.byzantine))
-    }
-    result = run_trial(
-        scenario.graph,
-        t=t,
-        byzantine_factories=byzantine_factories,
-        honest_factory=honest_nectar_factory,
-        connectivity_cutoff=t + 1,
-        seed=seed,
-        ground_truth_cutoff=2 * t + 1,
-        env=env,
-    )
-    return success_rate(result.correct_verdicts, result.ground_truth)
-
-
-def _two_faced_mtgv2_rate(
-    scenario: BridgedPartitionScenario,
-    seed: int,
-    env: EnvironmentSpec = DEFAULT_ENVIRONMENT,
-) -> float:
-    """Success rate of MtGv2 under the two-faced bridge attack."""
-
-    def factory(setup: NodeSetup):
-        return TwoFacedMtgv2Node(
-            setup.node_id,
-            setup.n,
-            setup.neighbors,
-            setup.key_store.key_pair_of(setup.node_id),
-            setup.scheme,
-            setup.key_store.directory,
-            silent_towards=scenario.silent_towards_of(setup.node_id),
+    attack = _ATTACKS.get(spec.adversary)
+    if attack is None:
+        raise ExperimentError(f"unknown adversary {spec.adversary!r}")
+    protocols, kinds = attack
+    if spec.protocol not in protocols:
+        raise ExperimentError(
+            f"{spec.adversary} adversary targets {'/'.join(protocols)}, "
+            f"got {spec.protocol!r}"
         )
-
+    # Only the decision phase consults the (pure, bounded) connectivity
+    # memo, never scenario construction.  Clearing it per cell, as the
+    # historical serial loops did, keeps a cell's work the same whatever
+    # ran before it in this process.
+    clear_connectivity_cache()
+    scenario = _trial_artifact(spec, kinds)
+    # The partitioned-drone deployment carries no t of its own.
+    t = getattr(scenario, "t", spec.topology.t)
+    classes = {
+        "two-faced": (
+            TwoFacedNectarNode if spec.protocol == "nectar" else TwoFacedMtgv2Node
+        ),
+        "saturating": SaturatingMtgNode,
+        "silent": SilentNode,
+        "spam": SpamNectarNode,
+    }
+    coalition = {}
+    for index, b in enumerate(sorted(scenario.byzantine)):
+        behaviour = spec.adversary
+        if behaviour == "mixed":
+            behaviour = MIXED_ADVERSARY_CYCLE[index % len(MIXED_ADVERSARY_CYCLE)]
+        extra = {}
+        if behaviour == "two-faced":
+            extra["silent_towards"] = scenario.silent_towards_of(b)
+        coalition[b] = protocol_factory(classes[behaviour], **extra)
     result = run_trial(
         scenario.graph,
-        t=scenario.t,
-        byzantine_factories={b: factory for b in scenario.byzantine},
-        honest_factory=honest_mtgv2_factory,
-        seed=seed,
-        ground_truth_cutoff=2 * scenario.t + 1,
-        env=env,
-    )
-    return success_rate(result.correct_verdicts, result.ground_truth)
-
-
-def _saturating_mtg_factory(setup: NodeSetup) -> MtgNode:
-    return SaturatingMtgNode(setup.node_id, setup.n, setup.neighbors)
-
-
-def _saturation_rate(
-    graph: Graph,
-    byzantine,
-    t: int,
-    seed: int,
-    env: EnvironmentSpec = DEFAULT_ENVIRONMENT,
-) -> float:
-    """Success rate of MtG under the filter-saturation attack."""
-    result = run_trial(
-        graph,
         t=t,
-        byzantine_factories={b: _saturating_mtg_factory for b in byzantine},
-        honest_factory=honest_mtg_factory,
-        seed=seed,
+        byzantine_factories=coalition,
+        honest_factory=HONEST_FACTORIES[spec.protocol],
+        connectivity_cutoff=t + 1,
+        seed=spec.seed,
         ground_truth_cutoff=2 * t + 1,
-        env=env,
+        env=spec.env,
     )
     return success_rate(result.correct_verdicts, result.ground_truth)
 
@@ -499,13 +423,13 @@ def _spam_kb_sent(spec: TrialSpec) -> float:
         raise ExperimentError(
             f"spam trials measure correct-kb-sent, got {spec.measure!r}"
         )
-    graph = _trial_artifact(spec, "graph")
-    byzantine = {b: _spam_nectar_factory for b in range(spec.spammers)}
+    graph = _trial_artifact(spec, _GRAPH_KINDS)
+    spammer = protocol_factory(SpamNectarNode)
     t = max(1, spec.spammers)
     result = run_trial(
         graph,
         t=t,
-        byzantine_factories=byzantine,
+        byzantine_factories={b: spammer for b in range(spec.spammers)},
         rounds=spec.rounds or None,
         profile=_resolve_profile(spec.profile),
         connectivity_cutoff=t + 1,
@@ -520,29 +444,15 @@ def _spam_kb_sent(spec: TrialSpec) -> float:
 def _unbatched_kb_sent(spec: TrialSpec, graph: Graph) -> float:
     """NECTAR cost with per-announcement envelopes (batching off)."""
     profile = _resolve_profile(spec.profile)
-
-    def factory(setup: NodeSetup):
-        return NectarNode(
-            setup.node_id,
-            setup.n,
-            setup.t,
-            setup.key_store.key_pair_of(setup.node_id),
-            setup.scheme,
-            setup.key_store.directory,
-            setup.neighbor_proofs,
-            validation_mode=ValidationMode.ACCOUNTING,
-            connectivity_cutoff=1,
-            batching=False,
-        )
-
     result = run_trial(
         graph,
         t=0,
-        honest_factory=factory,
+        honest_factory=protocol_factory(NectarNode, batching=False),
         rounds=spec.rounds or None,
         scheme=NullScheme(signature_size=profile.signature_bytes),
         profile=profile,
         validation_mode=ValidationMode.ACCOUNTING,
+        connectivity_cutoff=1,
         seed=spec.seed,
         with_ground_truth=False,
         env=spec.env,
@@ -566,40 +476,27 @@ def _traffic_question(spec: TrialSpec, graph: Graph) -> bool:
     )
 
 
-#: kinds whose artifact is a plain graph (``TopologySpec.build``).
-_GRAPH_KINDS = ("family", "drone")
-#: kinds whose artifact is a bridged scenario (``build_scenario``).
-_SCENARIO_KINDS = ("bridged-drone", "split")
+def _trial_artifact(spec: TrialSpec, kinds: tuple[str, ...]):
+    """The trial's topology or scenario, interned when artifacts are on.
 
-
-def _trial_artifact(spec: TrialSpec, want: str):
-    """The trial's topology/scenario, interned when artifacts are on.
-
-    ``want`` ("graph" | "scenario" | "any") selects the kind-checked
-    builder, and the kind check runs *before* the cache lookup — a
-    misconfigured spec fails with the same targeted
-    :class:`ExperimentError` whether the cache is cold, warm, or
-    disabled.  The artifact-enabled path and the direct build are
-    bit-identical — construction is a pure function of the topology
-    spec — so this only changes *when* the work happens (once per
-    process instead of once per cell), never the result.
+    ``kinds`` are the topology kinds the cell accepts, and the kind
+    check runs *before* the cache lookup — a misconfigured spec fails
+    with the same targeted :class:`ExperimentError` whether the cache
+    is cold, warm, or disabled.  The artifact-enabled path and the
+    direct build are bit-identical — construction is a pure function of
+    the topology spec — so this only changes *when* the work happens
+    (once per process instead of once per cell), never the result.
     """
     top = spec.topology
-    if want == "graph":
-        if top.kind not in _GRAPH_KINDS:
+    if top.kind not in kinds:
+        if kinds == _GRAPH_KINDS:
             raise ExperimentError(
                 f"topology kind {top.kind!r} needs build_scenario(), not build()"
             )
-        build: Callable[[], object] = top.build
-    elif want == "scenario":
-        if top.kind not in _SCENARIO_KINDS:
-            raise ExperimentError(f"topology kind {top.kind!r} is not a scenario")
-        build = top.build_scenario
-    else:
-        build = top.build_artifact
+        raise ExperimentError(f"topology kind {top.kind!r} is not a scenario")
     if not spec.env.artifacts:
-        return build()
-    return ARTIFACTS.topology(top.artifact_key(), build)
+        return top.build_artifact()
+    return ARTIFACTS.topology(top.artifact_key(), top.build_artifact)
 
 
 def _warm_artifacts(cells: Sequence[object]) -> None:
@@ -644,7 +541,7 @@ def _warm_artifacts(cells: Sequence[object]) -> None:
                 cell.seed,
                 lambda: KeyStore(scheme, graph.nodes(), seed=cell.seed),
             )
-        if cell.adversary in ("two-faced", "mixed", "saturating"):
+        if cell.adversary in _ATTACKS:
             t = getattr(artifact, "t", top.t)
             cutoff = 2 * t + 1
             if not ARTIFACTS.has_connectivity(graph, cutoff):
@@ -692,14 +589,13 @@ def execute_trial(spec: TrialSpec) -> float:
     """
     if not isinstance(spec, TrialSpec):
         return spec.execute()
-    top = spec.topology
     if spec.adversary == "":
         if spec.measure != "mean-kb-sent":
             raise ExperimentError(
                 f"cost trials measure mean-kb-sent, got {spec.measure!r}"
             )
         if spec.protocol == "nectar":
-            graph = _trial_artifact(spec, "graph")
+            graph = _trial_artifact(spec, _GRAPH_KINDS)
             if not spec.batching:
                 return _unbatched_kb_sent(spec, graph)
             profile = _resolve_profile(spec.profile)
@@ -714,7 +610,7 @@ def execute_trial(spec: TrialSpec) -> float:
             return result.mean_kb_sent()
         if spec.protocol in ("mtg", "mtgv2"):
             result = baseline_cost_trial(
-                _trial_artifact(spec, "graph"),
+                _trial_artifact(spec, _GRAPH_KINDS),
                 spec.protocol,
                 profile=_resolve_profile(spec.profile),
                 rounds=spec.rounds or None,
@@ -729,49 +625,7 @@ def execute_trial(spec: TrialSpec) -> float:
         raise ExperimentError(
             f"adversarial trials measure success-rate, got {spec.measure!r}"
         )
-    # Scenario construction and decision both consult the (pure,
-    # bounded) connectivity memo; clear it per cell exactly like the
-    # historical serial loops did.
-    clear_connectivity_cache()
-    if spec.adversary == "two-faced":
-        scenario = _trial_artifact(spec, "scenario")
-        if spec.protocol == "nectar":
-            return _two_faced_nectar_rate(scenario, seed=spec.seed, env=spec.env)
-        if spec.protocol == "mtgv2":
-            return _two_faced_mtgv2_rate(scenario, seed=spec.seed, env=spec.env)
-        raise ExperimentError(
-            f"two-faced adversary targets nectar/mtgv2, got {spec.protocol!r}"
-        )
-    if spec.adversary == "mixed":
-        if spec.protocol != "nectar":
-            raise ExperimentError(
-                f"mixed adversary targets nectar, got {spec.protocol!r}"
-            )
-        scenario = _trial_artifact(spec, "scenario")
-        return _mixed_nectar_rate(scenario, seed=spec.seed, env=spec.env)
-    if spec.adversary == "saturating":
-        if spec.protocol != "mtg":
-            raise ExperimentError(
-                f"saturating adversary targets mtg, got {spec.protocol!r}"
-            )
-        if top.kind == "partitioned-drone":
-            deployment = _trial_artifact(spec, "any")
-            return _saturation_rate(
-                deployment.graph,
-                deployment.byzantine,
-                top.t,
-                seed=spec.seed,
-                env=spec.env,
-            )
-        scenario = _trial_artifact(spec, "scenario")
-        return _saturation_rate(
-            scenario.graph,
-            scenario.byzantine,
-            scenario.t,
-            seed=spec.seed,
-            env=spec.env,
-        )
-    raise ExperimentError(f"unknown adversary {spec.adversary!r}")
+    return _success_rate(spec)
 
 
 def _process_origin() -> str:
@@ -954,24 +808,40 @@ class SweepSpec:
         title: human-readable description for listings.
         axes: the named axes with reduced/paper presets.
         plan: key into the plan-builder registry.
-        capabilities: what the CLI may offer for this spec; a subset of
-            ``{"workers", "paper-scale", "profiles"}``.  (Every spec
-            shards through the shared executor, so "workers" is
-            universal; it is listed explicitly because the registry
-            replaces the CLI's old signature sniffing.)
         seed_mode: ``"index"`` (trial index is the seed; the
             equivalence-pinned historical behaviour) or ``"hashed"``
             (independent seeds via ``trial_seeds``).
-        scale_noted: whether the figure records a scale note.
     """
 
     figure_id: str
     title: str
     axes: tuple[AxisSpec, ...]
     plan: str
-    capabilities: frozenset[str] = frozenset({"workers"})
     seed_mode: str = "index"
-    scale_noted: bool = True
+
+    @property
+    def has_paper_preset(self) -> bool:
+        """Whether some axis has a paper-scale preset."""
+        return any(axis.paper is not None for axis in self.axes)
+
+    @property
+    def capabilities(self) -> frozenset[str]:
+        """What the CLI may offer for this spec, read off the axes:
+        ``workers`` always (every spec shards through the shared
+        executor), ``paper-scale`` with a paper preset, ``profiles``
+        with a ``profile`` axis."""
+        capabilities = {"workers"}
+        if self.has_paper_preset:
+            capabilities.add("paper-scale")
+        if any(axis.name == "profile" for axis in self.axes):
+            capabilities.add("profiles")
+        return frozenset(capabilities)
+
+    @property
+    def scale_noted(self) -> bool:
+        """Whether the figure records a scale note: exactly when it has
+        a paper preset, so that its two scales differ."""
+        return self.has_paper_preset
 
     def axis(self, name: str) -> AxisSpec:
         for axis in self.axes:
@@ -1733,10 +1603,6 @@ _SPLIT_FAMILIES = (
     "multipartite-wheel",
 )
 
-_SWEEP = frozenset({"workers"})
-_SCALED_SWEEP = frozenset({"workers", "paper-scale"})
-_PROFILED_SWEEP = frozenset({"workers", "paper-scale", "profiles"})
-
 #: figure id -> spec; the single source of truth for the CLI,
 #: :func:`run_figure`, the benches and EXPERIMENTS.md.
 FIGURE_SPECS: dict[str, SweepSpec] = {
@@ -1751,7 +1617,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("profile", "ecdsa"),
             ),
             plan="fig3",
-            capabilities=_PROFILED_SWEEP,
         ),
         SweepSpec(
             figure_id="fig3-random",
@@ -1763,7 +1628,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("profile", "ecdsa"),
             ),
             plan="fig3-random",
-            capabilities=_PROFILED_SWEEP,
         ),
         SweepSpec(
             figure_id="fig4",
@@ -1775,7 +1639,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 3, 50),
             ),
             plan="fig4",
-            capabilities=_SCALED_SWEEP,
         ),
         SweepSpec(
             figure_id="fig5",
@@ -1787,7 +1650,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 3, 50),
             ),
             plan="fig5",
-            capabilities=_SCALED_SWEEP,
         ),
         SweepSpec(
             figure_id="fig6",
@@ -1799,7 +1661,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 2, 50),
             ),
             plan="fig6",
-            capabilities=_SCALED_SWEEP,
         ),
         SweepSpec(
             figure_id="fig7",
@@ -1811,7 +1672,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 2, 50),
             ),
             plan="fig7",
-            capabilities=_SCALED_SWEEP,
         ),
         SweepSpec(
             figure_id="fig8",
@@ -1823,7 +1683,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 5, 50),
             ),
             plan="fig8",
-            capabilities=_SCALED_SWEEP,
         ),
         SweepSpec(
             figure_id="topology-comparison",
@@ -1835,7 +1694,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 2, 5),
             ),
             plan="topology-comparison",
-            capabilities=_SCALED_SWEEP,
         ),
         SweepSpec(
             figure_id="connectivity-resilience",
@@ -1848,15 +1706,12 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 3, 20),
             ),
             plan="connectivity-resilience",
-            capabilities=_SCALED_SWEEP,
         ),
         SweepSpec(
             figure_id="ablation-rounds",
             title="NECTAR cost vs round budget (DESIGN.md §5.1)",
             axes=(AxisSpec("n", 24), AxisSpec("k", 4)),
             plan="ablation-rounds",
-            capabilities=_SWEEP,
-            scale_noted=False,
         ),
         SweepSpec(
             figure_id="ablation-spam",
@@ -1867,16 +1722,12 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("spammers", (0, 1, 2)),
             ),
             plan="ablation-spam",
-            capabilities=_SWEEP,
-            scale_noted=False,
         ),
         SweepSpec(
             figure_id="ablation-batching",
             title="Envelope batching on vs off (DESIGN.md §5.3)",
             axes=(AxisSpec("n", 20), AxisSpec("k", 4)),
             plan="ablation-batching",
-            capabilities=_SWEEP,
-            scale_noted=False,
         ),
         SweepSpec(
             figure_id="ablation-sigsize",
@@ -1887,8 +1738,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("profiles", ("compact", "ecdsa")),
             ),
             plan="ablation-sigsize",
-            capabilities=_SWEEP,
-            scale_noted=False,
         ),
         SweepSpec(
             figure_id="nectar-under-loss",
@@ -1902,7 +1751,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("adversary", "two-faced"),
             ),
             plan="nectar-under-loss",
-            capabilities=_SCALED_SWEEP,
             seed_mode="hashed",
         ),
         SweepSpec(
@@ -1913,7 +1761,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("k", 4),
             ),
             plan="backend-comparison",
-            capabilities=_SCALED_SWEEP,
         ),
         SweepSpec(
             figure_id="mobility-resilience",
@@ -1929,7 +1776,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("adversary", "two-faced"),
             ),
             plan="mobility-resilience",
-            capabilities=_SCALED_SWEEP,
             seed_mode="hashed",
         ),
     )

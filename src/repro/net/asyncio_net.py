@@ -100,7 +100,6 @@ class AsyncCluster:
         self._graph = graph
         self._protocols = dict(protocols)
         self._profile = profile
-        self._channel_model = channel
         self._channel_state = channel.state(graph, seed)
         self._jitter_ms = channel.jitter_ms if jitter_ms is None else jitter_ms
         self._rng = random.Random(("async-jitter", seed).__repr__())
@@ -130,61 +129,15 @@ class AsyncCluster:
             "thread, as the fleet service does)"
         )
 
-    def update(
-        self,
-        graph: Graph,
-        protocols: Mapping[NodeId, RoundProtocol],
-        seed: int | None = None,
-    ) -> tuple[int, int]:
-        """Re-point the live cluster at a new epoch's topology in place.
-
-        The streaming alternative to constructing a fresh cluster per
-        epoch: directed channels are reconciled as a delta — queues of
-        surviving edges persist (they are always drained by the end of
-        a round, so no stale bytes can leak across epochs), removed
-        edges drop theirs, new edges get fresh ones — and the node set
-        is re-bound to the next epoch's protocol instances.  With
-        ``seed`` given, the channel state and jitter RNG are re-derived
-        exactly as ``__init__`` would, so an updated cluster is
-        behaviourally identical to a freshly-built one (pinned by
-        ``tests/test_asyncio_net.py``).
-
-        Returns:
-            ``(added, removed)`` directed-channel counts — the applied
-            delta, which the fleet service surfaces as ``EpochStarted``
-            event fields.
-
-        Raises:
-            ProtocolError: when ``protocols`` does not cover exactly
-                the new graph's nodes.
-        """
-        if set(protocols) != set(graph.nodes()):
-            raise ProtocolError("protocols must cover exactly the graph's nodes")
-        desired: set[tuple[NodeId, NodeId]] = set()
-        for u, neighbors in graph.iter_adjacency():
-            for v in neighbors:
-                desired.add((u, v))
-        current = set(self._channels)
-        for edge in current - desired:
-            del self._channels[edge]
-        for edge in desired - current:
-            self._channels[edge] = asyncio.Queue()
-        self._graph = graph
-        self._protocols = dict(protocols)
-        if seed is not None:
-            self._channel_state = self._channel_model.state(graph, seed)
-            self._rng = random.Random(("async-jitter", seed).__repr__())
-        return (len(desired - current), len(current - desired))
-
     async def run_async(self, rounds: int) -> dict[NodeId, Any]:
         """Execute ``rounds`` rounds; returns per-node verdicts."""
         if rounds < 1:
             raise ProtocolError("at least one round is required")
         for u, neighbors in self._graph.iter_adjacency():
             for v in neighbors:
-                # setdefault: queues installed by update() (or an
-                # earlier run on the same topology) persist — they are
-                # drained every round, so reuse is safe.
+                # setdefault: queues of an earlier run on the same
+                # topology persist — they are drained every round, so
+                # reuse is safe.
                 self._channels.setdefault((u, v), asyncio.Queue())
         barrier = asyncio.Barrier(self._graph.n)
         verdicts: dict[NodeId, Any] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +35,10 @@ from repro.experiments.runner import build_deployment, compute_ground_truth, run
 from repro.experiments.spec import (
     SWEEP_ENGINE,
     TopologySpec,
+    TrialSpec,
     _process_origin,
     absorb_shard,
+    execute_trial,
 )
 from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
@@ -342,6 +345,62 @@ class TestKindChecks:
             )
             with pytest.raises(ExperimentError, match="needs build_scenario"):
                 execute_trial(spec)
+
+    #: Singly-wrong attack cells: overrides of a valid two-faced NECTAR
+    #: cell on a bridged drone scenario, and the error each must raise.
+    WRONG_ATTACK_CELLS = {
+        "two-faced-on-mtg": (
+            {"protocol": "mtg"},
+            "two-faced adversary targets nectar/mtgv2, got 'mtg'",
+        ),
+        "mixed-on-mtgv2": (
+            {"adversary": "mixed", "protocol": "mtgv2"},
+            "mixed adversary targets nectar, got 'mtgv2'",
+        ),
+        "saturating-on-nectar": (
+            {"adversary": "saturating"},
+            "saturating adversary targets mtg, got 'nectar'",
+        ),
+        "unknown-adversary": ({"adversary": "bogus"}, "unknown adversary 'bogus'"),
+        "wrong-measure": (
+            {"measure": "mean-kb-sent"},
+            "adversarial trials measure success-rate, got 'mean-kb-sent'",
+        ),
+        "two-faced-on-partitioned-drone": (
+            {"topology": TopologySpec(kind="partitioned-drone", n=13, t=2)},
+            "topology kind 'partitioned-drone' is not a scenario",
+        ),
+        "saturating-on-family": (
+            {
+                "adversary": "saturating",
+                "protocol": "mtg",
+                "topology": TopologySpec(kind="family", family="harary", n=10, k=4),
+            },
+            "topology kind 'family' is not a scenario",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRONG_ATTACK_CELLS))
+    def test_wrong_attack_cell_fails_identically(self, case):
+        """Each singly-wrong attack cell raises its targeted error with
+        the artifact cache off, cold and warm."""
+        overrides, message = self.WRONG_ATTACK_CELLS[case]
+        cell = TrialSpec(
+            topology=TopologySpec(kind="bridged-drone", n=13, t=2),
+            protocol="nectar",
+            adversary="two-faced",
+            measure="success-rate",
+        )
+        cell = dataclasses.replace(cell, **overrides)
+        top = cell.topology
+        for state in ("off", "cold", "warm"):
+            if state == "warm":
+                ARTIFACTS.topology(top.artifact_key(), top.build_artifact)
+            else:
+                clear_artifact_cache()
+            env = EnvironmentSpec(artifacts=state != "off")
+            with pytest.raises(ExperimentError, match=re.escape(message)):
+                execute_trial(dataclasses.replace(cell, env=env))
 
 
 class TestTrialEquivalence:

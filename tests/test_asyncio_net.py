@@ -111,47 +111,6 @@ def _nectar_protocols(graph, t=1, seed=0):
     return protocols
 
 
-def _directed_edges(graph):
-    return {
-        (u, v)
-        for u, neighbors in graph.iter_adjacency()
-        for v in neighbors
-    }
-
-
-class TestClusterUpdate:
-    """In-place topology deltas: an updated cluster must be
-    behaviourally identical to a freshly built one."""
-
-    def test_update_reports_the_channel_delta(self):
-        before, after = cycle_graph(6), grid_graph(2, 3)
-        cluster = AsyncCluster(before, _nectar_protocols(before))
-        from repro.core.nectar import nectar_round_count
-
-        cluster.run(nectar_round_count(6))
-        added, removed = cluster.update(after, _nectar_protocols(after))
-        old, new = _directed_edges(before), _directed_edges(after)
-        assert (added, removed) == (len(new - old), len(old - new))
-
-    def test_updated_cluster_matches_fresh_cluster(self):
-        from repro.core.nectar import nectar_round_count
-
-        before, after = cycle_graph(6), grid_graph(2, 3)
-        rounds = nectar_round_count(6)
-        cluster = AsyncCluster(before, _nectar_protocols(before, seed=0), seed=0)
-        cluster.run(rounds)
-        cluster.update(after, _nectar_protocols(after, seed=1), seed=1)
-        updated = cluster.run(rounds)
-        fresh = AsyncCluster(after, _nectar_protocols(after, seed=1), seed=1)
-        assert updated == fresh.run(rounds)
-
-    def test_update_checks_protocol_coverage(self):
-        graph = cycle_graph(6)
-        cluster = AsyncCluster(graph, _nectar_protocols(graph))
-        with pytest.raises(ProtocolError):
-            cluster.update(grid_graph(3, 3), _nectar_protocols(graph))
-
-
 class TestRunInsideEventLoop:
     def test_blocking_run_raises_in_a_running_loop(self):
         import asyncio

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.core.messages import NectarBatch
+from repro.adversary.behaviors import SilentNode
+from repro.core.messages import EdgeAnnouncement, NectarBatch
 from repro.core.nectar import NectarNode, nectar_round_count
+from repro.crypto.chain import ChainLink
 from repro.crypto.proofs import NeighborhoodProof
 from repro.errors import ProtocolError
-from repro.experiments.runner import build_deployment, run_trial
+from repro.experiments.runner import build_deployment, protocol_factory, run_trial
 from repro.graphs.generators.classic import (
     complete_graph,
     cycle_graph,
@@ -14,8 +16,9 @@ from repro.graphs.generators.classic import (
     star_graph,
     two_cliques_bridge,
 )
+from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
-from repro.net.message import RawPayload
+from repro.net.message import Outgoing, RawPayload
 from repro.net.simulator import SyncNetwork
 from repro.types import Decision
 
@@ -31,6 +34,65 @@ def build_node(deployment, node_id, t=1, **kwargs):
         neighbor_proofs=deployment.proofs_of(node_id),
         **kwargs,
     )
+
+
+def _batch(proof, chain):
+    return NectarBatch(announcements=(EdgeAnnouncement(proof=proof, chain=chain),))
+
+
+def _link(sender, signature=bytes(64)):
+    return (ChainLink(signer=sender, signature=signature),)
+
+
+#: Round-1 batches a Byzantine ``sender`` may garble, by name, each
+#: built around ``proof``: a genuine proof of an edge at ``sender`` that
+#: the receiver does not know yet, so that the copy reaches every
+#: check.  A receiver that trusted the fields would raise on each.
+MALFORMED_BATCHES = {
+    "not-an-announcement": lambda sender, proof: NectarBatch(
+        announcements=(object(),)
+    ),
+    "no-announcements": lambda sender, proof: NectarBatch(announcements=None),
+    "list-edge": lambda sender, proof: _batch(
+        NeighborhoodProof(list(proof.edge), b"", b""), _link(sender)
+    ),
+    "no-chain": lambda sender, proof: _batch(proof, None),
+    "not-a-link": lambda sender, proof: _batch(proof, (object(),)),
+    "int-link-signature": lambda sender, proof: _batch(proof, _link(sender, 5)),
+    "int-proof-signatures": lambda sender, proof: _batch(
+        NeighborhoodProof(proof.edge, 5, 7), _link(sender)
+    ),
+}
+
+
+class _SizedBatch(NectarBatch):
+    """A batch with a fixed wire size: the scheduler sizes every send,
+    and a malformed batch cannot size itself."""
+
+    def encoded_size(self, profile):
+        return 0
+
+
+class ProbingNode(SilentNode):
+    """A Byzantine neighbour that sends every malformed batch, built
+    around each of its proofs, to every neighbour in round 1."""
+
+    def __init__(self, node_id, proofs):
+        super().__init__(node_id)
+        self._proofs = proofs
+
+    def begin_round(self, round_number):
+        if round_number != 1:
+            return []
+        return [
+            Outgoing(
+                destination=neighbor,
+                payload=_SizedBatch(make(self.node_id, proof).announcements),
+            )
+            for neighbor in sorted(self._proofs)
+            for proof in self._proofs.values()
+            for make in MALFORMED_BATCHES.values()
+        ]
 
 
 class TestConstruction:
@@ -138,13 +200,37 @@ class TestRoundBehaviour:
         # One new edge (0,3) — edge (0,1) was already known.
         assert relayed == len([out.destination for out in sends])
 
-    def test_junk_payload_ignored(self):
+    @pytest.mark.parametrize("probe", ["raw", *MALFORMED_BATCHES])
+    def test_junk_payload_ignored(self, probe):
         deployment = build_deployment(cycle_graph(4))
         node = build_node(deployment, 0)
         node.begin_round(1)
-        node.deliver(1, 1, RawPayload(b"\xde\xad"))
+        if probe == "raw":
+            payload = RawPayload(b"\xde\xad")
+        else:
+            payload = MALFORMED_BATCHES[probe](1, deployment.proofs[(1, 2)])
+        node.deliver(1, 1, payload)
         assert node.discovered.edge_count() == 2  # unchanged
         assert node.begin_round(2) == []
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_malformed_batches_do_not_stop_a_trial(self, cache):
+        """Honest nodes drop a probing neighbour's every batch, so they
+        decide as they do when that neighbour is silent."""
+        graph = harary_graph(4, 10)
+
+        def run(factory):
+            result = run_trial(
+                graph,
+                t=1,
+                byzantine_factories={0: factory},
+                verification_cache=cache,
+                with_ground_truth=False,
+            )
+            return result.correct_verdicts
+
+        probed = run(lambda setup: ProbingNode(setup.node_id, setup.neighbor_proofs))
+        assert probed == run(protocol_factory(SilentNode))
 
     def test_conclude_is_one_shot(self):
         deployment = build_deployment(cycle_graph(4))

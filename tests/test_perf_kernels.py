@@ -286,7 +286,9 @@ def test_fastpath_two_faced_nectar_matches_scalar(coalition):
 
 
 @pytest.mark.parametrize(
-    "honest_factory", [honest_mtg_factory, honest_mtgv2_factory]
+    "honest_factory",
+    [honest_mtg_factory, honest_mtgv2_factory],
+    ids=["honest_mtg_factory", "honest_mtgv2_factory"],
 )
 def test_fastpath_adversarial_baselines_match_scalar(honest_factory):
     from repro.adversary.behaviors import SaturatingMtgNode, TwoFacedMtgv2Node

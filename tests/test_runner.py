@@ -2,9 +2,21 @@
 
 import pytest
 
+from repro.adversary.behaviors import (
+    JunkInjectorNode,
+    SaturatingMtgNode,
+    SilentNode,
+    TwoFacedMtgv2Node,
+    TwoFacedNectarNode,
+)
+from repro.baselines.mtg import MtgNode
+from repro.baselines.mtgv2 import Mtgv2Node
+from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
+from repro.crypto.cache import VerificationCache
 from repro.crypto.proofs import verify_proof
 from repro.crypto.signer import NullScheme
+from repro.crypto.sizes import DEFAULT_PROFILE
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.runner import (
@@ -14,6 +26,7 @@ from repro.experiments.runner import (
     compute_ground_truth,
     honest_mtg_factory,
     nectar_cost_trial,
+    protocol_factory,
     run_trial,
 )
 from repro.graphs.generators.classic import cycle_graph, star_graph
@@ -46,6 +59,65 @@ class TestBuildDeployment:
             a.key_store.directory.public_key_of(0)
             == b.key_store.directory.public_key_of(0)
         )
+
+
+class TestProtocolFactory:
+    """One factory for every population: each class family takes its
+    slice of the setup."""
+
+    @staticmethod
+    def _setup():
+        graph = cycle_graph(6)
+        deployment = build_deployment(graph)
+        # Non-default validation mode and cutoff, so that a node
+        # holding them took them from the setup.
+        return NodeSetup(
+            node_id=2,
+            n=6,
+            t=1,
+            graph=graph,
+            key_store=deployment.key_store,
+            scheme=deployment.scheme,
+            profile=DEFAULT_PROFILE,
+            neighbor_proofs=deployment.proofs_of(2),
+            validation_mode=ValidationMode.ACCOUNTING,
+            connectivity_cutoff=2,
+            verification_cache=VerificationCache(),
+        )
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            NectarNode,
+            TwoFacedNectarNode,
+            Mtgv2Node,
+            TwoFacedMtgv2Node,
+            MtgNode,
+            SaturatingMtgNode,
+            SilentNode,
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_builds_each_class_from_the_setup(self, cls):
+        setup = self._setup()
+        extra = {}
+        if cls in (TwoFacedNectarNode, TwoFacedMtgv2Node):
+            extra["silent_towards"] = frozenset({3})
+        node = protocol_factory(cls, **extra)(setup)
+        assert type(node) is cls
+        assert node.node_id == 2
+        if cls is not SilentNode:
+            assert node._neighbors == frozenset({1, 3})
+        if issubclass(cls, NectarNode):
+            assert node._validator.mode is ValidationMode.ACCOUNTING
+            assert node._connectivity_cutoff == 2
+            assert node._validator.cache is setup.verification_cache
+        if extra:
+            assert node._silent_towards == frozenset({3})
+
+    def test_unsupported_class_raises(self):
+        with pytest.raises(ExperimentError, match="JunkInjectorNode"):
+            protocol_factory(JunkInjectorNode)
 
 
 class TestComputeGroundTruth:

@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.adversary.behaviors import SpamNectarNode
 from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
 from repro.crypto.signer import NullScheme
@@ -26,14 +27,13 @@ from repro.crypto.sizes import PAYLOAD_PROFILE, WireProfile
 from repro.errors import ExperimentError
 from repro.experiments.envspec import EnvironmentSpec
 from repro.experiments.persistence import figure_to_dict, spec_digest
-from repro.experiments.runner import run_trial
+from repro.experiments.runner import protocol_factory, run_trial
 from repro.experiments.spec import (
     FIGURE_SPECS,
     PROFILES,
     SWEEP_ENGINE,
     TopologySpec,
     TrialSpec,
-    _spam_nectar_factory,
     attack_rates,
     execute_trial,
     profile_name,
@@ -389,7 +389,7 @@ class TestExecuteTrial:
         direct = run_trial(
             graph,
             t=1,
-            byzantine_factories={0: _spam_nectar_factory},
+            byzantine_factories={0: protocol_factory(SpamNectarNode)},
             rounds=rounds or None,
             profile=PROFILES[profile],
             connectivity_cutoff=2,
