@@ -303,8 +303,8 @@ class NectarNode(RoundProtocol):
         """Extend (or create) the signature chain with our own layer."""
         cache = self._validator.cache
         if cache is not None:
-            # Byte-identical to extend_chain; additionally hands the
-            # signed message bytes to the extension's first verifier.
+            # Byte-identical to extend_chain; signs the memo's message
+            # for a chain the cache verified instead of re-encoding it.
             return cache.extend_chain(
                 self._scheme, self._key_pair, proof_bytes(proof), chain
             )

@@ -11,15 +11,17 @@ checks:
   travels along every path its announcement takes, so a deployment-wide
   cache verifies each proof's two endpoint signatures once instead of
   once per (node, path).
-* **chains** — a signature chain is keyed by ``(payload, links)``.
-  Chains *extend*: the chain relayed in round R + 1 carries the round-R
-  chain as a prefix.  When the prefix is already known-good, only the
-  newly appended link is verified (the prefix short-circuit), which
-  turns the O(R²) cost of re-verifying a growing chain into O(R)
-  overall.  Message bytes are handed along too: a relayer's signed
-  message goes to the first verifier of its extension, and a verified
-  chain's next message (this one plus the outer link) to its
-  relayers, so no chain is re-encoded link by link.
+* **chains** — a signature chain is keyed by content, ``(payload,
+  links)``, and its entry is the message the chain's *next* link signs
+  (``chain_message(payload, links)``), or ``False`` for an invalid
+  chain.  Chains *extend*: the chain relayed in round R + 1 carries the
+  round-R chain as a prefix.  When the prefix's entry is a message,
+  only the newly appended link is verified, against that message (the
+  prefix short-circuit), which turns the O(R²) cost of re-verifying a
+  growing chain into O(R) overall.  Relayers sign the entry of the
+  chain they extend, so no verified chain is re-encoded link by link.
+  Only chains some node checked are stored: an extension nobody
+  verifies dies with its round.
 
 A cache can be scoped per node (each signature checked at most once per
 node, the distributed-model reading) or shared across a whole simulated
@@ -99,23 +101,22 @@ class VerificationCache:
     """Memo table for proof and chain verification.
 
     Results (including negative ones — replayed garbage stays garbage)
-    are stored forever; a cache is meant to live as long as one node or
-    one simulated deployment, whose distinct-signature count is bounded
-    by the protocol itself (n · m chain extensions for NECTAR).
+    are stored for the cache's life; a cache is meant to live as long as
+    one node or one simulated deployment.  It holds one chain entry per
+    distinct chain some node verified (``chain_misses +
+    chain_prefix_hits``), which honest NECTAR bounds by its n · m
+    relayed extensions.
     """
 
     def __init__(self) -> None:
         self.stats = CacheStats()
         self._proofs: dict[tuple, bool] = {}
-        self._chains: dict[tuple, bool] = {}
+        # (payload, links) -> the message the next link signs, or False.
+        self._chains: dict[tuple, bytes | bool] = {}
         # Identity fast path: announcement object -> verdict.  Values
         # keep a strong reference to the object so an id() can never be
         # recycled while its entry lives.
         self._announcements: dict[int, tuple[object, bool]] = {}
-        # Signed-message handoff (see extend_chain): chain tuple ->
-        # (chain, payload, message bytes its outer link signed).
-        self._sign_messages: dict[int, tuple[object, bytes, bytes]] = {}
-        self._outer_messages: dict[int, tuple[object, bytes, bytes]] = {}
 
     def __len__(self) -> int:
         return len(self._proofs) + len(self._chains)
@@ -171,8 +172,9 @@ class VerificationCache:
         """Cached :func:`repro.crypto.chain.verify_chain`.
 
         A chain whose ``links[:-1]`` prefix is cached as valid only
-        needs its outermost link checked; anything else falls back to
-        the full scan.
+        needs its outermost link checked, against the message the
+        prefix's entry holds (a one-link chain against the bare
+        payload's); anything else falls back to the full scan.
         """
         if not links:
             return False  # malformed; too cheap to be worth caching
@@ -180,19 +182,27 @@ class VerificationCache:
         cached = self._chains.get(key)
         if cached is not None:
             self.stats.chain_hits += 1
-            return cached
+            return cached is not False
         prefix = links[:-1]
-        if not prefix or self._chains.get((payload, prefix)) is True:
-            if prefix:
-                self.stats.chain_prefix_hits += 1
-            else:
-                self.stats.chain_misses += 1
-            result = self._verify_outer_link(scheme, directory, payload, links)
-        else:
+        if not prefix:
             self.stats.chain_misses += 1
-            result = verify_chain(scheme, directory, payload, links)
-        self._chains[key] = result
-        return result
+            message = chain_message(payload, prefix)
+        else:
+            message = self._chains.get((payload, prefix))
+            if not message:  # unknown or invalid prefix: the full scan
+                self.stats.chain_misses += 1
+                valid = verify_chain(scheme, directory, payload, links)
+                self._chains[key] = valid and chain_message(payload, links)
+                return valid
+            self.stats.chain_prefix_hits += 1
+        link = links[-1]
+        if link.signer in directory and scheme.verify(
+            directory.public_key_of(link.signer), message, link.signature
+        ):
+            self._chains[key] = next_chain_message(message, link)
+            return True
+        self._chains[key] = False
+        return False
 
     def extend_chain(
         self,
@@ -201,48 +211,13 @@ class VerificationCache:
         payload: bytes,
         links: tuple[ChainLink, ...],
     ) -> tuple[ChainLink, ...]:
-        """Drop-in :func:`repro.crypto.chain.extend_chain` that shares
-        message bytes between signers and verifiers.
-
-        The message a relayer signs over ``(payload, links)`` is byte-
-        for-byte the message the receiver must check the new outer link
-        against.  The verifier of ``links`` hands it over (see
-        :meth:`_verify_outer_link`), so no relayer of that chain
-        rebuilds it, and this method hands it on to the first verifier
-        of the extension.  Entries are validated by object identity on
-        both the chain tuple *and* the payload, so a grafted chain over
-        a different payload can never borrow the wrong message.
+        """Drop-in :func:`repro.crypto.chain.extend_chain` that signs the
+        memo's message for a chain verified here instead of re-encoding
+        it.  Stores nothing: an extension enters the memo only when a
+        receiver verifies it.  An equal key holds the same message by
+        definition, so a chain grafted onto another payload cannot borrow
+        one.
         """
-        entry = self._sign_messages.get(id(links))
-        if entry is not None and entry[0] is links and entry[1] is payload:
-            message = entry[2]
-        else:
-            message = chain_message(payload, links)
+        message = self._chains.get((payload, links)) or chain_message(payload, links)
         signature = scheme.sign(key_pair, message)
-        extended = links + (ChainLink(signer=key_pair.node_id, signature=signature),)
-        self._outer_messages[id(extended)] = (extended, payload, message)
-        return extended
-
-    def _verify_outer_link(
-        self,
-        scheme: SignatureScheme,
-        directory: PublicDirectory,
-        payload: bytes,
-        links: tuple[ChainLink, ...],
-    ) -> bool:
-        """Check only ``links[-1]`` (its prefix is already trusted), and
-        hand the message that relayers of ``links`` sign to them."""
-        link = links[-1]
-        if link.signer not in directory:
-            return False
-        entry = self._outer_messages.pop(id(links), None)
-        if entry is not None and entry[0] is links and entry[1] is payload:
-            message = entry[2]
-        else:
-            message = chain_message(payload, links[:-1])
-        public = directory.public_key_of(link.signer)
-        if not scheme.verify(public, message, link.signature):
-            return False
-        following = next_chain_message(message, link)
-        self._sign_messages[id(links)] = (links, payload, following)
-        return True
+        return links + (ChainLink(signer=key_pair.node_id, signature=signature),)

@@ -13,7 +13,9 @@ The scheduler also enforces the model's physical constraints on
 * messages can only be sent over existing channels — "Byzantine nodes
   cannot prevent two correct neighbors from communicating" and cannot
   reach non-neighbors directly;
-* every sent message is delivered within the round (reliable links).
+* every sent message is delivered within the round (reliable links);
+* a payload that cannot be sized (a Byzantine sender's garbage) never
+  leaves its sender: it is neither counted nor delivered.
 
 What the physical channel does to in-flight messages is delegated to a
 :class:`repro.net.channel.ChannelModel` (DESIGN.md §8): ``reliable``
@@ -166,7 +168,10 @@ class SyncNetwork:
                         round_number=round_number,
                         payload=outgoing.payload,
                     )
-                    size = envelope.wire_size(self._profile)
+                    try:
+                        size = envelope.wire_size(self._profile)
+                    except (TypeError, AttributeError):
+                        continue  # a Byzantine payload with no wire size: dropped
                     sent_bytes += size
                     sent_count += 1
                     deliveries.append((envelope, outgoing.destination, size))

@@ -468,16 +468,18 @@ def _replay_signatures(
     announcement for all its receivers; then each receiver validates
     the copy ``_sources`` says it accepts and keeps it.  The scheduler's
     other copies die on the known-edge check before any signature work.
+    Round r relays only round r − 1's acceptances, so only those live.
     """
     accepted: list[dict] = [{} for _ in layers]
     for round_number in range(1, rounds_executed + 1):
+        previous, accepted = accepted, [{} for _ in layers]
         relayed = []
         for node_id, node_layers in enumerate(layers):
             p, outgoing = protocols[node_id], {}
             if round_number <= len(node_layers):
                 for item in _bits(node_layers[round_number - 1]):
                     if round_number > 1:
-                        proof, chain = accepted[node_id][item]
+                        proof, chain = previous[node_id][item]
                     else:
                         other = sum(edges[item]) - node_id  # the edge's far end
                         proof, chain = p._neighbor_proofs[other], ()

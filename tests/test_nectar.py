@@ -73,26 +73,42 @@ class _SizedBatch(NectarBatch):
         return 0
 
 
-class ProbingNode(SilentNode):
-    """A Byzantine neighbour that sends every malformed batch, built
-    around each of its proofs, to every neighbour in round 1."""
+def _sized(make):
+    """``make``, with its batch wrapped in a :class:`_SizedBatch`."""
+    return lambda sender, proof: _SizedBatch(make(sender, proof).announcements)
 
-    def __init__(self, node_id, proofs):
+
+class ProbingNode(SilentNode):
+    """A Byzantine neighbour that sends the batch each of ``probes``
+    builds around each of its proofs to every neighbour in round 1."""
+
+    def __init__(self, node_id, proofs, probes):
         super().__init__(node_id)
         self._proofs = proofs
+        self._probes = probes
 
     def begin_round(self, round_number):
         if round_number != 1:
             return []
         return [
-            Outgoing(
-                destination=neighbor,
-                payload=_SizedBatch(make(self.node_id, proof).announcements),
-            )
+            Outgoing(destination=neighbor, payload=make(self.node_id, proof))
             for neighbor in sorted(self._proofs)
             for proof in self._proofs.values()
-            for make in MALFORMED_BATCHES.values()
+            for make in self._probes
         ]
+
+
+def _correct_verdicts(factory, cache=True):
+    """Honest verdicts on ``harary_graph(4, 10)`` at t = 1, with node 0
+    built by ``factory``."""
+    result = run_trial(
+        harary_graph(4, 10),
+        t=1,
+        byzantine_factories={0: factory},
+        verification_cache=cache,
+        with_ground_truth=False,
+    )
+    return result.correct_verdicts
 
 
 class TestConstruction:
@@ -216,21 +232,25 @@ class TestRoundBehaviour:
     @pytest.mark.parametrize("cache", [True, False])
     def test_malformed_batches_do_not_stop_a_trial(self, cache):
         """Honest nodes drop a probing neighbour's every batch, so they
-        decide as they do when that neighbour is silent."""
-        graph = harary_graph(4, 10)
+        decide as they do when that neighbour is silent.  Each batch is
+        a :class:`_SizedBatch`, so that it reaches ``deliver``."""
+        probes = [_sized(make) for make in MALFORMED_BATCHES.values()]
+        probed = _correct_verdicts(
+            lambda setup: ProbingNode(setup.node_id, setup.neighbor_proofs, probes),
+            cache,
+        )
+        assert probed == _correct_verdicts(protocol_factory(SilentNode), cache)
 
-        def run(factory):
-            result = run_trial(
-                graph,
-                t=1,
-                byzantine_factories={0: factory},
-                verification_cache=cache,
-                with_ground_truth=False,
-            )
-            return result.correct_verdicts
-
-        probed = run(lambda setup: ProbingNode(setup.node_id, setup.neighbor_proofs))
-        assert probed == run(protocol_factory(SilentNode))
+    @pytest.mark.parametrize("probe", list(MALFORMED_BATCHES))
+    def test_unsized_malformed_batch_does_not_stop_a_trial(self, probe):
+        """Sent as built, a batch that cannot size itself is dropped at
+        the sender and the others are dropped in ``deliver``: either way
+        honest nodes decide as they do with a silent neighbour."""
+        probes = [MALFORMED_BATCHES[probe]]
+        probed = _correct_verdicts(
+            lambda setup: ProbingNode(setup.node_id, setup.neighbor_proofs, probes)
+        )
+        assert probed == _correct_verdicts(protocol_factory(SilentNode))
 
     def test_conclude_is_one_shot(self):
         deployment = build_deployment(cycle_graph(4))

@@ -57,6 +57,13 @@ class MisbehavingProtocol(EchoProtocol):
         return [Outgoing(destination=99, payload=RawPayload(b"!"))]
 
 
+class UnsizablePayloadProtocol(EchoProtocol):
+    """A Byzantine sender whose payloads have no wire size."""
+
+    def begin_round(self, round_number):
+        return [Outgoing(destination=v, payload=object()) for v in self._neighbors]
+
+
 def build(graph):
     return {
         v: EchoProtocol(v, graph.neighbors(v)) for v in graph.nodes()
@@ -100,6 +107,19 @@ class TestSyncNetwork:
         network = SyncNetwork(graph, protocols)
         with pytest.raises(ChannelError):
             network.run(1)
+
+    def test_unsizable_payload_dropped_at_sender(self):
+        """A send the scheduler cannot size is neither counted nor
+        delivered; the run goes on without it."""
+        graph = path_graph(3)
+        protocols = build(graph)
+        protocols[0] = UnsizablePayloadProtocol(0, graph.neighbors(0))
+        network = SyncNetwork(graph, protocols)
+        verdicts = network.run(2)
+        assert 0 not in network.stats.messages_sent
+        assert all(sender != 0 for _, sender, _ in protocols[1].received)
+        assert network.stats.conservation_gap() == 0
+        assert verdicts[2] == frozenset({b"\x01", b"\x02"})
 
     def test_single_use(self):
         graph = path_graph(3)

@@ -12,6 +12,8 @@ traffic counter.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import perf
@@ -137,9 +139,56 @@ class TestCachePrimitives:
             )
         assert plain == cached
 
+    @pytest.mark.parametrize("first", [1, 3])
+    def test_extend_verified_chain_matches_plain(self, scheme, keystore, first):
+        """Each step is verified before it is extended, so the relayer
+        signs the message the memo holds.  The first check, of a
+        ``first``-link chain, is a miss (outer link only, or a full
+        scan); every later one is a prefix hit."""
+        cache = VerificationCache()
+        proof = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(1))
+        payload = proof_bytes(proof)
+        chain = ()
+        for signer in (0, 2, 3)[:first]:
+            chain = extend_chain(scheme, keystore.key_pair_of(signer), payload, chain)
+        for signer in (4, 5, 6):
+            assert cache.verify_chain(scheme, keystore.directory, payload, chain)
+            key_pair = keystore.key_pair_of(signer)
+            plain = extend_chain(scheme, key_pair, payload, chain)
+            chain = cache.extend_chain(scheme, key_pair, payload, chain)
+            assert chain == plain
+        assert cache.verify_chain(scheme, keystore.directory, payload, chain)
+        assert cache.stats.chain_misses == 1
+        assert cache.stats.chain_prefix_hits == 3
+
+    def test_extend_invalid_chain_matches_plain(self, scheme, keystore):
+        cache = VerificationCache()
+        proof = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(1))
+        payload = proof_bytes(proof)
+        forged = (ChainLink(signer=0, signature=bytes(scheme.signature_size)),)
+        assert not cache.verify_chain(scheme, keystore.directory, payload, forged)
+        key_pair = keystore.key_pair_of(2)
+        assert cache.extend_chain(scheme, key_pair, payload, forged) == extend_chain(
+            scheme, key_pair, payload, forged
+        )
+
+    def test_extend_grafted_chain_matches_plain(self, scheme, keystore):
+        """A chain verified over payload A, extended over payload B, signs
+        B's message, not the one the memo holds for A."""
+        cache = VerificationCache()
+        proof_a = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(1))
+        proof_b = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(2))
+        chain = extend_chain(scheme, keystore.key_pair_of(0), proof_bytes(proof_a), ())
+        assert cache.verify_chain(
+            scheme, keystore.directory, proof_bytes(proof_a), chain
+        )
+        key_pair = keystore.key_pair_of(3)
+        grafted = cache.extend_chain(scheme, key_pair, proof_bytes(proof_b), chain)
+        assert grafted == extend_chain(scheme, key_pair, proof_bytes(proof_b), chain)
+
     def test_grafted_payload_cannot_borrow_message(self, scheme, keystore):
         """A chain built over payload A must not verify against payload B
-        via the signed-message handoff."""
+        via the message the memo holds for A."""
         cache = VerificationCache()
         proof_a = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(1))
         proof_b = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(2))
@@ -249,6 +298,56 @@ _BYZANTINE_MIXES = {
     "silent": {0: _silent_factory},
     "mixed": {0: _silent_factory, 5: _two_faced_factory, 7: _spam_factory},
 }
+
+
+def _reachable_links(cache: VerificationCache) -> int:
+    """The :class:`ChainLink` objects reachable from ``cache``, found
+    through ``gc.get_referents`` without descending into classes."""
+    seen, stack, links = set(), [cache], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        links += type(obj) is ChainLink
+        stack.extend(gc.get_referents(obj))
+    return links
+
+
+class TestRetention:
+    """The cache keeps only verified chains: an extension nobody
+    verifies dies with its round, on either engine."""
+
+    @pytest.mark.parametrize("scheduler", [False, True], ids=["fast", "scheduler"])
+    def test_full_trial_keeps_one_link_per_verified_chain(
+        self, scheduler, monkeypatch
+    ):
+        if scheduler:
+            monkeypatch.setenv(perf.SCHEDULER_SWITCH, "1")
+        else:
+            monkeypatch.delenv(perf.SCHEDULER_SWITCH, raising=False)
+        cache = VerificationCache()
+        run_trial(
+            harary_graph(10, 40),
+            t=0,
+            validation_mode=ValidationMode.FULL,
+            verification_cache=cache,
+        )
+        verified = cache.stats.chain_misses + cache.stats.chain_prefix_hits
+        assert verified == 3643  # of n · m = 8,000 extensions signed
+        assert _reachable_links(cache) == verified
+
+    def test_accounting_trial_keeps_no_chain(self, monkeypatch):
+        monkeypatch.setenv(perf.SCHEDULER_SWITCH, "1")
+        cache = VerificationCache()
+        run_trial(
+            harary_graph(10, 40),
+            t=0,
+            validation_mode=ValidationMode.ACCOUNTING,
+            verification_cache=cache,
+        )
+        assert cache.stats.total() == 0
+        assert _reachable_links(cache) == 0
 
 
 class TestTrialEquivalence:
