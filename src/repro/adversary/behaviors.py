@@ -204,29 +204,31 @@ class StaleChainNectarNode(NectarNode):
 
     Violates the invariant lengthSign(msg) = R; every correct receiver
     must reject the relays (Algorithm 1, l. 14).  Its own round-1
-    announcements remain valid.
+    announcements remain valid.  Relays are built eagerly: a pending
+    link would size them one link longer than they are.
     """
 
-    def _relay_chain(
+    def _announce(
         self, proof: NeighborhoodProof, chain: tuple[ChainLink, ...]
-    ) -> tuple[ChainLink, ...]:
+    ) -> EdgeAnnouncement:
         if not chain:
-            return super()._relay_chain(proof, chain)
-        return chain  # forward unmodified: one link too short
+            return super()._announce(proof, chain)
+        return EdgeAnnouncement(proof, chain)  # unmodified: one link too short
 
 
 class OverChainedNectarNode(NectarNode):
     """Appends two signature layers per relay (chains one link long).
 
     The dual of :class:`StaleChainNectarNode`: messages appear to come
-    from the future and must equally be rejected.
+    from the future and must equally be rejected.  Announcements are
+    built eagerly, with both layers signed.
     """
 
-    def _relay_chain(
+    def _announce(
         self, proof: NeighborhoodProof, chain: tuple[ChainLink, ...]
-    ) -> tuple[ChainLink, ...]:
-        extended = super()._relay_chain(proof, chain)
-        return super()._relay_chain(proof, extended)
+    ) -> EdgeAnnouncement:
+        extended = self._relay_chain(proof, self._relay_chain(proof, chain))
+        return EdgeAnnouncement(proof, extended)
 
 
 class ForgingNectarNode(NectarNode):

@@ -8,12 +8,18 @@ batched into one :class:`NectarBatch` envelope — this mirrors how a
 real deployment (the paper's salticidae prototype) coalesces per-round
 traffic, and the ablation bench quantifies the difference with
 one-message-per-edge framing.
+
+A relayed announcement (:meth:`EdgeAnnouncement.relayed`) signs its
+outer link on first read: a receiver keeps only the first copy of an
+edge and drops the others before reading a chain, so most relays are
+never signed (DESIGN.md §15.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
+from typing import Callable
 
 from repro.crypto.chain import ChainLink
 from repro.crypto.proofs import NeighborhoodProof
@@ -31,26 +37,102 @@ _CHAIN_COUNT_BYTES = 2
 _BATCH_COUNT_BYTES = 2
 
 
-@dataclass(frozen=True)
 class EdgeAnnouncement:
     """One relayed edge: σ_k(...σ_u(proof_{u,v})).
+
+    An immutable value of its proof and chain: equality, hashing,
+    ``repr``, ``copy`` and pickling see those two fields and nothing
+    else.  Built directly, an announcement holds the chain it is
+    given; built by :meth:`relayed`, it holds the relayer's chain
+    extension and the prefix until ``chain`` is first read.
 
     Attributes:
         proof: the co-signed edge being announced.
         chain: the signature chain, innermost (originator) first.  A
             valid announcement received in round R carries exactly R
             links (Algorithm 1, l. 14).
+        chain_length: ``len(chain)``, read without signing a pending
+            link; None for a chain with no length (a Byzantine
+            sender's garbage), which then has no wire size.
     """
 
-    proof: NeighborhoodProof
-    chain: tuple[ChainLink, ...]
+    # While the outer link is pending, ``_chain`` holds the prefix and
+    # ``_relay`` the relayer's chain extension; both slots are then
+    # set once, to the chain and None.  ``chain_length`` is a plain
+    # slot, not a property, because the scheduler sizes every copy of
+    # every announcement.  As on NeighborhoodProof, there is no
+    # ``__getattr__`` hook.
+    __slots__ = ("proof", "chain_length", "_chain", "_relay")
+
+    def __init__(self, proof: NeighborhoodProof, chain: tuple[ChainLink, ...]) -> None:
+        try:
+            length = len(chain)
+        except TypeError:
+            length = None
+        object.__setattr__(self, "proof", proof)
+        object.__setattr__(self, "chain_length", length)
+        object.__setattr__(self, "_chain", chain)
+        object.__setattr__(self, "_relay", None)
+
+    @classmethod
+    def relayed(
+        cls,
+        relay_chain: Callable[..., tuple[ChainLink, ...]],
+        proof: NeighborhoodProof,
+        prefix: tuple[ChainLink, ...],
+    ) -> "EdgeAnnouncement":
+        """The announcement of ``proof`` whose chain is
+        ``relay_chain(proof, prefix)``, one link longer than ``prefix``,
+        called on first read.  No lock: an announcement lives inside
+        one trial, on one thread."""
+        announcement = object.__new__(cls)
+        object.__setattr__(announcement, "proof", proof)
+        object.__setattr__(announcement, "chain_length", len(prefix) + 1)
+        object.__setattr__(announcement, "_chain", prefix)
+        object.__setattr__(announcement, "_relay", relay_chain)
+        return announcement
+
+    @property
+    def chain(self) -> tuple[ChainLink, ...]:
+        relay = self._relay
+        if relay is not None:
+            # An error from the relayer reaches the reader and leaves
+            # the link pending.
+            object.__setattr__(self, "_chain", relay(self.proof, self._chain))
+            object.__setattr__(self, "_relay", None)
+        return self._chain
+
+    def _fields(self) -> tuple[NeighborhoodProof, tuple[ChainLink, ...]]:
+        return self.proof, self.chain
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "{}(proof={!r}, chain={!r})".format(
+            type(self).__qualname__, *self._fields()
+        )
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def encoded_size(self, profile: WireProfile) -> int:
         """Wire size of this announcement."""
         return (
             profile.proof_bytes
             + _CHAIN_COUNT_BYTES
-            + len(self.chain) * profile.chain_link_bytes
+            + self.chain_length * profile.chain_link_bytes
         )
 
 
@@ -60,13 +142,14 @@ class NectarBatch:
 
     announcements: tuple[EdgeAnnouncement, ...]
 
-    _CHAIN_OF = attrgetter("chain")
+    _CHAIN_LENGTH_OF = attrgetter("chain_length")
 
     def encoded_size(self, profile: WireProfile) -> int:
         # Equivalent to summing each announcement's encoded_size, in
         # one C-level pass over the chain lengths (this runs once per
-        # envelope in the hot send loop).
-        total_links = sum(map(len, map(self._CHAIN_OF, self.announcements)))
+        # envelope in the hot send loop), without signing a pending
+        # link.
+        total_links = sum(map(self._CHAIN_LENGTH_OF, self.announcements))
         return (
             _BATCH_COUNT_BYTES
             + len(self.announcements) * (profile.proof_bytes + _CHAIN_COUNT_BYTES)
@@ -96,8 +179,9 @@ class NectarBatchCodec(PayloadCodec):
             parts.append(pack_node_id(proof.hi))
             parts.append(proof.signature_lo)
             parts.append(proof.signature_hi)
-            parts.append(len(announcement.chain).to_bytes(_CHAIN_COUNT_BYTES, "big"))
-            for link in announcement.chain:
+            chain = announcement.chain  # signs a pending link: real bytes
+            parts.append(len(chain).to_bytes(_CHAIN_COUNT_BYTES, "big"))
+            for link in chain:
                 if len(link.signature) != sig:
                     raise ValueError(
                         "chain signature width does not match the wire profile"

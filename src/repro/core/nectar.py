@@ -9,11 +9,13 @@ bound ``t``, the neighborhood Γ(i), and a proof of neighborhood for
 each neighbor.  Output: a :class:`repro.types.Verdict` with the
 NOT_PARTITIONABLE / PARTITIONABLE decision and the ``confirmed`` flag.
 
-Protected hooks (``_initial_proofs``, ``_relay_chain``,
+Protected hooks (``_initial_proofs``, ``_announce``, ``_relay_chain``,
 ``_keep_outgoing``) exist so that Byzantine behaviours in
 :mod:`repro.adversary.behaviors` can deviate in precisely controlled
 ways while reusing the honest machinery; honest nodes never override
-them.
+them.  Every announcement a node sends comes from ``_announce``, which
+signs the relayer's link on first read, so a relay that every receiver
+drops as a duplicate is never signed.
 """
 
 from __future__ import annotations
@@ -183,8 +185,9 @@ class NectarNode(RoundProtocol):
             # or self-loop edge matches nothing here and dies there.
             if edge in known:
                 continue
-            # The chain's links, only for copies that survive dedup.
-            # Here rather than in validation: the closed form's replay
+            # The chain's links, only for copies that survive dedup:
+            # reading a relayed chain signs its outer link.  Here
+            # rather than in validation: the closed form's replay
             # validates only chains that honest nodes built.
             if not well_formed(announcement.chain):
                 continue
@@ -210,10 +213,7 @@ class NectarNode(RoundProtocol):
     # ------------------------------------------------------------------
     def _first_round_sends(self) -> list[Outgoing]:
         """Round 1: send {σ_i(proof_{i,j})} for j in Γ(i) to every neighbor."""
-        announcements = []
-        for proof in self._initial_proofs():
-            chain = self._relay_chain(proof, ())
-            announcements.append(EdgeAnnouncement(proof=proof, chain=chain))
+        announcements = [self._announce(proof, ()) for proof in self._initial_proofs()]
         if not announcements:
             return []
         return self._frame(
@@ -224,12 +224,11 @@ class NectarNode(RoundProtocol):
         """Rounds >= 2: relay last round's new edges, extending chains."""
         if not self._pending:
             return []
-        extended: list[tuple[EdgeAnnouncement, NodeId]] = []
-        for announcement, source in self._pending:
-            chain = self._relay_chain(announcement.proof, announcement.chain)
-            extended.append(
-                (EdgeAnnouncement(proof=announcement.proof, chain=chain), source)
-            )
+        announce = self._announce
+        extended = [
+            (announce(announcement.proof, announcement.chain), source)
+            for announcement, source in self._pending
+        ]
         self._pending = []
         everything = tuple(announcement for announcement, _ in extended)
         # Deliveries arrive one envelope at a time, so the pending list
@@ -296,6 +295,14 @@ class NectarNode(RoundProtocol):
             self._neighbor_proofs[neighbor]
             for neighbor in sorted(self._neighbor_proofs)
         ]
+
+    def _announce(
+        self, proof: NeighborhoodProof, chain: tuple[ChainLink, ...]
+    ) -> EdgeAnnouncement:
+        """The announcement of ``proof`` that we send, ``chain`` plus our
+        own layer; ``_relay_chain`` signs it when a receiver first reads
+        the chain."""
+        return EdgeAnnouncement.relayed(self._relay_chain, proof, chain)
 
     def _relay_chain(
         self, proof: NeighborhoodProof, chain: tuple[ChainLink, ...]

@@ -105,7 +105,9 @@ class VerificationCache:
     one node or one simulated deployment.  It holds one chain entry per
     distinct chain some node verified (``chain_misses +
     chain_prefix_hits``), which honest NECTAR bounds by its n · m
-    relayed extensions.
+    relayed extensions.  A relay signs when a receiver first reads its
+    chain, past the known-edge check, so :meth:`extend_chain` runs once
+    per relay that some receiver reads, not once per relay.
     """
 
     def __init__(self) -> None:

@@ -105,6 +105,11 @@ class NeighborhoodProof:
             object.__setattr__(self, "_signature_hi", signature_hi)
             object.__setattr__(self, "_signing", None)
 
+    def is_signed(self) -> bool:
+        """Whether both signatures are computed; never signs.  A method,
+        so that signature reads stay plain slot and property reads."""
+        return self._signing is None
+
     def _fields(self) -> tuple[Edge, bytes, bytes]:
         if self._signing is not None:
             self._sign()

@@ -164,9 +164,10 @@ HONEST_FACTORIES: dict[str, ProtocolFactory] = {
 class Deployment:
     """Keys and proofs for one topology (the out-of-band setup phase).
 
-    The proofs come from :func:`~repro.crypto.proofs.make_proof`, so
-    each signs the first time a trial reads it: trials that never read
-    a signature never compute one.
+    The proofs come from :func:`~repro.crypto.proofs.make_proof`, with
+    ``scheme`` and the key store's key pairs, so each signs the first
+    time a trial reads it: trials that never read a signature never
+    compute one.  Pickling keeps it that way (:meth:`__reduce__`).
     """
 
     graph: Graph
@@ -181,6 +182,32 @@ class Deployment:
             edge = (node_id, neighbor) if node_id < neighbor else (neighbor, node_id)
             result[neighbor] = self.proofs[edge]
         return result
+
+    def __reduce__(self):
+        # Pickling a proof signs it, and a pool worker's artifact delta
+        # pickles every deployment it built (DESIGN.md §9.2).  So a
+        # signed proof travels as it is and an unsigned one as its edge
+        # alone, re-made on load from the key store, which already
+        # carries the key pairs.
+        proofs = tuple(
+            (edge, proof if proof.is_signed() else None)
+            for edge, proof in self.proofs.items()
+        )
+        return _load_deployment, (self.graph, self.key_store, self.scheme, proofs)
+
+
+def _load_deployment(graph, key_store, scheme, proofs) -> Deployment:
+    """Unpickle a :class:`Deployment`, re-making each proof that was
+    shipped unsigned (as None)."""
+    return Deployment(
+        graph,
+        key_store,
+        scheme,
+        {
+            edge: proof or make_proof(scheme, *map(key_store.key_pair_of, edge))
+            for edge, proof in proofs
+        },
+    )
 
 
 def _fresh_deployment(

@@ -73,10 +73,12 @@ all-``NectarNode`` population whose FULL validation uses a cache also
 replays its signature work round by round (``_replay_signatures``):
 the same messages are signed and verified, through each node's own
 chain extension and validator, so ``cache_stats`` equals the
-scheduler's.  One documented observability divergence remains:
-Byzantine populations never touch the cache here, so their
-``cache_stats`` counters stay zero where the scheduler would count
-hits (verdicts, traffic and rows are unaffected).
+scheduler's.  As there, a relay is signed only when a receiver reads
+it, so such a trial verifies every signature it computes.  One
+documented observability divergence remains: Byzantine populations
+never touch the cache here, so their ``cache_stats`` counters stay
+zero where the scheduler would count hits (verdicts, traffic and rows
+are unaffected).
 """
 
 from __future__ import annotations
@@ -463,45 +465,48 @@ def _replay_signatures(
 ) -> None:
     """Sign and validate exactly what the scheduled honest run would.
 
-    Round r: each node extends, through its ``_relay_chain``, the chain
-    of every item of its layer r − 1 (its own proofs at r = 1) into one
-    announcement for all its receivers; then each receiver validates
-    the copy ``_sources`` says it accepts and keeps it.  The scheduler's
-    other copies die on the known-edge check before any signature work.
-    Round r relays only round r − 1's acceptances, so only those live.
+    Round r, one pass: each receiver, in ascending order, validates the
+    copy of each item that ``_sources`` says it accepts, and keeps it.
+    The sender builds that announcement, through its ``_relay_chain``,
+    when a receiver first reads it (from its own proof at r = 1, from
+    its round r − 1 acceptance after), and later receivers of the same
+    sender and item share it.  On the scheduler every other copy dies
+    on the known-edge check before its chain is read, so a relay that
+    no receiver reads is never signed there either.  Round r relays
+    only round r − 1's acceptances, so only those live.
     """
     accepted: list[dict] = [{} for _ in layers]
     for round_number in range(1, rounds_executed + 1):
         previous, accepted = accepted, [{} for _ in layers]
-        relayed = []
-        for node_id, node_layers in enumerate(layers):
-            p, outgoing = protocols[node_id], {}
-            if round_number <= len(node_layers):
-                for item in _bits(node_layers[round_number - 1]):
-                    if round_number > 1:
-                        proof, chain = previous[node_id][item]
-                    else:
-                        other = sum(edges[item]) - node_id  # the edge's far end
-                        proof, chain = p._neighbor_proofs[other], ()
-                    chain = p._relay_chain(proof, chain)
-                    outgoing[item] = EdgeAnnouncement(proof, chain)
-            relayed.append(outgoing)
+        relayed: list[dict] = [{} for _ in layers]  # sender -> item -> copy
         for receiver, node_layers in enumerate(layers):
             if round_number >= len(node_layers):
                 continue
             validate = protocols[receiver]._validator.validate
+            kept = accepted[receiver]
             ins = digraph.ins[receiver]
             split = _sources(node_layers[round_number], ins, layers, round_number)
             for sender, items in split.items():
+                outgoing = relayed[sender]
                 for item in _bits(items):
-                    announcement = relayed[sender][item]
+                    announcement = outgoing.get(item)
+                    if announcement is None:
+                        p = protocols[sender]
+                        if round_number > 1:
+                            proof, chain = previous[sender][item]
+                        else:
+                            other = sum(edges[item]) - sender  # the far end
+                            proof, chain = p._neighbor_proofs[other], ()
+                        announcement = outgoing[item] = EdgeAnnouncement(
+                            proof, p._relay_chain(proof, chain)
+                        )
                     if not validate(announcement, round_number, sender):
                         raise ProtocolError(
                             f"closed-form replay: node {receiver} rejected edge "
                             f"{edges[item]} from node {sender} in round "
                             f"{round_number}"
                         )
-                    accepted[receiver][item] = announcement.proof, announcement.chain
+                    kept[item] = announcement.proof, announcement.chain
 
 
 # ----------------------------------------------------------------------

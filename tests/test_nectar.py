@@ -1,12 +1,22 @@
 """Unit tests for the NECTAR protocol node (Algorithm 1)."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from repro.adversary.behaviors import SilentNode
-from repro.core.messages import EdgeAnnouncement, NectarBatch
+from repro.adversary.behaviors import (
+    OverChainedNectarNode,
+    SilentNode,
+    StaleChainNectarNode,
+)
+from repro.core.messages import EdgeAnnouncement, NectarBatch, NectarBatchCodec
 from repro.core.nectar import NectarNode, nectar_round_count
-from repro.crypto.chain import ChainLink
-from repro.crypto.proofs import NeighborhoodProof
+from repro.crypto.chain import ChainLink, extend_chain
+from repro.crypto.proofs import NeighborhoodProof, proof_bytes
+from repro.crypto.signer import HmacScheme
+from repro.crypto.sizes import DEFAULT_PROFILE
 from repro.errors import ProtocolError
 from repro.experiments.runner import build_deployment, protocol_factory, run_trial
 from repro.graphs.generators.classic import (
@@ -18,7 +28,8 @@ from repro.graphs.generators.classic import (
 )
 from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
-from repro.net.message import Outgoing, RawPayload
+from repro.net.codec import encode_envelope
+from repro.net.message import Envelope, Outgoing, RawPayload
 from repro.net.simulator import SyncNetwork
 from repro.types import Decision
 
@@ -258,6 +269,134 @@ class TestRoundBehaviour:
         node.conclude()
         with pytest.raises(ProtocolError):
             node.conclude()
+
+
+class _Counting(HmacScheme):
+    """HMAC that counts the signatures it computes."""
+
+    def __init__(self):
+        super().__init__()
+        self.signs = 0
+
+    def sign(self, key_pair, data):
+        self.signs += 1
+        return super().sign(key_pair, data)
+
+
+def _sized_sends(sends, round_number):
+    """Each send's wire size, as ``SyncNetwork`` computes it."""
+    return [
+        Envelope(0, round_number, out.payload).wire_size(DEFAULT_PROFILE)
+        for out in sends
+    ]
+
+
+def _relaying_middle(cls=NectarNode):
+    """Node 1 of the path 3 - 0 - 1 - 2 (built as ``cls``), which has
+    accepted edge (0, 3) from node 0 in round 1; the scheme; and the
+    honest round-2 relay of that edge, built eagerly."""
+    scheme = _Counting()
+    deployment = build_deployment(Graph(4, [(0, 1), (1, 2), (0, 3)]), scheme=scheme)
+    keys = deployment.key_store
+    middle = cls(
+        1, 4, 1, keys.key_pair_of(1), scheme, keys.directory, deployment.proofs_of(1)
+    )
+    middle.begin_round(1)
+    (edge_batch,) = [
+        out.payload
+        for out in build_node(deployment, 0).begin_round(1)
+        if out.destination == 1
+    ]
+    middle.deliver(1, 0, edge_batch)
+    (received,) = [a for a in edge_batch.announcements if a.proof.edge == (0, 3)]
+    chain = extend_chain(
+        scheme, keys.key_pair_of(1), proof_bytes(received.proof), received.chain
+    )
+    return middle, scheme, EdgeAnnouncement(received.proof, chain)
+
+
+#: Ways to touch a relayed announcement first.
+_FIRST_READS = {
+    "chain": lambda announcement: announcement.chain,
+    "hash": hash,
+    "repr": repr,
+    "pickle": pickle.dumps,
+    "copy": copy.copy,
+}
+
+
+class TestLazyRelays:
+    """A relayed announcement signs its link when its chain is first
+    read, and is the eager value whatever reads it."""
+
+    def test_sending_and_sizing_sign_nothing(self):
+        scheme = _Counting()
+        deployment = build_deployment(cycle_graph(5), scheme=scheme)
+        node = build_node(deployment, 0)
+        sends = node.begin_round(1)
+        assert _sized_sends(sends, 1) and scheme.signs == 0  # proofs too
+        middle, scheme, _eager = _relaying_middle()
+        before = scheme.signs
+        sends = middle.begin_round(2)
+        assert [out.destination for out in sends] == [2]
+        assert _sized_sends(sends, 2) and scheme.signs == before
+        assert sends[0].payload.announcements[0].chain_length == 2
+
+    def test_the_first_read_signs_once(self):
+        middle, scheme, eager = _relaying_middle()
+        (announcement,) = middle.begin_round(2)[0].payload.announcements
+        before = scheme.signs
+        chain = announcement.chain
+        assert scheme.signs == before + 1
+        assert announcement.chain is chain and scheme.signs == before + 1
+        assert announcement.chain_length == len(chain) == 2
+        assert [link.signer for link in chain] == [0, 1]
+        assert announcement == eager
+
+    @pytest.mark.parametrize("first", [*_FIRST_READS, "eq"])
+    def test_a_pending_relay_is_the_eager_value(self, first):
+        middle, _scheme, eager = _relaying_middle()
+        (lazy,) = middle.begin_round(2)[0].payload.announcements
+        if first == "eq":
+            assert lazy == eager
+        else:
+            assert _FIRST_READS[first](lazy) == _FIRST_READS[first](eager)
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+        assert repr(eager).startswith("EdgeAnnouncement(proof=NeighborhoodProof(")
+        assert pickle.dumps(lazy) == pickle.dumps(eager)
+        assert pickle.loads(pickle.dumps(lazy)) == eager
+        assert copy.copy(lazy) == eager and copy.deepcopy(lazy) == eager
+        with pytest.raises(FrozenInstanceError):
+            lazy.chain = eager.chain
+        with pytest.raises(FrozenInstanceError):
+            lazy.chain_length = 3
+
+    def test_a_pending_batch_encodes_as_the_eager_batch(self):
+        middle, _scheme, eager_relay = _relaying_middle()
+        (send,) = middle.begin_round(2)
+        eager = NectarBatch((eager_relay,))
+        codec = NectarBatchCodec()
+        encoded = codec.encode(send.payload, DEFAULT_PROFILE)
+        assert encoded == codec.encode(eager, DEFAULT_PROFILE)
+        assert codec.decode(encoded, DEFAULT_PROFILE) == eager == send.payload
+        envelope = Envelope(1, 2, send.payload)
+        assert len(encode_envelope(envelope, DEFAULT_PROFILE)) == envelope.wire_size(
+            DEFAULT_PROFILE
+        )
+
+    @pytest.mark.parametrize(
+        "cls, links", [(StaleChainNectarNode, 1), (OverChainedNectarNode, 3)]
+    )
+    def test_chain_shape_attacks_size_the_links_they_carry(self, cls, links):
+        middle, _scheme, _eager = _relaying_middle(cls)
+        (send,) = middle.begin_round(2)
+        (announcement,) = send.payload.announcements
+        assert announcement.chain_length == len(announcement.chain) == links
+        envelope = Envelope(1, 2, send.payload)
+        assert len(encode_envelope(envelope, DEFAULT_PROFILE)) == envelope.wire_size(
+            DEFAULT_PROFILE
+        )
 
 
 class TestEndToEnd:

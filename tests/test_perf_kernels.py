@@ -804,13 +804,17 @@ def test_replay_matches_scheduler_signature_for_signature(trial):
     """An honest FULL trial with a fresh cache takes the closed form,
     and its whole ``TrialResult`` (verdicts, traffic both ways,
     ``rounds_executed``, every ``CacheStats`` field) and its multisets
-    of signed and verified messages equal the scheduler's."""
+    of signed and verified messages equal the scheduler's.  It signs
+    only what some receiver reads, so it verifies every signature it
+    computes exactly once."""
     graph, rounds, quiescence_skip = trial
     scheduled, default = _routed_legs(
         lambda: _signed_trial(graph, HmacScheme(), rounds, quiescence_skip),
         fast=True,
     )
     assert default == scheduled
+    _result, signed, verified = default
+    assert sum(signed.values()) == sum(verified.values())
 
 
 @pytest.mark.parametrize("scheme", ["hmac", "rsa-256"])
@@ -825,6 +829,7 @@ def test_replay_matches_scheduler_on_harary_graphs(k, n, scheme):
     assert default == scheduled
     result, signed, verified = default
     assert result.cache_stats.total() > 0 and signed and verified
+    assert sum(signed.values()) == sum(verified.values())
 
 
 def test_reused_cache_counters_match_scheduler():

@@ -1,5 +1,7 @@
 """Tests for the trial runner and deployments."""
 
+import pickle
+
 import pytest
 
 from repro.adversary.behaviors import (
@@ -15,7 +17,7 @@ from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
 from repro.crypto.cache import VerificationCache
 from repro.crypto.proofs import verify_proof
-from repro.crypto.signer import NullScheme
+from repro.crypto.signer import HmacScheme, NullScheme
 from repro.crypto.sizes import DEFAULT_PROFILE
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.envspec import EnvironmentSpec
@@ -30,8 +32,21 @@ from repro.experiments.runner import (
     run_trial,
 )
 from repro.graphs.generators.classic import cycle_graph, star_graph
+from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
 from repro.types import Decision
+
+
+class _CountingHmac(HmacScheme):
+    """HMAC that counts its signatures; module-level, so it pickles."""
+
+    def __init__(self):
+        super().__init__()
+        self.signs = 0
+
+    def sign(self, key_pair, data):
+        self.signs += 1
+        return super().sign(key_pair, data)
 
 
 class TestBuildDeployment:
@@ -50,6 +65,24 @@ class TestBuildDeployment:
         proofs = deployment.proofs_of(0)
         assert set(proofs) == {1, 5}
         assert proofs[1].endpoints() == frozenset({0, 1})
+
+    def test_pickling_signs_no_proof(self):
+        """A pickle round trip (a pool worker's artifact delta) ships a
+        signed proof as it is and re-makes an unsigned one on load, so
+        it signs nothing; read, every proof equals the original."""
+        scheme = _CountingHmac()
+        deployment = build_deployment(harary_graph(4, 12), scheme=scheme)
+        assert deployment.proofs[(0, 1)].signature_lo and scheme.signs == 2
+        loaded = pickle.loads(pickle.dumps(deployment))
+        assert scheme.signs == 2 and loaded.scheme.signs == 2
+        assert loaded.key_store.scheme is loaded.scheme
+        assert list(loaded.proofs) == list(deployment.proofs)
+        assert [proof.is_signed() for proof in loaded.proofs.values()] == [
+            edge == (0, 1) for edge in deployment.proofs
+        ]
+        assert loaded.proofs == deployment.proofs
+        for proof in loaded.proofs.values():
+            assert verify_proof(loaded.scheme, loaded.key_store.directory, proof)
 
     def test_deterministic_in_seed(self):
         graph = cycle_graph(4)
