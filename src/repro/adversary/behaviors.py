@@ -266,23 +266,25 @@ class SpamNectarNode(NectarNode):
     """Re-announces its whole neighborhood every round.
 
     Chains are padded with self-signatures to match the round number,
-    so each copy passes the structural checks, is verified once, and is
-    then dropped as a duplicate.  Used by the dedup ablation to measure
-    the cost of announcement spam.
+    so each copy passes the structural checks.  A receiver that already
+    knows the edge drops a copy before reading its chain, and a copy is
+    signed, like a relay, only when a receiver first reads its chain:
+    on a reliable channel no spam link is ever signed.  Used by the
+    dedup ablation to measure the cost of announcement spam.
     """
 
     def begin_round(self, round_number: int) -> list[Outgoing]:
         outgoing = super().begin_round(round_number)
         if round_number == 1:
             return outgoing
-        announcements = []
-        for proof in self._initial_proofs():
-            chain: tuple[ChainLink, ...] = ()
-            for _ in range(round_number):
-                chain = extend_chain(
-                    self._scheme, self._key_pair, proof_bytes(proof), chain
-                )
-            announcements.append(EdgeAnnouncement(proof=proof, chain=chain))
+        # A relayed copy is sized as its prefix plus one link, so
+        # round_number - 1 placeholders stand in for the padding, which
+        # _padded_chain signs together with the outer link.
+        padding = (None,) * (round_number - 1)
+        announcements = [
+            EdgeAnnouncement.relayed(self._padded_chain, proof, padding)
+            for proof in self._initial_proofs()
+        ]
         if announcements:
             batch = NectarBatch(announcements=tuple(announcements))
             for neighbor in sorted(self.neighbors):
@@ -290,6 +292,15 @@ class SpamNectarNode(NectarNode):
         return [
             out for out in outgoing if self._keep_outgoing(out, round_number)
         ]
+
+    def _padded_chain(
+        self, proof: NeighborhoodProof, padding: tuple[None, ...]
+    ) -> tuple[ChainLink, ...]:
+        """``len(padding) + 1`` links over ``proof``, all signed by us."""
+        chain: tuple[ChainLink, ...] = ()
+        for _ in range(len(padding) + 1):
+            chain = extend_chain(self._scheme, self._key_pair, proof_bytes(proof), chain)
+        return chain
 
 
 class SleeperNectarNode(NectarNode):

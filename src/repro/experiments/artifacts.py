@@ -11,7 +11,8 @@ layer above: a process-wide, content-addressed memo for artifacts whose
 value is a pure function of their key, shared by every trial of a sweep
 (and, through the optional on-disk layer, across sweeps).
 
-Four stores:
+Four stores, one row each of :data:`_STORES` and one lookup path
+(:meth:`ArtifactCache._lookup`):
 
 * **topologies** — constructed :class:`~repro.graphs.graph.Graph`
   objects *and* attack-scenario deployments, keyed by the digest of the
@@ -36,8 +37,7 @@ Four stores:
   builds each edge's proof once per process instead of once per cell;
   the key-pool store alone only amortised keygen, not the proofs.  A
   proof signs on first read, so one that no trial reads is never
-  signed; pickling a store (snapshot or delta) signs every proof in
-  it.
+  signed, not even when a snapshot or delta pickles its deployment.
 
 Correctness: every store memoises a *pure* builder, so a warm cache is
 bit-identical to a cold one — sweep rows, verdicts and traffic stats do
@@ -47,18 +47,19 @@ default off) so default spec digests and the historical execution path
 are untouched.
 
 Sharing: the cache is a module-level singleton (:data:`ARTIFACTS`).
-Under the ``fork`` start method a parent-side warm-up
-(:meth:`~repro.experiments.spec.SweepEngine.run`) is inherited by every
-worker for free; under ``spawn`` the engine replays a snapshot through
-``parallel_map``'s per-worker initializer.  Workers fill their private
-misses locally and report them back per shard: each artifact shard's
+Every artifact is built by the first cell that asks for it, in the
+process that runs that cell; nothing is built ahead of the cells.
+Workers report what they built back per shard: each artifact shard's
 result carries the executing process's :meth:`ArtifactCache.drain_delta`
 and ``origin``, and the collector merges a delta
 (:meth:`ArtifactCache.merge_delta`) only when its origin is another
 process (DESIGN.md §10.3).  The on-disk layer (:meth:`ArtifactCache.save`
 / :meth:`load`) persists snapshots under ``benchmarks/out/`` keyed by
 resolved-sweep digest, written after the merge, so they cover
-everything the process tree computed.
+everything the process tree computed; a loaded snapshot reaches forked
+workers by inheritance, spawned pool workers through
+:func:`install_artifacts` and fabric workers through the job's
+snapshot file.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import pathlib
 import pickle
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from repro.crypto import scheme_fingerprint
 from repro.crypto.keys import KeyStore
@@ -82,6 +83,24 @@ _Artifact = TypeVar("_Artifact")
 #: pickles are ignored rather than misread.  v2 added the deployment
 #: store.
 _SNAPSHOT_VERSION = 2
+
+
+class _Store(NamedTuple):
+    """One store: its snapshot and delta key, its :class:`ArtifactStats`
+    field prefix (also its ``as_dict`` key) and its ``describe`` label."""
+
+    name: str
+    counter: str
+    label: str
+
+
+_TOPOLOGIES = _Store("topologies", "topology", "topologies")
+_CONNECTIVITY = _Store("connectivity", "connectivity", "certificates")
+_KEY_POOLS = _Store("key_pools", "key_pool", "key pools")
+_DEPLOYMENTS = _Store("deployments", "deployment", "deployments")
+
+#: the four stores, in snapshot, counter and summary order.
+_STORES = (_TOPOLOGIES, _CONNECTIVITY, _KEY_POOLS, _DEPLOYMENTS)
 
 
 def artifact_key(payload: dict) -> str:
@@ -117,21 +136,14 @@ class ArtifactStats:
     #: fingerprint (mirrors the key-pool bypass rule).
     deployment_bypasses: int = 0
 
+    def _count(self, store: _Store, outcome: str) -> int:
+        return getattr(self, f"{store.counter}_{outcome}")
+
     def hits(self) -> int:
-        return (
-            self.topology_hits
-            + self.connectivity_hits
-            + self.key_pool_hits
-            + self.deployment_hits
-        )
+        return sum(self._count(store, "hits") for store in _STORES)
 
     def misses(self) -> int:
-        return (
-            self.topology_misses
-            + self.connectivity_misses
-            + self.key_pool_misses
-            + self.deployment_misses
-        )
+        return sum(self._count(store, "misses") for store in _STORES)
 
     def total(self) -> int:
         return self.hits() + self.misses()
@@ -143,24 +155,15 @@ class ArtifactStats:
 
     def as_dict(self) -> dict:
         """JSON-ready counters (``metadata.artifact_stats`` in saved JSON)."""
-        return {
-            "topology": {"hits": self.topology_hits, "misses": self.topology_misses},
-            "connectivity": {
-                "hits": self.connectivity_hits,
-                "misses": self.connectivity_misses,
-            },
-            "key_pool": {
-                "hits": self.key_pool_hits,
-                "misses": self.key_pool_misses,
-                "bypasses": self.key_pool_bypasses,
-            },
-            "deployment": {
-                "hits": self.deployment_hits,
-                "misses": self.deployment_misses,
-                "bypasses": self.deployment_bypasses,
-            },
-            "hit_rate": self.hit_rate(),
-        }
+        payload: dict = {}
+        for store in _STORES:
+            entry = payload[store.counter] = {
+                outcome: self._count(store, outcome) for outcome in ("hits", "misses")
+            }
+            if hasattr(self, f"{store.counter}_bypasses"):
+                entry["bypasses"] = self._count(store, "bypasses")
+        payload["hit_rate"] = self.hit_rate()
+        return payload
 
     def counters(self) -> dict[str, int]:
         """All counter fields as a flat name -> value mapping."""
@@ -171,16 +174,14 @@ class ArtifactStats:
 
     def describe(self) -> str:
         """One human-readable summary line (sweep/mission CLI output)."""
+        stores = ", ".join(
+            f"{store.label} {self._count(store, 'hits')}/"
+            f"{self._count(store, 'hits') + self._count(store, 'misses')}"
+            for store in _STORES
+        )
         return (
             f"{self.hits()} hits / {self.misses()} misses "
-            f"({self.hit_rate():.1%} hit rate; topologies "
-            f"{self.topology_hits}/{self.topology_hits + self.topology_misses}, "
-            f"certificates {self.connectivity_hits}/"
-            f"{self.connectivity_hits + self.connectivity_misses}, "
-            f"key pools {self.key_pool_hits}/"
-            f"{self.key_pool_hits + self.key_pool_misses}, "
-            f"deployments {self.deployment_hits}/"
-            f"{self.deployment_hits + self.deployment_misses})"
+            f"({self.hit_rate():.1%} hit rate; {stores})"
         )
 
 
@@ -203,27 +204,33 @@ class ArtifactCache:
         # Reentrant because builders may consult other stores.
         self._lock = threading.RLock()
         self.stats = ArtifactStats()
-        self._topologies: dict[str, object] = {}
-        self._connectivity: dict[tuple[str, int | None], int] = {}
-        self._key_pools: dict[tuple, KeyStore] = {}
-        self._deployments: dict[tuple, object] = {}
+        #: store name -> key -> artifact.
+        self._stores: dict[str, dict] = {store.name: {} for store in _STORES}
         self._reset_delta()
 
     def _reset_delta(self) -> None:
         """Start a fresh delta window (entries + counters since now)."""
-        self._delta_topologies: dict[str, object] = {}
-        self._delta_connectivity: dict[tuple[str, int | None], int] = {}
-        self._delta_key_pools: dict[tuple, KeyStore] = {}
-        self._delta_deployments: dict[tuple, object] = {}
+        self._delta: dict[str, dict] = {name: {} for name in self._stores}
         self._stats_mark = self.stats.counters()
 
     def __len__(self) -> int:
-        return (
-            len(self._topologies)
-            + len(self._connectivity)
-            + len(self._key_pools)
-            + len(self._deployments)
-        )
+        return sum(map(len, self._stores.values()))
+
+    def _lookup(self, store: _Store, key, build: Callable[[], _Artifact]) -> _Artifact:
+        """The one store path: serve ``key`` from ``store``, or build,
+        store and record it in the delta window, counting the hit or
+        miss."""
+        with self._lock:
+            cached = self._stores[store.name].get(key)
+            outcome = "hits" if cached is not None else "misses"
+            counter = f"{store.counter}_{outcome}"
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            if cached is not None:
+                return cached
+            value = build()
+            self._stores[store.name][key] = value
+            self._delta[store.name][key] = value
+            return value
 
     # ------------------------------------------------------------------
     # The four stores
@@ -234,16 +241,7 @@ class ArtifactCache:
         ``key`` should come from :func:`artifact_key` over the full
         topology-spec payload; the builder runs on the first request.
         """
-        with self._lock:
-            cached = self._topologies.get(key)
-            if cached is not None:
-                self.stats.topology_hits += 1
-                return cached  # type: ignore[return-value]
-            self.stats.topology_misses += 1
-            value = build()
-            self._topologies[key] = value
-            self._delta_topologies[key] = value
-            return value
+        return self._lookup(_TOPOLOGIES, key, build)
 
     def connectivity(
         self, graph: Graph, cutoff: int | None, compute: Callable[[], int]
@@ -254,28 +252,7 @@ class ArtifactCache:
         built independently (parent probe vs worker rebuild) share one
         certificate.
         """
-        key = (graph.digest(), cutoff)
-        with self._lock:
-            cached = self._connectivity.get(key)
-            if cached is not None:
-                self.stats.connectivity_hits += 1
-                return cached
-            self.stats.connectivity_misses += 1
-            value = compute()
-            self._connectivity[key] = value
-            self._delta_connectivity[key] = value
-            return value
-
-    def has_connectivity(self, graph: Graph, cutoff: int | None) -> bool:
-        """Whether a κ certificate is already stored (no counters touched).
-
-        The sweep warm-up uses this to certify only what is still
-        missing: a plain probe must not perturb the hit/miss accounting
-        that :meth:`connectivity` reports for real trial lookups.
-        """
-        key = (graph.digest(), cutoff)
-        with self._lock:
-            return key in self._connectivity
+        return self._lookup(_CONNECTIVITY, (graph.digest(), cutoff), compute)
 
     def key_store(
         self,
@@ -297,16 +274,7 @@ class ArtifactCache:
             self.stats.key_pool_bypasses += 1
             return build()
         key = (fingerprint, tuple(sorted(set(node_ids))), seed)
-        with self._lock:
-            cached = self._key_pools.get(key)
-            if cached is not None:
-                self.stats.key_pool_hits += 1
-                return cached
-            self.stats.key_pool_misses += 1
-            store = build()
-            self._key_pools[key] = store
-            self._delta_key_pools[key] = store
-            return store
+        return self._lookup(_KEY_POOLS, key, build)
 
     def deployment(
         self,
@@ -330,17 +298,7 @@ class ArtifactCache:
         if fingerprint is None:
             self.stats.deployment_bypasses += 1
             return build()
-        key = (graph.digest(), fingerprint, seed)
-        with self._lock:
-            cached = self._deployments.get(key)
-            if cached is not None:
-                self.stats.deployment_hits += 1
-                return cached  # type: ignore[return-value]
-            self.stats.deployment_misses += 1
-            value = build()
-            self._deployments[key] = value
-            self._delta_deployments[key] = value
-            return value
+        return self._lookup(_DEPLOYMENTS, (graph.digest(), fingerprint, seed), build)
 
     # ------------------------------------------------------------------
     # Sharing and persistence
@@ -350,29 +308,26 @@ class ArtifactCache:
         with self._lock:
             return {
                 "version": _SNAPSHOT_VERSION,
-                "topologies": dict(self._topologies),
-                "connectivity": dict(self._connectivity),
-                "key_pools": dict(self._key_pools),
-                "deployments": dict(self._deployments),
+                **{name: dict(entries) for name, entries in self._stores.items()},
             }
 
     def adopt(self, snapshot: dict) -> None:
-        """Replace the stores with a :meth:`snapshot` (worker warm-up).
+        """Replace the stores with a :meth:`snapshot` (a loaded
+        ``--artifact-store`` file, or a worker's copy of it).
 
         Unknown snapshot versions are ignored — an empty cache is
         always correct.  Adoption starts a fresh delta window: what a
         worker reports back (:meth:`drain_delta`) covers only the
-        entries *it* computed, never the inherited warm-up set.
+        entries *it* computed, never the adopted ones.
         """
         if not isinstance(snapshot, dict):
             return
         if snapshot.get("version") != _SNAPSHOT_VERSION:
             return
         with self._lock:
-            self._topologies = dict(snapshot["topologies"])
-            self._connectivity = dict(snapshot["connectivity"])
-            self._key_pools = dict(snapshot["key_pools"])
-            self._deployments = dict(snapshot.get("deployments", {}))
+            self._stores = {
+                name: dict(snapshot.get(name, {})) for name in self._stores
+            }
             self._reset_delta()
 
     def drain_delta(self) -> dict:
@@ -380,21 +335,18 @@ class ArtifactCache:
 
         The worker side of the delta protocol (DESIGN.md §9.2): each
         artifact shard returns the store entries its process added since
-        its previous report, so the collector can fold worker-computed
-        artifacts (connectivity certificates, lazily-built key pools)
-        and hit/miss counters back into its own cache — which is what
-        makes ``--artifact-store`` snapshots and the surfaced cache
-        stats cover the whole process tree, not just the parent's
-        warm-up set.  Draining starts the next window.
+        its previous report, so the collector can fold worker-built
+        artifacts (topologies, connectivity certificates, key pools,
+        deployments) and hit/miss counters back into its own cache —
+        which is what makes ``--artifact-store`` snapshots and the
+        surfaced cache stats cover the whole process tree, not just
+        what the parent built.  Draining starts the next window.
         """
         with self._lock:
             counts = self.stats.counters()
             delta = {
                 "version": _SNAPSHOT_VERSION,
-                "topologies": self._delta_topologies,
-                "connectivity": self._delta_connectivity,
-                "key_pools": self._delta_key_pools,
-                "deployments": self._delta_deployments,
+                **self._delta,
                 "stats": {
                     name: counts[name] - self._stats_mark.get(name, 0)
                     for name in counts
@@ -414,13 +366,8 @@ class ArtifactCache:
         if not isinstance(delta, dict) or delta.get("version") != _SNAPSHOT_VERSION:
             return
         with self._lock:
-            for entries, target in (
-                (delta.get("topologies"), self._topologies),
-                (delta.get("connectivity"), self._connectivity),
-                (delta.get("key_pools"), self._key_pools),
-                (delta.get("deployments"), self._deployments),
-            ):
-                for key, value in (entries or {}).items():
+            for name, target in self._stores.items():
+                for key, value in (delta.get(name) or {}).items():
                     target.setdefault(key, value)
             for name, increment in (delta.get("stats") or {}).items():
                 if hasattr(self.stats, name):
@@ -431,10 +378,8 @@ class ArtifactCache:
         """Drop every store and reset the counters."""
         with self._lock:
             self.stats = ArtifactStats()
-            self._topologies.clear()
-            self._connectivity.clear()
-            self._key_pools.clear()
-            self._deployments.clear()
+            for entries in self._stores.values():
+                entries.clear()
             self._reset_delta()
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
@@ -482,15 +427,17 @@ def clear_artifact_cache() -> None:
 
 
 def install_artifacts(snapshot: dict) -> None:
-    """Worker-process initializer: adopt a parent snapshot.
+    """Worker-process initializer: adopt the parent's snapshot.
 
     Module-level so :func:`repro.experiments.parallel.parallel_map` can
-    ship it to spawned workers.  Under fork the stores it installs are
-    the inherited ones, but the call is still load-bearing:
-    :meth:`ArtifactCache.adopt` resets the delta window, without which
-    a forked worker's first :meth:`~ArtifactCache.drain_delta` would
-    re-report the parent's inherited warm-up entries and counters (and
-    the parent's merge would then double-count its own stats).
+    ship it to spawned workers, which start empty: a loaded
+    ``--artifact-store`` reaches them this way.  Under fork the stores
+    it installs are the inherited ones, but the call is still
+    load-bearing: :meth:`ArtifactCache.adopt` resets the delta window,
+    without which a forked worker's first
+    :meth:`~ArtifactCache.drain_delta` would re-report the entries and
+    counters it inherited from the parent (and the parent's merge would
+    then double-count its own stats).
     """
     ARTIFACTS.adopt(snapshot)
 

@@ -75,7 +75,6 @@ from repro.experiments.spec import (
     SweepSpec,
     _new_figure,
     _seeds,
-    register_plan,
     register_sweep,
 )
 from repro.graphs.generators.mobility import (
@@ -1221,10 +1220,6 @@ def _plan_detection_under_deception(params: dict) -> FigurePlan:
     )
 
 
-register_plan("partition-detection", _plan_partition_detection)
-register_plan("mtg-vs-nectar-detection", _plan_mtg_vs_nectar)
-register_plan("detection-under-deception", _plan_detection_under_deception)
-
 _MISSION_AXES = (
     AxisSpec("n", 12, 20),
     AxisSpec("t", 2),
@@ -1255,7 +1250,7 @@ register_sweep(
         figure_id="partition-detection",
         title="NECTAR detection-over-time on a separating fleet (mission layer)",
         axes=_MISSION_AXES,
-        plan="partition-detection",
+        plan=_plan_partition_detection,
         seed_mode="hashed",
     )
 )
@@ -1265,7 +1260,7 @@ register_sweep(
         figure_id="mtg-vs-nectar-detection",
         title="Detection latency, NECTAR epochs vs the MtG continuous detector",
         axes=_MISSION_AXES,
-        plan="mtg-vs-nectar-detection",
+        plan=_plan_mtg_vs_nectar,
         seed_mode="hashed",
     )
 )
@@ -1275,7 +1270,7 @@ register_sweep(
         figure_id="detection-under-deception",
         title="NECTAR detection latency under an active Byzantine campaign",
         axes=_MISSION_AXES + _ADVERSARY_AXES,
-        plan="detection-under-deception",
+        plan=_plan_detection_under_deception,
         seed_mode="hashed",
     )
 )

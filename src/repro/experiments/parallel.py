@@ -156,7 +156,9 @@ def parallel_map(
         workers: see :func:`resolve_workers`.
         initializer: optional module-level function run once in each
             worker process before any item (the sweep engine uses it to
-            install a warm artifact-cache snapshot, DESIGN.md §9).  Not
+            install its artifact-cache snapshot, which carries a loaded
+            ``--artifact-store`` and starts the worker's delta window,
+            DESIGN.md §9.2).  Not
             called on the in-process path — the parent already holds
             whatever state it would install.  Must be a no-op with
             respect to results: items may not depend on it having run.

@@ -62,8 +62,6 @@ from repro.core.complexity import predict_nectar_traffic
 from repro.core.decision import clear_connectivity_cache
 from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
-from repro.crypto import resolve_scheme
-from repro.crypto.keys import KeyStore
 from repro.crypto.signer import NullScheme
 from repro.crypto.sizes import (
     COMPACT_PROFILE,
@@ -104,7 +102,6 @@ from repro.experiments.scenarios import (
     split_topology_scenario,
 )
 from repro.graphs.analysis import diameter
-from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.generators.drone import drone_graph
 from repro.graphs.graph import Graph
 
@@ -499,57 +496,6 @@ def _trial_artifact(spec: TrialSpec, kinds: tuple[str, ...]):
     return ARTIFACTS.topology(top.artifact_key(), top.build_artifact)
 
 
-def _warm_artifacts(cells: Sequence[object]) -> None:
-    """Parent-side artifact warm-up for a sweep's artifact cells.
-
-    Interns each distinct topology/scenario once (deduplicated by
-    content address inside :data:`ARTIFACTS`) and, for cells that pin a
-    signature scheme through the environment, pre-generates the signer
-    key pool — so after the worker pool forks (or adopts the snapshot
-    under spawn) no worker ever rebuilds a topology or regenerates a
-    key pair another already has.  Mission cells are not warmed: the
-    sweep engine colocates a mission's cells on one worker, which
-    interns its trajectory and key pool on first use.
-
-    The warm-up also produces the κ certificates: every adversarial
-    artifact cell will ask
-    :func:`~repro.experiments.runner.compute_ground_truth` for the
-    truncated connectivity of its scenario graph at cutoff ``2t + 1``,
-    so each distinct ``(graph, cutoff)`` request is certified once here
-    and inserted into the certificate store — the cells all hit.  The
-    certificate is the same :func:`vertex_connectivity` value a cell
-    would compute, so rows and verdicts cannot move.
-
-    Infeasible topology parameters are skipped silently here: warm-up
-    is an accelerator, and the failing cell raises its real
-    :class:`ExperimentError` with full context at execution time.
-    """
-    for cell in cells:
-        if not isinstance(cell, TrialSpec):
-            continue
-        top = cell.topology
-        try:
-            artifact = ARTIFACTS.topology(top.artifact_key(), top.build_artifact)
-        except ExperimentError:
-            continue
-        graph = artifact if isinstance(artifact, Graph) else artifact.graph
-        if cell.env.scheme:
-            scheme = resolve_scheme(cell.env.scheme)
-            ARTIFACTS.key_store(
-                scheme,
-                graph.nodes(),
-                cell.seed,
-                lambda: KeyStore(scheme, graph.nodes(), seed=cell.seed),
-            )
-        if cell.adversary in _ATTACKS:
-            t = getattr(artifact, "t", top.t)
-            cutoff = 2 * t + 1
-            if not ARTIFACTS.has_connectivity(graph, cutoff):
-                ARTIFACTS.connectivity(
-                    graph, cutoff, lambda: vertex_connectivity(graph, cutoff=cutoff)
-                )
-
-
 def _cell_colocation_key(cell: object) -> object | None:
     """The shard-planning key of one sweep cell.
 
@@ -757,32 +703,6 @@ class FigurePlan:
     finalize: Callable[[FigureData], None] | None = None
 
 
-#: plan name -> builder(params) -> FigurePlan.
-_PLANS: dict[str, Callable[[dict], FigurePlan]] = {}
-
-
-def _plan(name: str):
-    def register(fn):
-        _PLANS[name] = fn
-        return fn
-
-    return register
-
-
-def register_plan(name: str, builder: Callable[[dict], "FigurePlan"]) -> str:
-    """Make a plan builder addressable by name from outside this module.
-
-    The mission layer (:mod:`repro.experiments.mission`) registers its
-    temporal plans here at import time.  Re-registering the same
-    builder is a no-op; a different builder under a taken name raises.
-    """
-    existing = _PLANS.get(name)
-    if existing is not None and existing is not builder:
-        raise ExperimentError(f"plan {name!r} already registered differently")
-    _PLANS[name] = builder
-    return name
-
-
 def register_sweep(spec: "SweepSpec") -> str:
     """Register one :class:`SweepSpec` in :data:`FIGURE_SPECS`.
 
@@ -807,7 +727,9 @@ class SweepSpec:
         figure_id: registry key (also the default ``FigureData`` id).
         title: human-readable description for listings.
         axes: the named axes with reduced/paper presets.
-        plan: key into the plan-builder registry.
+        plan: the plan builder, ``params -> FigurePlan``; params are the
+            resolved axis values plus the engine's ``_``-prefixed keys
+            (:meth:`SweepEngine.plan`).
         seed_mode: ``"index"`` (trial index is the seed; the
             equivalence-pinned historical behaviour) or ``"hashed"``
             (independent seeds via ``trial_seeds``).
@@ -816,7 +738,7 @@ class SweepSpec:
     figure_id: str
     title: str
     axes: tuple[AxisSpec, ...]
-    plan: str
+    plan: Callable[[dict], FigurePlan]
     seed_mode: str = "index"
 
     @property
@@ -930,7 +852,6 @@ def _harary_cost_cell(n: int, k: int, profile: str) -> TrialSpec:
     )
 
 
-@_plan("fig3")
 def _plan_fig3(params: dict) -> FigurePlan:
     ns, ks, profile = params["ns"], params["ks"], params["profile"]
     name = _resolve_profile(profile).name
@@ -957,7 +878,6 @@ def _plan_fig3(params: dict) -> FigurePlan:
     return plan
 
 
-@_plan("fig3-random")
 def _plan_fig3_random(params: dict) -> FigurePlan:
     ns, ks, trials, profile = (
         params["ns"],
@@ -1039,12 +959,10 @@ def _plan_drone_distance(params: dict, protocol: str, label: str) -> FigurePlan:
     return plan
 
 
-@_plan("fig4")
 def _plan_fig4(params: dict) -> FigurePlan:
     return _plan_drone_distance(params, "nectar", "Nectar")
 
 
-@_plan("fig5")
 def _plan_fig5(params: dict) -> FigurePlan:
     return _plan_drone_distance(params, "mtgv2", "MtGv2")
 
@@ -1084,17 +1002,14 @@ def _plan_drone_scaling(params: dict, protocol: str, label: str) -> FigurePlan:
     return plan
 
 
-@_plan("fig6")
 def _plan_fig6(params: dict) -> FigurePlan:
     return _plan_drone_scaling(params, "nectar", "Nectar")
 
 
-@_plan("fig7")
 def _plan_fig7(params: dict) -> FigurePlan:
     return _plan_drone_scaling(params, "mtgv2", "MtGv2")
 
 
-@_plan("fig8")
 def _plan_fig8(params: dict) -> FigurePlan:
     n, ts, radius, trials = (
         params["n"],
@@ -1158,7 +1073,6 @@ def _plan_fig8(params: dict) -> FigurePlan:
     return plan
 
 
-@_plan("topology-comparison")
 def _plan_topology_comparison(params: dict) -> FigurePlan:
     families, n, k, trials = (
         params["families"],
@@ -1209,7 +1123,6 @@ def _plan_topology_comparison(params: dict) -> FigurePlan:
     return plan
 
 
-@_plan("connectivity-resilience")
 def _plan_connectivity_resilience(params: dict) -> FigurePlan:
     families, n, k, ts, trials = (
         params["families"],
@@ -1292,7 +1205,6 @@ def _feasible_seed_prefix(seeds, build, on_skip) -> list[int]:
     return feasible
 
 
-@_plan("ablation-rounds")
 def _plan_ablation_rounds(params: dict) -> FigurePlan:
     n, k = params["n"], params["k"]
     graph = build_topology("harary", n, k)
@@ -1327,7 +1239,6 @@ def _plan_ablation_rounds(params: dict) -> FigurePlan:
     return plan
 
 
-@_plan("ablation-spam")
 def _plan_ablation_spam(params: dict) -> FigurePlan:
     n, k = params["n"], params["k"]
     figure = _new_figure(
@@ -1361,7 +1272,6 @@ def _plan_ablation_spam(params: dict) -> FigurePlan:
     return plan
 
 
-@_plan("ablation-batching")
 def _plan_ablation_batching(params: dict) -> FigurePlan:
     n, k = params["n"], params["k"]
     figure = _new_figure(
@@ -1390,7 +1300,6 @@ def _plan_ablation_batching(params: dict) -> FigurePlan:
     return plan
 
 
-@_plan("ablation-sigsize")
 def _plan_ablation_sigsize(params: dict) -> FigurePlan:
     n, k = params["n"], params["k"]
     figure = _new_figure(
@@ -1421,7 +1330,6 @@ def _plan_ablation_sigsize(params: dict) -> FigurePlan:
 # ----------------------------------------------------------------------
 # Off-model scenarios (DESIGN.md §8): environment-layer workloads
 # ----------------------------------------------------------------------
-@_plan("nectar-under-loss")
 def _plan_nectar_under_loss(params: dict) -> FigurePlan:
     """NECTAR's bridge-attack resilience when channels drop messages.
 
@@ -1473,7 +1381,6 @@ def _plan_nectar_under_loss(params: dict) -> FigurePlan:
     return plan
 
 
-@_plan("backend-comparison")
 def _plan_backend_comparison(params: dict) -> FigurePlan:
     """Cost parity of the two execution backends at growing n.
 
@@ -1529,7 +1436,6 @@ def _plan_backend_comparison(params: dict) -> FigurePlan:
     return plan
 
 
-@_plan("mobility-resilience")
 def _plan_mobility_resilience(params: dict) -> FigurePlan:
     """Bridge-attack resilience over an evolving MANET substrate.
 
@@ -1616,7 +1522,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("ks", (2, 6, 10), (2, 10, 18, 26, 34)),
                 AxisSpec("profile", "ecdsa"),
             ),
-            plan="fig3",
+            plan=_plan_fig3,
         ),
         SweepSpec(
             figure_id="fig3-random",
@@ -1627,7 +1533,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 3, 50),
                 AxisSpec("profile", "ecdsa"),
             ),
-            plan="fig3-random",
+            plan=_plan_fig3_random,
         ),
         SweepSpec(
             figure_id="fig4",
@@ -1638,7 +1544,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("n", 20),
                 AxisSpec("trials", 3, 50),
             ),
-            plan="fig4",
+            plan=_plan_fig4,
         ),
         SweepSpec(
             figure_id="fig5",
@@ -1649,7 +1555,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("n", 20),
                 AxisSpec("trials", 3, 50),
             ),
-            plan="fig5",
+            plan=_plan_fig5,
         ),
         SweepSpec(
             figure_id="fig6",
@@ -1660,7 +1566,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("radius", 1.2),
                 AxisSpec("trials", 2, 50),
             ),
-            plan="fig6",
+            plan=_plan_fig6,
         ),
         SweepSpec(
             figure_id="fig7",
@@ -1671,7 +1577,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("radius", 1.2),
                 AxisSpec("trials", 2, 50),
             ),
-            plan="fig7",
+            plan=_plan_fig7,
         ),
         SweepSpec(
             figure_id="fig8",
@@ -1682,7 +1588,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("radius", 1.2),
                 AxisSpec("trials", 5, 50),
             ),
-            plan="fig8",
+            plan=_plan_fig8,
         ),
         SweepSpec(
             figure_id="topology-comparison",
@@ -1693,7 +1599,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("k", 6, 10),
                 AxisSpec("trials", 2, 5),
             ),
-            plan="topology-comparison",
+            plan=_plan_topology_comparison,
         ),
         SweepSpec(
             figure_id="connectivity-resilience",
@@ -1705,13 +1611,13 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("ts", (1, 2, 3, 4)),
                 AxisSpec("trials", 3, 20),
             ),
-            plan="connectivity-resilience",
+            plan=_plan_connectivity_resilience,
         ),
         SweepSpec(
             figure_id="ablation-rounds",
             title="NECTAR cost vs round budget (DESIGN.md §5.1)",
             axes=(AxisSpec("n", 24), AxisSpec("k", 4)),
-            plan="ablation-rounds",
+            plan=_plan_ablation_rounds,
         ),
         SweepSpec(
             figure_id="ablation-spam",
@@ -1721,13 +1627,13 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("k", 4),
                 AxisSpec("spammers", (0, 1, 2)),
             ),
-            plan="ablation-spam",
+            plan=_plan_ablation_spam,
         ),
         SweepSpec(
             figure_id="ablation-batching",
             title="Envelope batching on vs off (DESIGN.md §5.3)",
             axes=(AxisSpec("n", 20), AxisSpec("k", 4)),
-            plan="ablation-batching",
+            plan=_plan_ablation_batching,
         ),
         SweepSpec(
             figure_id="ablation-sigsize",
@@ -1737,7 +1643,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("k", 4),
                 AxisSpec("profiles", ("compact", "ecdsa")),
             ),
-            plan="ablation-sigsize",
+            plan=_plan_ablation_sigsize,
         ),
         SweepSpec(
             figure_id="nectar-under-loss",
@@ -1750,7 +1656,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 3, 20),
                 AxisSpec("adversary", "two-faced"),
             ),
-            plan="nectar-under-loss",
+            plan=_plan_nectar_under_loss,
             seed_mode="hashed",
         ),
         SweepSpec(
@@ -1760,7 +1666,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("ns", (8, 10, 12), (10, 20, 30)),
                 AxisSpec("k", 4),
             ),
-            plan="backend-comparison",
+            plan=_plan_backend_comparison,
         ),
         SweepSpec(
             figure_id="mobility-resilience",
@@ -1775,7 +1681,7 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
                 AxisSpec("trials", 3, 20),
                 AxisSpec("adversary", "two-faced"),
             ),
-            plan="mobility-resilience",
+            plan=_plan_mobility_resilience,
             seed_mode="hashed",
         ),
     )
@@ -1791,15 +1697,18 @@ def artifact_scope(
     cells: Sequence[object],
     artifact_store: str | pathlib.Path | None = None,
 ) -> Iterator[dict | None]:
-    """One sweep's artifact lifetime: load the store, warm, yield the
-    warm snapshot (``None`` without artifact cells), save after the body.
+    """One sweep's artifact lifetime: load the store, yield its
+    snapshot (``None`` without artifact cells), save after the body.
 
-    Every substrate (the local engine, the fabric client) runs inside
-    it, so a snapshot one writes under ``artifact_store`` — one file per
-    resolved spec digest — is the one the other loads.
+    Nothing is built here: each artifact is built by the first cell
+    that asks for it, in the process that runs that cell, and reaches
+    this process through the shard deltas :func:`absorb_shard` merges
+    before the save.  Every substrate (the local engine, the fabric
+    client) runs inside it, so a snapshot one writes under
+    ``artifact_store`` — one file per resolved spec digest — is the one
+    the other loads.
     """
-    artifact_cells = [cell for cell in cells if cell.env.artifacts]
-    if not artifact_cells:
+    if not any(cell.env.artifacts for cell in cells):
         yield None
         return
     store_path = None
@@ -1809,7 +1718,6 @@ def artifact_scope(
             f"{spec_digest(resolved.payload())[:12]}.pkl"
         )
         ARTIFACTS.load(store_path)
-    _warm_artifacts(artifact_cells)
     yield ARTIFACTS.snapshot()
     if store_path is not None:
         ARTIFACTS.save(store_path)
@@ -1875,13 +1783,12 @@ class SweepEngine:
 
     def plan(self, resolved: ResolvedSweep) -> FigurePlan:
         """Expand a resolved sweep into its figure shell and cells."""
-        builder = _PLANS[resolved.spec.plan]
         params = dict(resolved.params)
         params["_scale"] = resolved.scale
         params["_scale_noted"] = resolved.spec.scale_noted
         params["_seed_mode"] = resolved.seed_mode
         params["_base_seed"] = resolved.base_seed
-        return builder(params)
+        return resolved.spec.plan(params)
 
     def prepare(self, resolved: ResolvedSweep) -> tuple[FigurePlan, list]:
         """The plan plus its flat, env-applied cell list.
@@ -1957,10 +1864,11 @@ class SweepEngine:
         spec.
 
         When any cell enables ``env.artifacts``, the sweep runs inside
-        :func:`artifact_scope`: the parent warms :data:`ARTIFACTS`
-        once, every worker installs the warm snapshot through
-        ``parallel_map``'s initializer, and :func:`absorb_shard` merges
-        the workers' deltas back (DESIGN.md §9.2).
+        :func:`artifact_scope`: every worker installs the parent's
+        snapshot of :data:`ARTIFACTS` (a loaded ``artifact_store``, if
+        any) through ``parallel_map``'s initializer, builds what its
+        cells ask for, and :func:`absorb_shard` merges the workers'
+        deltas back (DESIGN.md §9.2).
 
         Args:
             artifact_store: opt-in on-disk artifact layer: a directory
@@ -2116,7 +2024,6 @@ __all__ = [
     "execute_trial",
     "paper_scale",
     "profile_name",
-    "register_plan",
     "register_profile",
     "register_sweep",
     "run_figure",

@@ -7,7 +7,7 @@ layout is the protocol; there is no broker process to crash::
     <root>/jobs/<job_id>/
         job.json            manifest: resolved-spec payload, shard plan
         cells.pkl           the pickled cell list (prepare() order)
-        artifacts.pkl       optional warm ArtifactCache snapshot
+        artifacts.pkl       optional ArtifactCache snapshot (the loaded store)
         leases/<shard>.json claims: worker id, pid, host, timestamp
         results/<shard>.pkl content-addressed shard results
         journal/<worker>.jsonl  append-only execution accounting

@@ -9,13 +9,15 @@ the local pool uses too, so a queue-backed sweep is row-identical to a
 serial run by construction — the fabric moves work between processes,
 never changes what the work computes.
 
-Warm state: a job submitted with the artifact layer enabled carries the
-client's warmed :class:`~repro.experiments.artifacts.ArtifactCache`
-snapshot (the same ``--artifact-store`` format, DESIGN.md §9).  A worker
-adopts it once per job; each shard result carries the worker's cache
-delta and ``origin``, which the client merges because the origin is
-another process (DESIGN.md §9.2) — so the client's cache, and its
-on-disk snapshot, covers the whole fleet's work.
+Artifact state: a job submitted with the artifact layer enabled
+carries the client's :class:`~repro.experiments.artifacts.ArtifactCache`
+snapshot (the same ``--artifact-store`` format, DESIGN.md §9): the
+store the client loaded, empty without one.  A worker adopts it once
+per job and builds whatever else its cells ask for; each shard result
+carries the worker's cache delta and ``origin``, which the client
+merges because the origin is another process (DESIGN.md §9.2) — so the
+client's cache, and its on-disk snapshot, covers the whole fleet's
+work.
 
 Failure semantics: a cell that raises publishes an *error result* (the
 serial path would have raised the same error; retrying a deterministic
@@ -135,7 +137,7 @@ class _JobContext:
         self.record = record
         self.cells = queue.cells(record.job_id)
         if record.artifacts:
-            # Adopt the client's warm snapshot (load() resets the delta
+            # Adopt the client's snapshot (load() resets the delta
             # window, so the first drain reports only *our* additions).
             # A missing/corrupt snapshot degrades to a cold cache,
             # which is slower but bit-identical.

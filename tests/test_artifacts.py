@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import HmacScheme, NullScheme, RsaScheme, scheme_fingerprint
+from repro.crypto.keys import KeyStore
 from repro.crypto.signer import SignatureScheme
 from repro.errors import ExperimentError
 from repro.experiments.artifacts import (
@@ -38,6 +39,7 @@ from repro.experiments.spec import (
     TrialSpec,
     _process_origin,
     absorb_shard,
+    artifact_scope,
     execute_trial,
 )
 from repro.graphs.generators.regular import harary_graph
@@ -50,6 +52,35 @@ def _cold_artifacts():
     clear_artifact_cache()
     yield
     clear_artifact_cache()
+
+
+_GRAPH = harary_graph(2, 6)
+
+#: store -> (counter prefix, lookup(cache, seed, build), a builder of a
+#: real artifact); the lookup asks that store of ``cache`` for one key,
+#: and distinct seeds are distinct keys.
+STORES = {
+    "topologies": (
+        "topology",
+        lambda cache, seed, build: cache.topology(f"topology-{seed}", build),
+        lambda: harary_graph(2, 6),
+    ),
+    "connectivity": (
+        "connectivity",
+        lambda cache, seed, build: cache.connectivity(_GRAPH, seed, build),
+        lambda: 2,
+    ),
+    "key_pools": (
+        "key_pool",
+        lambda cache, seed, build: cache.key_store(HmacScheme(), range(6), seed, build),
+        lambda: KeyStore(HmacScheme(), range(6), seed=0),
+    ),
+    "deployments": (
+        "deployment",
+        lambda cache, seed, build: cache.deployment(_GRAPH, HmacScheme(), seed, build),
+        lambda: build_deployment(_GRAPH),
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -162,16 +193,19 @@ class TestArtifactCache:
         assert cache.stats.key_pool_bypasses == 2
         assert len(cache) == 0
 
-    def test_snapshot_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("store", sorted(STORES))
+    def test_snapshot_round_trip(self, tmp_path, store):
+        counter, lookup, build = STORES[store]
         cache = ArtifactCache()
-        cache.topology("k", lambda: harary_graph(2, 6))
-        cache.connectivity(harary_graph(2, 6), None, lambda: 2)
+        lookup(cache, 0, build)
         path = cache.save(tmp_path / "artifacts.pkl")
         fresh = ArtifactCache()
         assert fresh.load(path)
-        assert len(fresh) == len(cache) == 2
+        assert len(fresh) == len(cache) == 1
+        assert len(fresh.snapshot()[store]) == 1
         # The reloaded store answers without rebuilding.
-        fresh.topology("k", lambda: pytest.fail("should be interned"))
+        lookup(fresh, 0, lambda: pytest.fail("should be stored"))
+        assert getattr(fresh.stats, f"{counter}_hits") == 1
 
     def test_load_missing_or_corrupt_is_harmless(self, tmp_path):
         cache = ArtifactCache()
@@ -329,8 +363,8 @@ class TestKindChecks:
                 env=EnvironmentSpec(artifacts=artifacts),
             )
             if artifacts:
-                # Warm the intern store the way SweepEngine's warm-up
-                # would, so the second artifact round hits the cache.
+                # Intern the topology the way an earlier cell of the
+                # sweep would, so the second artifact round hits the cache.
                 ARTIFACTS.topology(top.artifact_key(), top.build_artifact)
             with pytest.raises(ExperimentError, match="is not a scenario"):
                 execute_trial(spec)
@@ -495,23 +529,38 @@ class TestEnvironmentKnobs:
         )
         assert list(tmp_path.glob("*.pkl")) == []
 
+    def test_scope_builds_nothing_ahead_of_the_cells(self):
+        """Each artifact is built by the first cell that asks for it:
+        entering the scope of an attack sweep interns no topology and
+        certifies no graph."""
+        resolved = SWEEP_ENGINE.resolve(
+            "fig8", overrides={"n": 13, "ts": (1, 2), "trials": 2, "env.artifacts": True}
+        )
+        _plan, cells = SWEEP_ENGINE.prepare(resolved)
+        with artifact_scope(resolved, cells) as snapshot:
+            assert len(ARTIFACTS) == 0 and ARTIFACTS.stats.total() == 0
+        assert not any(snapshot[store] for store in STORES)
+
 
 # ----------------------------------------------------------------------
 # Worker deltas (DESIGN.md §9.2): drain / merge / sharded persistence
 # ----------------------------------------------------------------------
 class TestWorkerDeltas:
-    def test_drain_reports_only_new_entries(self):
+    @pytest.mark.parametrize("store", sorted(STORES))
+    def test_drain_reports_only_new_entries(self, store):
+        counter, lookup, build = STORES[store]
         cache = ArtifactCache()
-        cache.topology("a", lambda: "A")
+        a = lookup(cache, 0, build)
         first = cache.drain_delta()
-        assert first["topologies"] == {"a": "A"}
-        assert first["stats"]["topology_misses"] == 1
-        cache.topology("a", lambda: "A")  # hit: no new entry
-        cache.topology("b", lambda: "B")
+        assert list(first[store].values()) == [a]
+        assert first["stats"][f"{counter}_misses"] == 1
+        lookup(cache, 0, build)  # hit: no new entry
+        b = lookup(cache, 1, build)
         second = cache.drain_delta()
-        assert second["topologies"] == {"b": "B"}
-        assert second["stats"]["topology_hits"] == 1
-        assert second["stats"]["topology_misses"] == 1
+        assert list(second[store].values()) == [b]
+        assert second["stats"][f"{counter}_hits"] == 1
+        assert second["stats"][f"{counter}_misses"] == 1
+        assert not any(second[other] for other in STORES if other != store)
 
     def test_adopt_starts_a_fresh_window(self):
         parent = ArtifactCache()
@@ -562,8 +611,8 @@ class TestWorkerDeltas:
 
     def test_sharded_store_persists_worker_certificates(self, tmp_path):
         """The on-disk snapshot of a sharded run must include artifacts
-        first computed inside workers (certificates, key pools), not
-        just the parent's warm-up set."""
+        first computed inside workers (certificates, key pools), which
+        reach the parent only through the workers' deltas."""
         overrides = {
             "families": ("k-diamond",),
             "n": 14,

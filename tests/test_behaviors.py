@@ -1,5 +1,7 @@
 """Tests for the NECTAR-specific Byzantine behaviours."""
 
+from collections import Counter
+
 import pytest
 
 from repro.adversary.behaviors import (
@@ -13,9 +15,16 @@ from repro.adversary.behaviors import (
     StaleChainNectarNode,
     TwoFacedNectarNode,
 )
+from repro.core.messages import EdgeAnnouncement, NectarBatch, NectarBatchCodec
 from repro.core.nectar import NectarNode, nectar_round_count
-from repro.experiments.runner import build_deployment
+from repro.core.validation import ValidationMode
+from repro.crypto.chain import extend_chain
+from repro.crypto.proofs import proof_bytes
+from repro.crypto.signer import HmacScheme
+from repro.crypto.sizes import DEFAULT_PROFILE
+from repro.experiments.runner import build_deployment, protocol_factory, run_trial
 from repro.graphs.generators.classic import cycle_graph, two_cliques_bridge
+from repro.graphs.generators.regular import harary_graph
 from repro.net.simulator import SyncNetwork
 from repro.types import Decision
 
@@ -166,6 +175,47 @@ class TestForging:
             wire(deployment, cls=ForgingNectarNode, byzantine={2}, victim=2)
 
 
+class _Recording(HmacScheme):
+    """HMAC recording the multisets of messages it signs and verifies."""
+
+    def __init__(self):
+        super().__init__()
+        self.signed, self.verified = Counter(), Counter()
+
+    def sign(self, key_pair, data):
+        self.signed[data] += 1
+        return super().sign(key_pair, data)
+
+    def verify(self, public_key, data, signature):
+        self.verified[data] += 1
+        return super().verify(public_key, data, signature)
+
+
+def _spam_copies(round_number):
+    """A spammer at node 0 of ``cycle_graph(5)`` after ``round_number``
+    rounds: its last spam batch, the signatures computed until it was
+    sent, that batch's announcements built eagerly, and the scheme."""
+    scheme = _Recording()
+    deployment = build_deployment(cycle_graph(5), scheme=scheme)
+    spammer = wire(deployment, cls=SpamNectarNode, byzantine={0})[0]
+    for current in range(1, round_number + 1):
+        sends = spammer.begin_round(current)
+    batch = sends[0].payload
+    sent = sum(scheme.signed.values())
+    eager = []
+    for announcement in batch.announcements:
+        chain = ()
+        for _ in range(round_number):
+            chain = extend_chain(
+                scheme,
+                deployment.key_store.key_pair_of(0),
+                proof_bytes(announcement.proof),
+                chain,
+            )
+        eager.append(EdgeAnnouncement(announcement.proof, chain))
+    return batch, sent, tuple(eager), scheme
+
+
 class TestSpam:
     def test_spam_is_absorbed_by_dedup(self):
         graph = cycle_graph(5)
@@ -180,6 +230,41 @@ class TestSpam:
         assert spam_bytes > max(
             network.stats.bytes_sent_by(v) for v in (1, 2, 3, 4)
         )
+
+    def test_a_trial_signs_only_what_it_verifies(self):
+        """Every receiver knows a spam copy's edge from round 1 and
+        drops the copy before reading its chain, so no spam link is
+        signed: the trial signs exactly the messages it verifies."""
+        scheme = _Recording()
+        run_trial(
+            harary_graph(4, 10),
+            t=1,
+            byzantine_factories={0: protocol_factory(SpamNectarNode)},
+            scheme=scheme,
+            validation_mode=ValidationMode.FULL,
+            with_ground_truth=False,
+        )
+        assert scheme.verified and scheme.signed == scheme.verified
+
+    def test_a_read_copy_is_the_eager_padded_chain(self):
+        batch, sent, eager, scheme = _spam_copies(3)
+        assert sent == 0  # three rounds sent, nothing signed
+        signs = sum(scheme.signed.values())
+        assert [a.chain_length for a in batch.announcements] == [3, 3]
+        size = NectarBatch(eager).encoded_size(DEFAULT_PROFILE)
+        assert batch.encoded_size(DEFAULT_PROFILE) == size
+        assert sum(scheme.signed.values()) == signs  # sized, not signed
+        first = batch.announcements[0]
+        assert first.chain == eager[0].chain and first == eager[0]
+        assert [link.signer for link in first.chain] == [0, 0, 0]
+        assert sum(scheme.signed.values()) == signs + 3
+
+    def test_a_pending_batch_encodes_as_the_eager_batch(self):
+        batch, _sent, eager, _scheme = _spam_copies(4)
+        codec = NectarBatchCodec()
+        encoded = codec.encode(batch, DEFAULT_PROFILE)
+        assert encoded == codec.encode(NectarBatch(eager), DEFAULT_PROFILE)
+        assert codec.decode(encoded, DEFAULT_PROFILE) == NectarBatch(eager)
 
 
 class TestTwoFacedMtg:
