@@ -11,9 +11,9 @@ into one frozen, picklable cell that composes:
 
 * a **channel model** (:data:`repro.net.channel.CHANNEL_MODELS`):
   ``reliable`` | ``lossy`` | ``jittered`` | ``mobility`` |
-  ``budgeted``;
-* an **execution backend** (:data:`repro.net.channel.BACKENDS`):
-  ``sync`` | ``async``;
+  ``budgeted``, whose parameters are the model class's dataclass
+  fields;
+* an **execution backend** (:data:`BACKENDS`): ``sync`` | ``async``;
 * the **validation / cache / quiescence** execution knobs.
 
 Every :class:`~repro.experiments.spec.TrialSpec` carries one (the
@@ -38,29 +38,26 @@ from typing import Mapping, Sequence
 
 from repro.crypto import SCHEME_FACTORIES
 from repro.errors import ChannelError, ExperimentError
-from repro.net.channel import (
-    BACKENDS,
-    CHANNEL_MODELS,
-    ChannelModel,
-    channel_model,
-)
+from repro.net.channel import CHANNEL_MODELS, ChannelModel
+
+#: the execution backends: the lock-step scheduler and the asyncio
+#: cluster (:func:`repro.experiments.runner.run_trial` builds them).
+BACKENDS = ("sync", "async")
 
 #: values accepted by :attr:`EnvironmentSpec.validation`; "" defers to
 #: the caller (cost trials keep ACCOUNTING, adversarial trials FULL).
 VALIDATION_CHOICES = ("", "full", "accounting")
 
-#: channel-parameter field -> the channel profile that consumes it.
+#: channel-parameter field -> the channel that consumes it: the
+#: dataclass fields of each :data:`CHANNEL_MODELS` class, which
+#: :meth:`EnvironmentSpec.channel_model` passes on.
 #: :meth:`EnvironmentSpec.validate` rejects a non-default value whose
 #: resolved channel would silently ignore it (an archived spec must
 #: never record a parameter that had no effect on the run).
 _CHANNEL_PARAMS = {
-    "loss_rate": "lossy",
-    "jitter_ms": "jittered",
-    "reach": "mobility",
-    "arena": "mobility",
-    "speed": "mobility",
-    "bandwidth": "budgeted",
-    "latency_ms": "budgeted",
+    field.name: name
+    for name, model in CHANNEL_MODELS.items()
+    for field in dataclasses.fields(model)
 }
 
 
@@ -69,15 +66,14 @@ class EnvironmentSpec:
     """Where and how a trial executes: channel × backend × knobs.
 
     Every field is a plain picklable value; channel models and
-    backends are referenced by registry name, mirroring how
+    backends are referenced by name, mirroring how
     :class:`~repro.experiments.spec.TrialSpec` references protocols
     and wire profiles.  The default instance *is* the paper's model
     (reliable synchronous channels, full caching, quiescence skip on)
     and executes bit-identically to the historical code path.
 
     Attributes:
-        backend: execution backend name
-            (:data:`repro.net.channel.BACKENDS`).
+        backend: execution backend name (:data:`BACKENDS`).
         channel: channel-model name
             (:data:`repro.net.channel.CHANNEL_MODELS`); "" auto-selects
             ``lossy`` when ``loss_rate`` > 0, else ``budgeted`` when
@@ -147,22 +143,23 @@ class EnvironmentSpec:
             ExperimentError: on unknown names or invalid parameters.
         """
         name = self.resolved_channel()
-        params: dict[str, object] = {}
-        if name == "lossy":
-            params["loss_rate"] = self.loss_rate
-        elif name == "jittered":
-            params["jitter_ms"] = self.jitter_ms
-        elif name == "mobility":
-            params.update(reach=self.reach, arena=self.arena, speed=self.speed)
-        elif name == "budgeted":
-            params.update(bandwidth=self.bandwidth, latency_ms=self.latency_ms)
+        model = CHANNEL_MODELS.get(name)
+        if model is None:
+            raise ExperimentError(
+                f"unknown channel model {name!r}; known: {sorted(CHANNEL_MODELS)}"
+            )
+        params = {
+            field: getattr(self, field)
+            for field, owner in _CHANNEL_PARAMS.items()
+            if owner == name
+        }
         try:
-            return channel_model(name, **params)
+            return model(**params)
         except ChannelError as exc:
             raise ExperimentError(str(exc)) from exc
 
     def validate(self) -> None:
-        """Check the spec against the registries and model constraints.
+        """Check the spec's names and its channel's constraints.
 
         Raises:
             ExperimentError: on unknown backend/channel/validation
@@ -336,6 +333,7 @@ def environment_axis_names() -> list[str]:
 
 
 __all__ = [
+    "BACKENDS",
     "DEFAULT_ENVIRONMENT",
     "EnvironmentSpec",
     "VALIDATION_CHOICES",

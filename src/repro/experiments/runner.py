@@ -32,8 +32,8 @@ from repro.experiments.envspec import DEFAULT_ENVIRONMENT, EnvironmentSpec
 from repro.graphs.analysis import correct_subgraph_partitioned
 from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.graph import Graph
-from repro.net.channel import resolve_backend
-from repro.net.simulator import RoundProtocol
+from repro.net.asyncio_net import AsyncCluster
+from repro.net.simulator import RoundProtocol, SyncNetwork
 from repro.net.stats import TrafficStats
 from repro import perf
 from repro.types import Edge, GroundTruth, NodeId
@@ -362,9 +362,11 @@ def run_trial(
 ) -> TrialResult:
     """Run one complete trial.
 
-    Execution dispatches through the backend registry
-    (:data:`repro.net.channel.BACKENDS`) with the environment's
-    channel model attached (DESIGN.md §8).
+    The trial runs on the closed form when it admits it (DESIGN.md
+    §15), else on the backend ``env.backend`` names: a
+    :class:`~repro.net.simulator.SyncNetwork` or an
+    :class:`~repro.net.asyncio_net.AsyncCluster`, built here with the
+    environment's channel model attached (DESIGN.md §8).
 
     Args:
         graph: the topology G.
@@ -446,6 +448,7 @@ def run_trial(
         protocols[node_id] = factory(setup)
     if rounds is None:
         rounds = nectar_round_count(graph.n)
+    channel = env.channel_model()
     fast = None
     if rounds >= 1 and closed_form_admits(env):
         from repro.perf import fastpath
@@ -454,25 +457,32 @@ def run_trial(
             graph,
             protocols,
             profile=profile,
-            channel=env.channel_model(),
+            channel=channel,
             seed=seed,
             rounds=rounds,
             quiescence_skip=env.quiescence_skip,
         )
     if fast is not None:
         verdicts, stats, rounds_executed = fast
-    else:
-        network = resolve_backend(env.backend)(
+    elif env.backend == "sync":
+        network = SyncNetwork(
             graph,
             protocols,
             profile=profile,
-            channel=env.channel_model(),
-            seed=seed,
+            channel=channel,
+            loss_seed=seed,
             quiescence_skip=env.quiescence_skip,
         )
         verdicts = network.run(rounds)
         stats = network.stats
-        rounds_executed = getattr(network, "rounds_executed", None)
+        rounds_executed = network.rounds_executed
+    else:
+        cluster = AsyncCluster(
+            graph, protocols, profile=profile, channel=channel, seed=seed
+        )
+        verdicts = cluster.run(rounds)
+        stats = cluster.stats
+        rounds_executed = None
     truth = None
     if with_ground_truth:
         truth = compute_ground_truth(
@@ -500,6 +510,7 @@ def nectar_cost_trial(
     seed: int = 0,
     validation_mode: ValidationMode = ValidationMode.ACCOUNTING,
     env: EnvironmentSpec = DEFAULT_ENVIRONMENT,
+    batching: bool = True,
 ) -> TrialResult:
     """Adversary-free NECTAR run tuned for cost sweeps (Figs. 3-7).
 
@@ -510,7 +521,8 @@ def nectar_cost_trial(
     ``env.validation="full"``) to pay for real HMAC signatures end to
     end (byte accounting still comes from ``profile`` and is
     unchanged); the shared verification cache keeps that tractable too
-    (DESIGN.md §6.1).
+    (DESIGN.md §6.1).  ``batching=False`` sends one envelope per
+    announcement (DESIGN.md §5.3).
     """
     if env.validation:
         validation_mode = ValidationMode(env.validation)
@@ -521,7 +533,7 @@ def nectar_cost_trial(
     return run_trial(
         graph,
         t=0,
-        honest_factory=honest_nectar_factory,
+        honest_factory=protocol_factory(NectarNode, batching=batching),
         rounds=rounds,
         scheme=scheme,
         profile=profile,

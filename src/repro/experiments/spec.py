@@ -10,7 +10,7 @@ by hand.  This module replaces that with *data*:
 * :class:`TrialSpec` — one fully-described trial: topology × protocol
   × adversary × environment × knobs (wire profile, rounds, batching,
   spammers).  Protocols, adversaries, profiles, channel models and
-  backends are referenced *by name* through registries, so a spec is
+  backends are referenced *by name* through plain tables, so a spec is
   plain picklable data and can cross process boundaries, be hashed,
   or be written to JSON.  The environment
   (:class:`~repro.experiments.envspec.EnvironmentSpec`, DESIGN.md §8)
@@ -60,9 +60,7 @@ from repro.adversary.behaviors import (
 )
 from repro.core.complexity import predict_nectar_traffic
 from repro.core.decision import clear_connectivity_cache
-from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
-from repro.crypto.signer import NullScheme
 from repro.crypto.sizes import (
     COMPACT_PROFILE,
     DEFAULT_PROFILE,
@@ -112,7 +110,7 @@ def paper_scale() -> bool:
 
 
 # ----------------------------------------------------------------------
-# Registries: profiles, protocols, adversaries
+# Name tables: profiles, protocols, adversaries
 # ----------------------------------------------------------------------
 #: wire-profile name -> profile; ``TrialSpec.profile`` resolves here.
 PROFILES: dict[str, WireProfile] = {
@@ -122,28 +120,13 @@ PROFILES: dict[str, WireProfile] = {
 }
 
 
-def register_profile(profile: WireProfile) -> str:
-    """Make a custom :class:`WireProfile` addressable by name in specs.
-
-    Returns the profile's name.  Registration must happen before
-    worker processes fork (i.e. before the sweep runs), which is the
-    natural order — build your profile, register, then sweep.
-    """
-    existing = PROFILES.get(profile.name)
-    if existing is not None and existing != profile:
-        raise ExperimentError(
-            f"profile name {profile.name!r} already registered differently"
-        )
-    PROFILES[profile.name] = profile
-    return profile.name
-
-
 def profile_name(profile: WireProfile | str) -> str:
-    """The registry name of a profile (accepts a name or an instance).
+    """The :data:`PROFILES` name of a profile (accepts a name or an
+    instance).
 
     Raises:
-        ExperimentError: for an instance that is not registered (use
-            :func:`register_profile` first).
+        ExperimentError: for an unknown name, or an instance that is
+            not in :data:`PROFILES`.
     """
     if isinstance(profile, str):
         if profile not in PROFILES:
@@ -154,27 +137,19 @@ def profile_name(profile: WireProfile | str) -> str:
     registered = PROFILES.get(profile.name)
     if registered is None or registered != profile:
         raise ExperimentError(
-            f"wire profile {profile.name!r} is not registered; call "
-            "repro.experiments.spec.register_profile(profile) first"
+            f"wire profile {profile.name!r} is not registered; "
+            f"known: {sorted(PROFILES)}"
         )
     return profile.name
 
 
 def _resolve_profile(name: str) -> WireProfile:
-    """Look up a profile name at execution time, with a real error.
-
-    Worker processes resolve names against the registry of their own
-    interpreter: under a ``fork`` start the parent's registrations are
-    inherited, but under ``spawn`` only import-time registrations
-    exist — so a missing name must explain itself rather than surface
-    as a bare ``KeyError`` from inside the pool.
-    """
+    """Look up a profile name at execution time, with a real error
+    rather than a bare ``KeyError`` from inside the pool."""
     profile = PROFILES.get(name)
     if profile is None:
         raise ExperimentError(
-            f"unknown wire profile {name!r}; known: {sorted(PROFILES)} "
-            "(custom profiles need register_profile(), at import time "
-            "when worker processes use the spawn start method)"
+            f"unknown wire profile {name!r}; known: {sorted(PROFILES)}"
         )
     return profile
 
@@ -284,7 +259,7 @@ class TrialSpec:
     """One fully-declarative trial.
 
     Every field is a plain picklable value; protocols, adversaries and
-    wire profiles are referenced by registry name.  The single cell
+    wire profiles are referenced by name.  The single cell
     executor :func:`execute_trial` interprets a spec; sweeps shard
     lists of specs over worker processes, so a spec must carry *all*
     the randomness of its trial in explicit seeds.
@@ -438,34 +413,16 @@ def _spam_kb_sent(spec: TrialSpec) -> float:
     return result.stats.mean_kb_sent(correct)
 
 
-def _unbatched_kb_sent(spec: TrialSpec, graph: Graph) -> float:
-    """NECTAR cost with per-announcement envelopes (batching off)."""
-    profile = _resolve_profile(spec.profile)
-    result = run_trial(
-        graph,
-        t=0,
-        honest_factory=protocol_factory(NectarNode, batching=False),
-        rounds=spec.rounds or None,
-        scheme=NullScheme(signature_size=profile.signature_bytes),
-        profile=profile,
-        validation_mode=ValidationMode.ACCOUNTING,
-        connectivity_cutoff=1,
-        seed=spec.seed,
-        with_ground_truth=False,
-        env=spec.env,
-    )
-    return result.mean_kb_sent()
-
-
 def _traffic_question(spec: TrialSpec, graph: Graph) -> bool:
-    """Whether an honest, batched NECTAR cost cell's trial would run
-    crypto-free on the closed form and leave nothing observable but its
-    traffic: ACCOUNTING validation, no scheme override, the artifact
+    """Whether an honest NECTAR cost cell's trial would run crypto-free
+    on the closed form and leave nothing observable but its traffic:
+    batching on, ACCOUNTING validation, no scheme override, the artifact
     stores off, and an environment the closed form admits on a channel
     state that always delivers (as ``try_run_trial`` requires)."""
     env = spec.env
     return (
-        env.validation in ("", ValidationMode.ACCOUNTING.value)
+        spec.batching
+        and env.validation in ("", ValidationMode.ACCOUNTING.value)
         and not env.scheme
         and not env.artifacts
         and closed_form_admits(env)
@@ -542,8 +499,6 @@ def execute_trial(spec: TrialSpec) -> float:
             )
         if spec.protocol == "nectar":
             graph = _trial_artifact(spec, _GRAPH_KINDS)
-            if not spec.batching:
-                return _unbatched_kb_sent(spec, graph)
             profile = _resolve_profile(spec.profile)
             rounds = spec.rounds or None
             spec.env.validate()
@@ -551,7 +506,12 @@ def execute_trial(spec: TrialSpec) -> float:
                 traffic = predict_nectar_traffic(graph, profile, rounds)
                 return traffic.mean_kb_per_node()
             result = nectar_cost_trial(
-                graph, profile=profile, rounds=rounds, seed=spec.seed, env=spec.env
+                graph,
+                profile=profile,
+                rounds=rounds,
+                seed=spec.seed,
+                env=spec.env,
+                batching=spec.batching,
             )
             return result.mean_kb_sent()
         if spec.protocol in ("mtg", "mtgv2"):
@@ -706,9 +666,9 @@ class FigurePlan:
 def register_sweep(spec: "SweepSpec") -> str:
     """Register one :class:`SweepSpec` in :data:`FIGURE_SPECS`.
 
-    Like :func:`register_profile`, registration must happen at import
-    time so worker processes under the ``spawn`` start method see the
-    same registry.  Idempotent for equal specs.
+    Registration must happen at import time so worker processes under
+    the ``spawn`` start method see the same registry.  Idempotent for
+    equal specs.
     """
     existing = FIGURE_SPECS.get(spec.figure_id)
     if existing is not None and existing != spec:
@@ -1745,8 +1705,8 @@ class SweepEngine:
             scale: ``"reduced"``, ``"paper"`` or ``"auto"`` (paper when
                 ``REPRO_FULL=1``, else reduced).
             overrides: axis name -> value replacements; sequence values
-                are normalised to tuples and wire profiles to registry
-                names.  Names prefixed ``env.`` address the
+                are normalised to tuples and wire profiles to
+                :data:`PROFILES` names.  Names prefixed ``env.`` address the
                 environment layer (``env.loss_rate``, ``env.backend``,
                 ``env.validation``, …) and are valid on *every* sweep.
                 Unknown names raise :class:`ExperimentError`.
@@ -1928,7 +1888,7 @@ class SweepEngine:
     def _normalise(axis: AxisSpec, value):
         """Canonicalise one override against its axis default.
 
-        Profiles become registry names, sequences become tuples, and
+        Profiles become their names, sequences become tuples, and
         numeric types follow the default's shape — a bare scalar on a
         sequence axis is wrapped, ints on a float axis become floats —
         so equivalent inputs from any source (library overrides,
@@ -2024,7 +1984,6 @@ __all__ = [
     "execute_trial",
     "paper_scale",
     "profile_name",
-    "register_profile",
     "register_sweep",
     "run_figure",
 ]

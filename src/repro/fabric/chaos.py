@@ -309,8 +309,12 @@ class RetryPolicy:
         return [backoff.next() for _ in range(self.attempts - 1)]
 
     def call(self, fn, *args, exceptions=(OSError,), on_retry=None, **kwargs):
-        """Run ``fn`` with retries; re-raise the final failure."""
-        backoff = self.backoff()
+        """Run ``fn`` with retries; re-raise the final failure.
+
+        The backoff is built on the first retry, so a call that succeeds
+        at once seeds no RNG; the sleeps still follow :meth:`delays`.
+        """
+        backoff = None
         for attempt in range(1, self.attempts + 1):
             try:
                 return fn(*args, **kwargs)
@@ -319,6 +323,8 @@ class RetryPolicy:
                     raise
                 if on_retry is not None:
                     on_retry(attempt, exc)
+                if backoff is None:
+                    backoff = self.backoff()
                 time.sleep(backoff.next())
         raise AssertionError("unreachable")  # pragma: no cover
 

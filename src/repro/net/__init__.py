@@ -1,10 +1,8 @@
 """Network substrate: envelopes, codec, channel models, and the
-lock-step / asyncio execution backends (registered in
-:data:`repro.net.channel.BACKENDS`)."""
+lock-step / asyncio execution backends."""
 
 from repro.net.asyncio_net import AsyncCluster, frame, unframe
 from repro.net.channel import (
-    BACKENDS,
     CHANNEL_MODELS,
     RELIABLE_CHANNEL,
     ChannelModel,
@@ -12,12 +10,7 @@ from repro.net.channel import (
     JitteredChannel,
     LossyChannel,
     MobilityChannel,
-    NetworkBackend,
     ReliableChannel,
-    channel_model,
-    register_backend,
-    register_channel_model,
-    resolve_backend,
 )
 from repro.net.codec import (
     ByteReader,
@@ -36,7 +29,6 @@ __all__ = [
     "AsyncCluster",
     "frame",
     "unframe",
-    "BACKENDS",
     "CHANNEL_MODELS",
     "RELIABLE_CHANNEL",
     "ChannelModel",
@@ -44,12 +36,7 @@ __all__ = [
     "JitteredChannel",
     "LossyChannel",
     "MobilityChannel",
-    "NetworkBackend",
     "ReliableChannel",
-    "channel_model",
-    "register_backend",
-    "register_channel_model",
-    "resolve_backend",
     "ByteReader",
     "PayloadCodec",
     "codec_for_payload",

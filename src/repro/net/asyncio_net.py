@@ -27,12 +27,7 @@ from typing import Any, Mapping
 from repro.crypto.sizes import DEFAULT_PROFILE, WireProfile
 from repro.errors import ChannelError, CodecError, ProtocolError
 from repro.graphs.graph import Graph
-from repro.net.channel import (
-    RELIABLE_CHANNEL,
-    ChannelModel,
-    NetworkBackend,
-    register_backend,
-)
+from repro.net.channel import RELIABLE_CHANNEL, ChannelModel
 from repro.net.codec import decode_envelope, encode_envelope
 from repro.net.message import Envelope
 from repro.net.simulator import RoundProtocol
@@ -205,23 +200,3 @@ class AsyncCluster:
                     )
             await barrier.wait()  # everyone finished delivering
         verdicts[node_id] = protocol.conclude()
-
-
-def _async_backend(
-    graph: Graph,
-    protocols: Mapping[NodeId, RoundProtocol],
-    *,
-    profile: WireProfile = DEFAULT_PROFILE,
-    channel: ChannelModel = RELIABLE_CHANNEL,
-    seed: int = 0,
-    quiescence_skip: bool = True,
-) -> NetworkBackend:
-    """The ``async`` entry of the backend registry (DESIGN.md §8).
-
-    ``quiescence_skip`` is accepted for contract parity and ignored:
-    the asyncio backend has no quiescence short-circuit.
-    """
-    return AsyncCluster(graph, protocols, profile=profile, channel=channel, seed=seed)
-
-
-register_backend("async", _async_backend)

@@ -1,4 +1,4 @@
-"""Channel models and the execution-backend registry (DESIGN.md §8).
+"""Channel models (DESIGN.md §8).
 
 The paper's system model fixes *reliable synchronous channels*
 (Sec. II), but its evaluation deliberately steps off-model: MindTheGap
@@ -7,7 +7,8 @@ the prototype leg runs real code over a real network stack (Sec. V-B).
 This module makes that environment axis first-class:
 
 * :class:`ChannelModel` — a frozen, picklable description of what the
-  physical channel does to messages.  Registered profiles:
+  physical channel does to messages.  :data:`CHANNEL_MODELS` names the
+  five models; each model's dataclass fields are its parameters:
 
   - ``reliable`` — the paper's model: every sent message arrives;
   - ``lossy`` — i.i.d. per-message drops with probability
@@ -27,13 +28,8 @@ This module makes that environment axis first-class:
 
 * :class:`ChannelState` — the per-run instantiation of a model (RNG
   stream, mobility trajectory).  Models are specs; states do the work.
-
-* :class:`NetworkBackend` + :data:`BACKENDS` — the execution-backend
-  registry shared by :class:`repro.net.simulator.SyncNetwork` and
-  :class:`repro.net.asyncio_net.AsyncCluster`.  Both register a
-  factory here, which is what lets the experiment runner dispatch on
-  an :class:`~repro.experiments.envspec.EnvironmentSpec` instead of
-  sniffing backend strings.
+  Both backends, :class:`repro.net.simulator.SyncNetwork` and
+  :class:`repro.net.asyncio_net.AsyncCluster`, take a model.
 
 Determinism: every state draws randomness exclusively from the seed it
 was constructed with.  ``lossy`` consumes one RNG draw per delivery in
@@ -47,11 +43,10 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import ClassVar
 
-from repro.errors import ChannelError, ExperimentError
+from repro.errors import ChannelError
 from repro.graphs.graph import Graph
-from repro.net.stats import TrafficStats
 from repro.types import NodeId
 
 
@@ -149,7 +144,7 @@ class LossyChannel(ChannelModel):
     """
 
     loss_rate: float = 0.0
-    async_safe: bool = False
+    async_safe: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
@@ -315,96 +310,15 @@ class MobilityChannel(ChannelModel):
 
 
 # ----------------------------------------------------------------------
-# Channel-model registry
+# Channel-model table
 # ----------------------------------------------------------------------
-#: profile name -> constructor; :func:`channel_model` resolves here.
-CHANNEL_MODELS: dict[str, Callable[..., ChannelModel]] = {
-    "reliable": lambda: RELIABLE_CHANNEL,
+#: channel name -> model class.  A class's dataclass fields are its
+#: parameters; :class:`~repro.experiments.envspec.EnvironmentSpec`
+#: reads them from here, so each is declared once.
+CHANNEL_MODELS: dict[str, type[ChannelModel]] = {
+    "reliable": ReliableChannel,
     "lossy": LossyChannel,
     "jittered": JitteredChannel,
     "mobility": MobilityChannel,
     "budgeted": BudgetedChannel,
 }
-
-
-def register_channel_model(name: str, factory: Callable[..., ChannelModel]) -> str:
-    """Make a custom channel profile addressable by name.
-
-    Returns the name.  Like wire profiles, registration must happen at
-    import time when sweeps run under the ``spawn`` start method.
-    """
-    existing = CHANNEL_MODELS.get(name)
-    if existing is not None and existing is not factory:
-        raise ChannelError(f"channel model {name!r} already registered differently")
-    CHANNEL_MODELS[name] = factory
-    return name
-
-
-def channel_model(name: str, **params: Any) -> ChannelModel:
-    """Instantiate one registered channel profile.
-
-    Raises:
-        ChannelError: for an unknown profile or parameters the profile
-            does not accept.
-    """
-    factory = CHANNEL_MODELS.get(name)
-    if factory is None:
-        raise ChannelError(
-            f"unknown channel model {name!r}; known: {sorted(CHANNEL_MODELS)}"
-        )
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise ChannelError(f"channel model {name!r}: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Execution-backend registry
-# ----------------------------------------------------------------------
-@runtime_checkable
-class NetworkBackend(Protocol):
-    """What every execution backend exposes to the experiment runner.
-
-    Both :class:`repro.net.simulator.SyncNetwork` and
-    :class:`repro.net.asyncio_net.AsyncCluster` satisfy this protocol;
-    backends with a quiescence short-circuit additionally expose
-    ``rounds_executed`` (the runner reads it with ``getattr``).
-    """
-
-    stats: TrafficStats
-
-    def run(self, rounds: int) -> dict[NodeId, Any]: ...
-
-
-#: A factory building a backend for one trial.  Keyword-only contract:
-#: ``factory(graph, protocols, profile=…, channel=…, seed=…,
-#: quiescence_skip=…)``; factories ignore knobs that do not apply to
-#: their backend (the asyncio backend has no quiescence skip).
-BackendFactory = Callable[..., NetworkBackend]
-
-#: backend name -> factory; populated by the backend modules at import
-#: time (importing anything under ``repro.net`` runs both).
-BACKENDS: dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> str:
-    """Register one execution backend under ``name`` and return it."""
-    existing = BACKENDS.get(name)
-    if existing is not None and existing is not factory:
-        raise ExperimentError(f"backend {name!r} already registered differently")
-    BACKENDS[name] = factory
-    return name
-
-
-def resolve_backend(name: str) -> BackendFactory:
-    """Look up one registered backend factory.
-
-    Raises:
-        ExperimentError: for an unknown backend name.
-    """
-    factory = BACKENDS.get(name)
-    if factory is None:
-        raise ExperimentError(
-            f"unknown backend {name!r}; known: {sorted(BACKENDS)}"
-        )
-    return factory

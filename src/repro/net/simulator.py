@@ -33,12 +33,7 @@ from typing import Any, Mapping
 from repro.crypto.sizes import DEFAULT_PROFILE, WireProfile
 from repro.errors import ChannelError, ProtocolError
 from repro.graphs.graph import Graph
-from repro.net.channel import (
-    RELIABLE_CHANNEL,
-    ChannelModel,
-    NetworkBackend,
-    register_backend,
-)
+from repro.net.channel import RELIABLE_CHANNEL, ChannelModel
 from repro.net.message import Envelope, Outgoing
 from repro.net.stats import TrafficStats
 from repro.types import NodeId
@@ -223,26 +218,3 @@ class SyncNetwork:
                 f"node {sender} attempted to send to non-neighbor "
                 f"{outgoing.destination}; no such channel exists in G"
             )
-
-
-def _sync_backend(
-    graph: Graph,
-    protocols: Mapping[NodeId, RoundProtocol],
-    *,
-    profile: WireProfile = DEFAULT_PROFILE,
-    channel: ChannelModel = RELIABLE_CHANNEL,
-    seed: int = 0,
-    quiescence_skip: bool = True,
-) -> NetworkBackend:
-    """The ``sync`` entry of the backend registry (DESIGN.md §8)."""
-    return SyncNetwork(
-        graph,
-        protocols,
-        profile=profile,
-        channel=channel,
-        loss_seed=seed,
-        quiescence_skip=quiescence_skip,
-    )
-
-
-register_backend("sync", _sync_backend)

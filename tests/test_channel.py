@@ -1,14 +1,16 @@
-"""Tests for channel models and the execution-backend registry."""
+"""Tests for channel models and the environment's name tables."""
+
+import dataclasses
 
 import pytest
 
 from repro.baselines.mtg import MtgNode
 from repro.errors import ChannelError, ExperimentError, ProtocolError
+from repro.experiments.envspec import BACKENDS, _CHANNEL_PARAMS, EnvironmentSpec
 from repro.experiments.runner import honest_mtg_factory, run_trial
 from repro.graphs.generators.classic import cycle_graph, grid_graph
 from repro.net.asyncio_net import AsyncCluster
 from repro.net.channel import (
-    BACKENDS,
     CHANNEL_MODELS,
     RELIABLE_CHANNEL,
     BudgetedChannel,
@@ -16,10 +18,6 @@ from repro.net.channel import (
     LossyChannel,
     MobilityChannel,
     ReliableChannel,
-    channel_model,
-    register_backend,
-    register_channel_model,
-    resolve_backend,
 )
 from repro.net.simulator import SyncNetwork
 
@@ -28,38 +26,82 @@ def _mtg_protocols(graph):
     return {v: MtgNode(v, graph.n, graph.neighbors(v)) for v in graph.nodes()}
 
 
+#: one environment per channel, every parameter of it off its default.
+_NON_DEFAULT_ENVS = {
+    "reliable": EnvironmentSpec(channel="reliable"),
+    "lossy": EnvironmentSpec(channel="lossy", loss_rate=0.3),
+    "jittered": EnvironmentSpec(channel="jittered", jitter_ms=2.0),
+    "mobility": EnvironmentSpec(channel="mobility", reach=1.5, arena=4.0, speed=0.25),
+    "budgeted": EnvironmentSpec(channel="budgeted", bandwidth=3, latency_ms=1.5),
+}
+
+
 class TestRegistry:
+    """The environment's closed sets are plain tables: channel name ->
+    model class, and the two backend names."""
+
     def test_built_in_profiles_registered(self):
-        assert {"reliable", "lossy", "jittered", "mobility"} <= set(CHANNEL_MODELS)
+        assert CHANNEL_MODELS == {
+            "reliable": ReliableChannel,
+            "lossy": LossyChannel,
+            "jittered": JitteredChannel,
+            "mobility": MobilityChannel,
+            "budgeted": BudgetedChannel,
+        }
 
     def test_both_backends_registered(self):
-        assert {"sync", "async"} <= set(BACKENDS)
+        assert BACKENDS == ("sync", "async")
 
     def test_channel_model_constructor(self):
-        assert channel_model("reliable") is RELIABLE_CHANNEL
-        assert channel_model("lossy", loss_rate=0.3) == LossyChannel(0.3)
+        """``EnvironmentSpec.channel_model`` builds the table's class
+        with exactly the env's values for that class's fields."""
+        assert set(_NON_DEFAULT_ENVS) == set(CHANNEL_MODELS)
+        for name, env in _NON_DEFAULT_ENVS.items():
+            env.validate()
+            model_class = CHANNEL_MODELS[name]
+            fields = {field.name for field in dataclasses.fields(model_class)}
+            model = env.channel_model()
+            assert type(model) is model_class
+            assert model == model_class(**{f: getattr(env, f) for f in fields})
+        assert EnvironmentSpec().channel_model() == RELIABLE_CHANNEL
+        assert EnvironmentSpec(loss_rate=0.3).channel_model() == LossyChannel(0.3)
+
+    def test_channel_params_are_the_model_fields(self):
+        """Which channel takes which env field is read off the model
+        classes; a field added to one must show up here on purpose."""
+        assert _CHANNEL_PARAMS == {
+            "loss_rate": "lossy",
+            "jitter_ms": "jittered",
+            "reach": "mobility",
+            "arena": "mobility",
+            "speed": "mobility",
+            "bandwidth": "budgeted",
+            "latency_ms": "budgeted",
+        }
 
     def test_unknown_channel_rejected(self):
-        with pytest.raises(ChannelError, match="unknown channel model"):
-            channel_model("quantum-foam")
+        env = EnvironmentSpec(channel="quantum-foam")
+        message = (
+            "unknown channel model 'quantum-foam'; known: "
+            "['budgeted', 'jittered', 'lossy', 'mobility', 'reliable']"
+        )
+        for check in (env.validate, env.channel_model):
+            with pytest.raises(ExperimentError) as excinfo:
+                check()
+            assert str(excinfo.value) == message
 
     def test_bad_channel_parameters_rejected(self):
-        with pytest.raises(ChannelError, match="lossy"):
-            channel_model("lossy", bogus=1)
+        with pytest.raises(ExperimentError, match="loss_rate 1.0 outside"):
+            EnvironmentSpec(loss_rate=1.0).validate()
+        with pytest.raises(ExperimentError, match="env.reach only applies"):
+            EnvironmentSpec(channel="lossy", reach=1.0).validate()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown backend"):
-            resolve_backend("quantum")
-
-    def test_conflicting_reregistration_rejected(self):
-        with pytest.raises(ExperimentError, match="already registered"):
-            register_backend("sync", lambda *a, **k: None)
-        with pytest.raises(ChannelError, match="already registered"):
-            register_channel_model("lossy", ReliableChannel)
-
-    def test_idempotent_reregistration_allowed(self):
-        register_backend("sync", BACKENDS["sync"])
-        register_channel_model("lossy", LossyChannel)
+        with pytest.raises(ExperimentError) as excinfo:
+            EnvironmentSpec(backend="quantum").validate()
+        assert str(excinfo.value) == (
+            "unknown backend 'quantum'; known: ['async', 'sync']"
+        )
 
 
 class TestModelValidation:
@@ -78,6 +120,18 @@ class TestModelValidation:
             MobilityChannel(speed=0.0)
         with pytest.raises(ChannelError):
             MobilityChannel(reach=-1.0)
+
+    def test_async_safety_is_not_a_parameter(self):
+        """An i.i.d.-loss model's drop set depends on delivery order,
+        so no constructor argument can make it asyncio-safe."""
+        with pytest.raises(TypeError):
+            LossyChannel(0.3, True)
+        with pytest.raises(TypeError):
+            LossyChannel(0.3, async_safe=True)
+        assert "async_safe" not in repr(LossyChannel(0.3))
+        graph = cycle_graph(4)
+        with pytest.raises(ProtocolError, match="not usable"):
+            AsyncCluster(graph, _mtg_protocols(graph), channel=LossyChannel(0.3))
 
     def test_models_are_picklable_and_comparable(self):
         import pickle
@@ -197,8 +251,7 @@ class TestBudgetedChannel:
     """The per-round bandwidth/latency budget model (DESIGN.md §10)."""
 
     def test_registered(self):
-        assert "budgeted" in CHANNEL_MODELS
-        assert channel_model("budgeted", bandwidth=2) == BudgetedChannel(bandwidth=2)
+        assert CHANNEL_MODELS["budgeted"] is BudgetedChannel
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ChannelError):

@@ -33,6 +33,7 @@ import signal
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -148,6 +149,36 @@ class TestRetryPolicy:
 
         with pytest.raises(OSError, match="persistent"):
             FAST_RETRY.call(doomed)
+
+    def test_first_try_success_builds_no_backoff(self, monkeypatch):
+        """The queue wraps every operation in ``call``; one that works
+        at once must not seed a ``random.Random`` for sleeps it skips."""
+        built = []
+        real = RetryPolicy.backoff
+
+        def counting(policy):
+            built.append(policy)
+            return real(policy)
+
+        monkeypatch.setattr(RetryPolicy, "backoff", counting)
+        assert FAST_RETRY.call(lambda: "ok") == "ok"
+        assert built == []
+
+    def test_retries_sleep_the_delay_schedule(self, monkeypatch):
+        """Building the backoff on the first retry keeps ``delays()``."""
+        policy = RetryPolicy(attempts=4, base_delay=0.05, max_delay=0.2, seed=9)
+        slept = []
+        monkeypatch.setattr(chaos, "time", SimpleNamespace(sleep=slept.append))
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            if len(calls) < 4:
+                raise OSError("transient")
+            return "ok"
+
+        assert policy.call(flaky) == "ok"
+        assert slept == policy.delays()
 
     def test_backoff_grows_caps_and_resets(self):
         backoff = JitteredBackoff(base=0.1, cap=0.4, multiplier=2.0, jitter=0.0)

@@ -62,8 +62,8 @@ def _count_work(monkeypatch) -> Counter:
 
         return spy
 
-    # The batched path reaches run_trial through runner's namespace, the
-    # unbatched executor through spec's.
+    # Cost cells reach run_trial through runner's namespace, batched or
+    # not; spec's name is patched too, so no trial escapes the count.
     trial = counting("trials", runner.run_trial)
     for module in (runner, spec_module):
         monkeypatch.setattr(module, "run_trial", trial)

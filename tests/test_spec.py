@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -22,7 +23,7 @@ import pytest
 from repro.adversary.behaviors import SpamNectarNode
 from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
-from repro.crypto.signer import NullScheme
+from repro.crypto.signer import HmacScheme, NullScheme
 from repro.crypto.sizes import PAYLOAD_PROFILE, WireProfile
 from repro.errors import ExperimentError
 from repro.experiments.envspec import EnvironmentSpec
@@ -36,8 +37,6 @@ from repro.experiments.spec import (
     TrialSpec,
     attack_rates,
     execute_trial,
-    profile_name,
-    register_profile,
 )
 
 GOLDEN = json.loads(
@@ -170,16 +169,6 @@ class TestResolve:
         rogue = WireProfile(name="rogue", signature_bytes=48)
         with pytest.raises(ExperimentError, match="not registered"):
             SWEEP_ENGINE.resolve("fig3", overrides={"profile": rogue})
-
-    def test_register_profile_round_trip(self):
-        custom = WireProfile(name="fat-sigs", signature_bytes=96)
-        try:
-            assert register_profile(custom) == "fat-sigs"
-            assert profile_name(custom) == "fat-sigs"
-            resolved = SWEEP_ENGINE.resolve("fig3", overrides={"profile": custom})
-            assert resolved.params["profile"] == "fat-sigs"
-        finally:
-            PROFILES.pop("fat-sigs", None)
 
     def test_equivalent_inputs_resolve_to_one_digest(self):
         """Ints from JSON, floats from --set, lists vs tuples: one key."""
@@ -368,6 +357,30 @@ class TestExecuteTrial:
             env=cell.env,
         )
         assert execute_trial(cell) == direct.mean_kb_sent()
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_full_cost_cell_signs_through_hmac(self, monkeypatch, batching):
+        """With ``env.validation=full`` a cost cell signs and verifies
+        real HMACs, batched or not: ``NullScheme.verify`` only checks a
+        signature's length, so FULL validation on it checks nothing."""
+        cell = replace(self._KREG_CELL, batching=batching)
+        accounting = execute_trial(cell)
+        calls: Counter = Counter()
+        for scheme in (HmacScheme, NullScheme):
+            for method in ("sign", "verify"):
+
+                def recording(self, *args, _real=getattr(scheme, method),
+                              _key=(scheme.__name__, method)):
+                    calls[_key] += 1
+                    return _real(self, *args)
+
+                monkeypatch.setattr(scheme, method, recording)
+        full = replace(cell, env=EnvironmentSpec(validation="full"))
+        assert execute_trial(full) == accounting
+        assert calls[("HmacScheme", "sign")] > 0
+        assert calls[("HmacScheme", "verify")] > 0
+        assert calls[("NullScheme", "sign")] == 0
+        assert calls[("NullScheme", "verify")] == 0
 
     @pytest.mark.parametrize(
         ("profile", "rounds"),
