@@ -40,7 +40,7 @@ from repro.adversary.behaviors import (
 from repro.errors import ExperimentError
 from repro.graphs.connectivity import minimum_vertex_cut
 from repro.graphs.graph import Graph
-from repro.types import NodeId
+from repro.types import NodeId, decode_spec, spec_payload
 
 #: Campaign behaviour profiles.  ``deceptive`` is the heterogeneous
 #: Validity-bug coalition: the lowest-id Byzantine node runs the
@@ -101,12 +101,7 @@ class AdversarySpec:
 
     def payload(self) -> dict[str, Any]:
         """Stable dict form for digests and artefact metadata."""
-        return {
-            "profile": self.profile,
-            "placement": self.placement,
-            "count": self.count,
-            "seed": self.seed,
-        }
+        return spec_payload(self)
 
     @classmethod
     def from_payload(cls, payload: Any) -> "AdversarySpec":
@@ -117,25 +112,10 @@ class AdversarySpec:
         every deserialisation path calls.
 
         Raises:
-            ExperimentError: on non-object payloads or unknown fields.
+            ExperimentError: on non-object payloads or unknown or
+                wrong-typed fields.
         """
-        if not isinstance(payload, dict):
-            raise ExperimentError(
-                f"an adversary payload must be an object, got {payload!r}"
-            )
-        known = {"profile", "placement", "count", "seed"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ExperimentError(
-                f"unknown adversary payload fields {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        return cls(
-            profile=str(payload.get("profile", "deceptive")),
-            placement=str(payload.get("placement", "static")),
-            count=int(payload.get("count", 1)),
-            seed=int(payload.get("seed", 0)),
-        )
+        return decode_spec(cls, payload, "adversary")
 
 
 def _draw(rng: random.Random, graph: Graph, count: int) -> frozenset[NodeId]:

@@ -574,7 +574,7 @@ def _run_check(args: argparse.Namespace) -> int:
         graph = build_topology(args.family, args.n, args.k, seed=args.seed)
         label = f"{args.family}(n={args.n}, k={args.k})"
     else:
-        print("error: pass --family or --drone")
+        print("error: pass --family or --drone", file=sys.stderr)
         return 2
     result = run_trial(graph, t=args.t, seed=args.seed)
     verdict = result.verdicts[0]
@@ -715,7 +715,7 @@ def _load_spec_file(path: str) -> dict:
         raise ExperimentError(
             f'spec file {path} must be a JSON object with a "figure" key'
         )
-    if payload["figure"] not in FIGURE_SPECS:
+    if not isinstance(payload["figure"], str) or payload["figure"] not in FIGURE_SPECS:
         raise ExperimentError(
             f"spec file {path}: unknown figure {payload['figure']!r}; "
             f"known: {sorted(FIGURE_SPECS)}"
@@ -773,12 +773,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
         file_payload = _load_spec_file(args.spec)
     name = args.name or file_payload.get("figure")
     if name is None:
-        print("error: pass a figure id, --spec FILE, or --list")
+        print("error: pass a figure id, --spec FILE, or --list", file=sys.stderr)
         return 2
     if args.spec and args.name and args.name != file_payload["figure"]:
         print(
             f"error: figure id {args.name!r} conflicts with spec file "
-            f"({file_payload['figure']!r})"
+            f"({file_payload['figure']!r})",
+            file=sys.stderr,
         )
         return 2
     overrides = dict(file_payload.get("set") or {})
@@ -937,7 +938,7 @@ def _run_mission_cmd(args: argparse.Namespace) -> int:
     if args.list:
         return _list_missions()
     if args.name is None:
-        print("error: pass a mission scenario id or --list")
+        print("error: pass a mission scenario id or --list", file=sys.stderr)
         return 2
     resolved = SWEEP_ENGINE.resolve(
         args.name,
@@ -994,7 +995,7 @@ def _run_diff(args: argparse.Namespace) -> int:
     if path_a.is_dir() and path_b.is_dir():
         diff = diff_artefact_directories(path_a, path_b, tolerance=args.tolerance)
     elif path_a.is_dir() or path_b.is_dir():
-        print("error: compare two files or two directories, not a mix")
+        print("error: compare two files or two directories, not a mix", file=sys.stderr)
         return 2
     else:
         diff = diff_artefacts(path_a, path_b, tolerance=args.tolerance)
@@ -1207,7 +1208,7 @@ def _run_fabric(args: argparse.Namespace) -> int:
         if args.job is not None:
             job = payload["jobs"].get(args.job)
             if job is None:
-                print(f"error: no job {args.job!r} in {queue_root}")
+                print(f"error: no job {args.job!r} in {queue_root}", file=sys.stderr)
                 return 2
             payload["jobs"] = {args.job: job}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -1215,7 +1216,7 @@ def _run_fabric(args: argparse.Namespace) -> int:
     if args.job is not None:
         status = queue.status(args.job)
         if status is None:
-            print(f"error: no job {args.job!r} in {queue_root}")
+            print(f"error: no job {args.job!r} in {queue_root}", file=sys.stderr)
             return 2
         print(f"queue : {queue.root}")
         print(f"  {status.describe()}")
@@ -1242,5 +1243,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except ReproError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,7 @@ from typing import Mapping, Sequence
 from repro.crypto import SCHEME_FACTORIES
 from repro.errors import ChannelError, ExperimentError
 from repro.net.channel import CHANNEL_MODELS, ChannelModel
+from repro.types import decode_spec
 
 #: the execution backends: the lock-step scheduler and the asyncio
 #: cluster (:func:`repro.experiments.runner.run_trial` builds them).
@@ -225,13 +226,13 @@ class EnvironmentSpec:
         }
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "EnvironmentSpec":
+    def from_payload(cls, payload: object) -> "EnvironmentSpec":
         """Rebuild a spec from :meth:`payload` output (or overrides).
 
         Raises:
             ExperimentError: on unknown fields or uncoercible values.
         """
-        return environment_from_overrides(payload)
+        return decode_spec(cls, payload, "env", unknown="environment axis")
 
     def with_fields(
         self, override: "EnvironmentSpec", names: Sequence[str]
@@ -257,47 +258,6 @@ class EnvironmentSpec:
 #: the paper's model; the ``env`` every spec carries unless overridden.
 DEFAULT_ENVIRONMENT = EnvironmentSpec()
 
-_TRUE_WORDS = frozenset({"true", "yes", "on", "1"})
-_FALSE_WORDS = frozenset({"false", "no", "off", "0"})
-
-
-def _coerce(name: str, default: object, value: object) -> object:
-    """Coerce one override to its field's type, with real errors.
-
-    Values arrive from three sources with different native types —
-    library calls (typed), ``--set`` text (str/int/float scalars) and
-    JSON spec files (JSON types) — and must all land on the same spec
-    (hence the same digest).
-    """
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, int) and value in (0, 1):
-            return bool(value)
-        if isinstance(value, str):
-            word = value.strip().lower()
-            if word in _TRUE_WORDS:
-                return True
-            if word in _FALSE_WORDS:
-                return False
-        raise ExperimentError(f"env.{name} expects a boolean, got {value!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ExperimentError(f"env.{name} expects an integer, got {value!r}")
-    if isinstance(default, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ExperimentError(f"env.{name} expects a number, got {value!r}")
-    if isinstance(default, str):
-        if isinstance(value, str):
-            return value
-        raise ExperimentError(f"env.{name} expects a name, got {value!r}")
-    return value  # pragma: no cover - no other field types exist
-
-
 def environment_from_overrides(
     overrides: Mapping[str, object] | None,
 ) -> EnvironmentSpec:
@@ -305,26 +265,16 @@ def environment_from_overrides(
 
     Args:
         overrides: field name -> value (names *without* the ``env.``
-            prefix).  None or empty returns the default environment.
+            prefix), each read by its field's type
+            (:func:`repro.types.decode_spec`).  None or empty returns
+            the default environment.
 
     Raises:
         ExperimentError: on unknown field names or uncoercible values.
     """
     if not overrides:
         return DEFAULT_ENVIRONMENT
-    defaults = {
-        field.name: getattr(DEFAULT_ENVIRONMENT, field.name)
-        for field in dataclasses.fields(EnvironmentSpec)
-    }
-    changes = {}
-    for name, value in overrides.items():
-        if name not in defaults:
-            raise ExperimentError(
-                f"unknown environment axis env.{name}; "
-                f"known: {['env.' + key for key in defaults]}"
-            )
-        changes[name] = _coerce(name, defaults[name], value)
-    return dataclasses.replace(DEFAULT_ENVIRONMENT, **changes)
+    return EnvironmentSpec.from_payload(overrides)
 
 
 def environment_axis_names() -> list[str]:

@@ -50,7 +50,7 @@ bit-identical for any worker count, with the artifact cache on or off.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from repro.adversary.campaign import (
@@ -82,7 +82,14 @@ from repro.graphs.generators.mobility import (
     random_waypoint_mission,
 )
 from repro.graphs.graph import Graph
-from repro.types import BaselineDecision, Decision, Verdict
+from repro.types import (
+    NOT_JSON,
+    BaselineDecision,
+    Decision,
+    Verdict,
+    decode_spec,
+    spec_payload,
+)
 
 #: trajectory kinds a spec can name.
 TRAJECTORY_KINDS = ("drifting-scatters", "waypoint", "explicit")
@@ -153,7 +160,7 @@ class TrajectorySpec:
     arena: float = 5.0
     speed: float = 0.5
     seed: int = 0
-    sequence: tuple[Graph, ...] = ()
+    sequence: tuple[Graph, ...] = field(default=(), metadata=NOT_JSON)
 
     @classmethod
     def explicit(cls, graphs: Sequence[Graph]) -> "TrajectorySpec":
@@ -202,7 +209,8 @@ class TrajectorySpec:
         return len(self.sequence) if self.kind == "explicit" else self.epochs
 
     def payload(self) -> dict:
-        """The JSON-safe identity of a data-kind trajectory.
+        """The JSON-safe identity of a data-kind trajectory: every
+        field but the explicit graph ``sequence``.
 
         Raises:
             ExperimentError: for ``"explicit"`` trajectories, whose
@@ -213,21 +221,10 @@ class TrajectorySpec:
                 "explicit trajectories have no spec payload (and are never "
                 "interned)"
             )
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "epochs": self.epochs,
-            "start": self.start,
-            "drift": self.drift,
-            "radius": self.radius,
-            "reach": self.reach,
-            "arena": self.arena,
-            "speed": self.speed,
-            "seed": self.seed,
-        }
+        return spec_payload(self)
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "TrajectorySpec":
+    def from_payload(cls, payload: Any) -> "TrajectorySpec":
         """Rebuild a declarative trajectory from :meth:`payload` output.
 
         The wire half of the fleet-service submit protocol: a JSON
@@ -236,20 +233,10 @@ class TrajectorySpec:
         and cannot cross this boundary.
 
         Raises:
-            ExperimentError: on unknown fields or an invalid spec.
+            ExperimentError: on unknown or wrong-typed fields or an
+                invalid spec.
         """
-        if not isinstance(payload, Mapping):
-            raise ExperimentError(
-                f"a trajectory payload must be an object, got {payload!r}"
-            )
-        known = set(_TRAJECTORY_PAYLOAD_FIELDS)
-        unknown = set(payload) - known
-        if unknown:
-            raise ExperimentError(
-                f"unknown trajectory payload fields {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        spec = cls(**dict(payload))
+        spec = decode_spec(cls, payload, "trajectory")
         spec.validate()
         return spec
 
@@ -280,21 +267,6 @@ class TrajectorySpec:
                 )
             )
         return self.sequence
-
-
-#: the JSON fields of a declarative trajectory payload.
-_TRAJECTORY_PAYLOAD_FIELDS = (
-    "kind",
-    "n",
-    "epochs",
-    "start",
-    "drift",
-    "radius",
-    "reach",
-    "arena",
-    "speed",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -335,6 +307,11 @@ class MissionSpec:
         self.trajectory.validate()
         if self.t < 0:
             raise ExperimentError("t must be non-negative")
+        if self.connectivity_cutoff is not None and self.connectivity_cutoff <= self.t:
+            raise ExperimentError(
+                f"connectivity cutoff {self.connectivity_cutoff} must exceed "
+                f"t={self.t}"
+            )
         if self.epoch_seeds not in EPOCH_SEED_MODES:
             raise ExperimentError(
                 f"unknown epoch-seed mode {self.epoch_seeds!r}; "
@@ -387,50 +364,13 @@ class MissionSpec:
         return payload
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "MissionSpec":
+    def from_payload(cls, payload: Any) -> "MissionSpec":
         """Rebuild (and validate) a mission from :meth:`payload` output.
 
         Raises:
             ExperimentError: on malformed payloads or an invalid spec.
         """
-        if not isinstance(payload, Mapping):
-            raise ExperimentError(
-                f"a mission payload must be an object, got {payload!r}"
-            )
-        known = {
-            "trajectory",
-            "t",
-            "seed",
-            "epoch_seeds",
-            "protocol",
-            "connectivity_cutoff",
-            "env",
-            "adversary",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ExperimentError(
-                f"unknown mission payload fields {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        if "trajectory" not in payload:
-            raise ExperimentError('a mission payload needs a "trajectory" object')
-        cutoff = payload.get("connectivity_cutoff")
-        adversary = payload.get("adversary")
-        spec = cls(
-            trajectory=TrajectorySpec.from_payload(payload["trajectory"]),
-            t=int(payload.get("t", 0)),
-            connectivity_cutoff=None if cutoff is None else int(cutoff),
-            seed=int(payload.get("seed", 0)),
-            epoch_seeds=str(payload.get("epoch_seeds", "fixed")),
-            protocol=str(payload.get("protocol", "nectar")),
-            env=EnvironmentSpec.from_payload(payload.get("env") or {}),
-            adversary=(
-                None
-                if adversary is None
-                else AdversarySpec.from_payload(adversary)
-            ),
-        )
+        spec = decode_spec(cls, payload, "mission")
         spec.validate()
         return spec
 

@@ -297,6 +297,13 @@ class TrialSpec:
     measure: str = "mean-kb-sent"
     env: EnvironmentSpec = DEFAULT_ENVIRONMENT
 
+    @property
+    def colocation_key(self) -> str | None:
+        """Shard-planning hint: with ``env.artifacts`` on, the cells on
+        one topology share a shard, so one process builds its topology,
+        κ certificate and deployment; None (a one-cell shard) when off."""
+        return self.topology.artifact_key() if self.env.artifacts else None
+
     def with_env(
         self, env: EnvironmentSpec, fields: Sequence[str]
     ) -> "TrialSpec":
@@ -454,13 +461,15 @@ def _trial_artifact(spec: TrialSpec, kinds: tuple[str, ...]):
 
 
 def _cell_colocation_key(cell: object) -> object | None:
-    """The shard-planning key of one sweep cell.
+    """The shard-planning key of one sweep cell: its ``colocation_key``.
 
-    Cells that expose a ``colocation_key`` (the mission cells — every
-    measure series of one mission shares its
-    :class:`~repro.experiments.mission.MissionSpec`) are planned into
-    one shard, so one process's mission memo serves all series from a
-    single flight.  Plain :class:`TrialSpec` cells return ``None`` and
+    Cells with equal keys are planned into one shard.  Every measure
+    series of one mission shares its
+    :class:`~repro.experiments.mission.MissionSpec`, so one process's
+    mission memo serves all series from a single flight; with
+    ``env.artifacts`` on, the :class:`TrialSpec` cells on one topology
+    share its artifact key, so one process builds that topology's
+    artifacts once.  Trial cells without artifacts return ``None`` and
     form one-cell shards.
     """
     return getattr(cell, "colocation_key", None)

@@ -69,6 +69,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
+from repro.types import decode_spec, spec_payload
 
 #: env var naming a JSON fault-plan file; presence activates injection.
 PLAN_ENV = "REPRO_CHAOS_PLAN"
@@ -130,54 +131,12 @@ class Fault:
         return 1 if self.kind == "corrupt-result" else None
 
     def to_payload(self) -> dict:
-        payload: dict = {"kind": self.kind}
-        defaults = Fault(kind=self.kind)
-        for name in (
-            "role",
-            "target",
-            "op",
-            "at_op",
-            "burst",
-            "errno",
-            "shard",
-            "at_cell",
-            "seconds",
-            "once",
-            "max_fires",
-            "fault_id",
-        ):
-            value = getattr(self, name)
-            if value != getattr(defaults, name):
-                payload[name] = value
-        return payload
+        """``kind`` plus every field off its default."""
+        return spec_payload(self, omit_defaults=True)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "Fault":
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise ExperimentError(
-                f'a fault must be an object with a "kind" key, got {payload!r}'
-            )
-        known = {
-            "kind",
-            "role",
-            "target",
-            "op",
-            "at_op",
-            "burst",
-            "errno",
-            "shard",
-            "at_cell",
-            "seconds",
-            "once",
-            "max_fires",
-            "fault_id",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ExperimentError(
-                f"unknown fault field(s) {sorted(unknown)} in {payload!r}"
-            )
-        return cls(**payload)
+    def from_payload(cls, payload: object) -> "Fault":
+        return decode_spec(cls, payload, "fault")
 
 
 @dataclass(frozen=True)
@@ -195,20 +154,15 @@ class FaultPlan:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "FaultPlan":
+    def from_payload(cls, payload: object) -> "FaultPlan":
         if not isinstance(payload, dict):
             raise ExperimentError(f"a fault plan must be an object, got {payload!r}")
         if payload.get("version", _PLAN_VERSION) != _PLAN_VERSION:
             raise ExperimentError(
                 f"unsupported fault-plan version {payload.get('version')!r}"
             )
-        faults = payload.get("faults", [])
-        if not isinstance(faults, list):
-            raise ExperimentError('"faults" must be a list')
-        return cls(
-            faults=tuple(Fault.from_payload(item) for item in faults),
-            seed=int(payload.get("seed", 0)),
-        )
+        fields = {key: value for key, value in payload.items() if key != "version"}
+        return decode_spec(cls, fields, "plan")
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         target = pathlib.Path(path)

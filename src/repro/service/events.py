@@ -43,6 +43,7 @@ from repro.experiments.mission import (
     mission_graphs,
     topology_delta,
 )
+from repro.types import decode_spec
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,8 @@ def event_from_payload(payload: Any) -> MissionEvent:
     """Rebuild an event from :func:`event_payload` output.
 
     Raises:
-        ExperimentError: on unknown event types or mismatched fields.
+        ExperimentError: on unknown event types or unknown, missing or
+            wrong-typed fields.
     """
     if not isinstance(payload, dict) or "event" not in payload:
         raise ExperimentError(
@@ -183,16 +185,13 @@ def event_from_payload(payload: Any) -> MissionEvent:
             f"got {payload!r}"
         )
     kind = payload["event"]
-    cls = EVENT_TYPES.get(kind)
+    cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ExperimentError(
             f"unknown event type {kind!r}; known: {sorted(EVENT_TYPES)}"
         )
     fields = {key: value for key, value in payload.items() if key != "event"}
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise ExperimentError(f"malformed {kind} payload: {exc}") from None
+    return decode_spec(cls, fields, kind)
 
 
 # ----------------------------------------------------------------------

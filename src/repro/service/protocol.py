@@ -60,11 +60,13 @@ async def handle_request(service: FleetService, payload: object) -> dict:
     try:
         if op == "submit":
             mission = MissionSpec.from_payload(payload.get("mission"))
-            mission_id = service.submit(
-                mission,
-                label=str(payload.get("label", "")),
-                artifact=payload.get("artifact"),
-            )
+            label = payload.get("label", "")
+            artifact = payload.get("artifact")
+            if not isinstance(label, str) or not isinstance(artifact, str | None):
+                raise ExperimentError(
+                    'submit takes an optional "label" string and "artifact" path'
+                )
+            mission_id = service.submit(mission, label=label, artifact=artifact)
             return {
                 "type": "response",
                 "op": op,
@@ -72,11 +74,14 @@ async def handle_request(service: FleetService, payload: object) -> dict:
                 "mission_id": mission_id,
             }
         if op == "status":
+            mission_id = payload.get("mission_id")
+            if not isinstance(mission_id, str | None):
+                raise ExperimentError('status takes an optional "mission_id" string')
             return {
                 "type": "response",
                 "op": op,
                 "ok": True,
-                "status": service.status(payload.get("mission_id")),
+                "status": service.status(mission_id),
             }
         if op == "cancel":
             mission_id = payload.get("mission_id")
@@ -202,7 +207,7 @@ async def serve(
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError too
                 await write(
                     _encode(
                         {"type": "response", "ok": False, "error": f"bad JSON: {exc}"}

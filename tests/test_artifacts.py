@@ -31,12 +31,14 @@ from repro.experiments.artifacts import (
 )
 from repro.experiments.envspec import DEFAULT_ENVIRONMENT, EnvironmentSpec
 from repro.experiments.mission import clear_mission_memo
+from repro.experiments.parallel import colocation_chunks
 from repro.experiments.persistence import figure_to_dict
 from repro.experiments.runner import build_deployment, compute_ground_truth, run_trial
 from repro.experiments.spec import (
     SWEEP_ENGINE,
     TopologySpec,
     TrialSpec,
+    _cell_colocation_key,
     _process_origin,
     absorb_shard,
     artifact_scope,
@@ -654,6 +656,27 @@ class TestWorkerDeltas:
                 for name, counters in (("sharded", sharded), ("serial", serial))
             }
             assert lookups["sharded"] == lookups["serial"] > 0, store
+
+    @pytest.mark.parametrize("artifacts", [False, True])
+    def test_trial_cells_share_a_shard_per_topology(self, artifacts):
+        overrides = {"n": 13, "ts": (1, 2), "trials": 2, "env.artifacts": artifacts}
+        resolved = SWEEP_ENGINE.resolve("fig8", overrides=overrides)
+        _, cells = SWEEP_ENGINE.prepare(resolved)
+        shards = colocation_chunks(cells, _cell_colocation_key)
+        if not artifacts:
+            assert [len(shard) for shard in shards] == [1] * len(cells)
+            return
+        # NECTAR and MtGv2 attack one scenario: they share its shard.
+        assert all(len({cells[i].topology for i in shard}) == 1 for shard in shards)
+        assert len(shards) == len({cell.topology for cell in cells}) < len(cells)
+
+    def test_sharded_sweep_builds_each_topology_once(self):
+        overrides = {"n": 13, "ts": (1, 2), "trials": 2, "env.artifacts": True}
+        SWEEP_ENGINE.run("fig8", overrides=dict(overrides))
+        serial = ARTIFACTS.stats.topology_misses
+        clear_artifact_cache()
+        SWEEP_ENGINE.run("fig8", overrides=dict(overrides), workers=2)
+        assert ARTIFACTS.stats.topology_misses == serial > 0
 
 
 # ----------------------------------------------------------------------

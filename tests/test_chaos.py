@@ -598,7 +598,7 @@ class TestChaosCli:
             ["fabric", "status", "fig3-feedfacef00d", "--queue", str(queue.root), "--json"]
         )
         assert code == 2
-        assert "no job" in capsys.readouterr().out
+        assert "no job" in capsys.readouterr().err
 
     def test_sweep_no_work_resumes_worker_executed_job(self, tmp_path, capsys):
         queue = FabricQueue(tmp_path / "q")

@@ -34,7 +34,7 @@ class TestCheck:
     def test_missing_topology_choice(self, capsys):
         code = main(["check", "--n", "10"])
         assert code == 2
-        assert "error" in capsys.readouterr().out
+        assert "error" in capsys.readouterr().err
 
     def test_ground_truth_printed(self, capsys):
         main(["check", "--family", "k-diamond", "--n", "16", "--k", "4", "--t", "1"])
@@ -98,12 +98,12 @@ class TestFigure:
     def test_bad_set_syntax_reports_error(self, capsys):
         code = main(["figure", "fig3", "--set", "nonsense"])
         assert code == 2
-        assert "AXIS=VALUE" in capsys.readouterr().out
+        assert "AXIS=VALUE" in capsys.readouterr().err
 
     def test_unknown_axis_reports_error(self, capsys):
         code = main(["figure", "fig3", "--set", "bogus=1"])
         assert code == 2
-        assert "unknown axis" in capsys.readouterr().out
+        assert "unknown axis" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -181,47 +181,55 @@ class TestSweep:
     def test_missing_name_and_spec_rejected(self, capsys):
         code = main(["sweep"])
         assert code == 2
-        assert "figure id" in capsys.readouterr().out
+        assert "figure id" in capsys.readouterr().err
 
     def test_conflicting_name_and_spec_rejected(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"figure": "fig4"}))
         code = main(["sweep", "fig3", "--spec", str(spec_file)])
         assert code == 2
-        assert "conflicts" in capsys.readouterr().out
+        assert "conflicts" in capsys.readouterr().err
 
     def test_malformed_spec_file_rejected(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text("[1, 2, 3]")
         code = main(["sweep", "--spec", str(spec_file)])
         assert code == 2
-        assert "figure" in capsys.readouterr().out
+        assert "figure" in capsys.readouterr().err
+
+    def test_spec_file_with_non_string_figure_rejected(self, capsys, tmp_path):
+        # A list here once raised TypeError (unhashable) in the lookup.
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"figure": ["fig3"]}))
+        code = main(["sweep", "--spec", str(spec_file)])
+        assert code == 2
+        assert "unknown figure" in capsys.readouterr().err
 
     def test_spec_file_with_unknown_keys_rejected(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"figure": "fig3", "sets": {"ns": [8]}}))
         code = main(["sweep", "--spec", str(spec_file)])
         assert code == 2
-        assert "unknown keys" in capsys.readouterr().out
+        assert "unknown keys" in capsys.readouterr().err
 
     def test_spec_file_with_non_object_set_rejected(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"figure": "fig3", "set": [1, 2]}))
         code = main(["sweep", "--spec", str(spec_file)])
         assert code == 2
-        assert "axis overrides" in capsys.readouterr().out
+        assert "axis overrides" in capsys.readouterr().err
 
     def test_spec_file_with_bad_base_seed_rejected(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"figure": "fig3", "base_seed": "x"}))
         code = main(["sweep", "--spec", str(spec_file)])
         assert code == 2
-        assert "base_seed" in capsys.readouterr().out
+        assert "base_seed" in capsys.readouterr().err
 
     def test_sequence_on_scalar_axis_reports_error(self, capsys):
         code = main(["sweep", "fig8", "--set", "n=11,13"])
         assert code == 2
-        assert "single value" in capsys.readouterr().out
+        assert "single value" in capsys.readouterr().err
 
     def test_csv_export_writes_rows(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
@@ -267,12 +275,12 @@ class TestSweep:
              "--set", "env.loss_rate=0.4"]
         )
         assert code == 2
-        assert "only modelled on the sync backend" in capsys.readouterr().out
+        assert "only modelled on the sync backend" in capsys.readouterr().err
 
     def test_unknown_env_axis_reports_error(self, capsys):
         code = main(["sweep", "fig3", *self.FAST, "--set", "env.latency=1"])
         assert code == 2
-        assert "unknown environment axis" in capsys.readouterr().out
+        assert "unknown environment axis" in capsys.readouterr().err
 
     def test_list_mentions_environment_axes(self, capsys):
         main(["sweep", "--list"])
@@ -323,7 +331,7 @@ class TestDiff:
     def test_missing_artefact_reports_error(self, capsys, tmp_path):
         code = main(["diff", str(tmp_path / "nope.json"), str(tmp_path / "x.json")])
         assert code == 2
-        assert "cannot read artefact" in capsys.readouterr().out
+        assert "cannot read artefact" in capsys.readouterr().err
 
 
 class TestFigureSpark:
@@ -404,9 +412,9 @@ class TestMalformedInput:
     )
     def test_exits_two_with_error_line(self, argv, message, capsys):
         assert main(argv) == 2
-        out = capsys.readouterr().out
-        assert "error:" in out
-        assert message in out
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert message in err
 
 
 class TestParser:

@@ -474,7 +474,7 @@ class TestFabricCli:
             ["sweep", "fig3", "--set", "ns=8", "--set", "ks=2", "--backend", "queue"]
         )
         assert code == 2
-        assert QUEUE_ENV in capsys.readouterr().out
+        assert QUEUE_ENV in capsys.readouterr().err
 
     def test_queue_env_var_names_the_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(QUEUE_ENV, str(tmp_path / "q"))
@@ -578,9 +578,9 @@ class TestFabricCli:
             ["fabric", "status", "fig3-feedfacef00d", "--queue", str(queue.root)]
         )
         assert code == 2
-        assert "no job" in capsys.readouterr().out
+        assert "no job" in capsys.readouterr().err
 
     def test_fabric_status_missing_queue(self, tmp_path, capsys):
         code = cli.main(["fabric", "status", "--queue", str(tmp_path / "nope")])
         assert code == 2
-        assert "no queue" in capsys.readouterr().out
+        assert "no queue" in capsys.readouterr().err

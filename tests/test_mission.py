@@ -126,6 +126,15 @@ class TestMissionValidation:
         with pytest.raises(ExperimentError, match="epoch-seed mode"):
             run_mission(MissionSpec(trajectory=SCATTERS, epoch_seeds="random"))
 
+    @pytest.mark.parametrize("cutoff", [0, 1, 2])
+    def test_cutoff_at_or_below_t_rejected(self, cutoff):
+        # Once accepted here and raised as a ValueError by the first
+        # epoch's decision phase.
+        spec = MissionSpec(trajectory=SCATTERS, t=2, connectivity_cutoff=cutoff)
+        with pytest.raises(ExperimentError, match="must exceed t=2"):
+            spec.validate()
+        MissionSpec(trajectory=SCATTERS, t=2, connectivity_cutoff=3).validate()
+
     def test_epoch_seed_policies(self):
         fixed = MissionSpec(trajectory=SCATTERS, seed=7)
         stride = MissionSpec(trajectory=SCATTERS, seed=7, epoch_seeds="stride")
@@ -354,7 +363,7 @@ class TestMissionCli:
 
     def test_mission_requires_a_name(self, capsys):
         assert main(["mission"]) == 2
-        assert "pass a mission scenario id" in capsys.readouterr().out
+        assert "pass a mission scenario id" in capsys.readouterr().err
 
     def test_mission_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "mission.json"

@@ -203,3 +203,86 @@ class TestHandleRequest:
 
         with pytest.raises(ExperimentError):
             asyncio.run(main())
+
+
+def _with(path, value):
+    """tiny_mission()'s payload with one field replaced."""
+    payload = tiny_mission().payload()
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return payload
+
+
+#: field the error must name -> a submit mission with it mistyped.  The
+#: hand-written decoders let each line escape handle_request (TypeError,
+#: TypeError, TypeError, AttributeError, ValueError, ValueError), which
+#: killed the daemon.
+MISTYPED_MISSIONS = {
+    "trajectory.n": {"trajectory": {"n": "12", "epochs": 3}},
+    "trajectory.epochs": _with(("trajectory", "epochs"), 3.5),
+    "trajectory.drift": _with(("trajectory", "drift"), "fast"),
+    "env": _with(("env",), "lossy"),
+    "mission.connectivity_cutoff": _with(("connectivity_cutoff",), "z"),
+    "mission.seed": _with(("seed",), "x"),
+}
+
+
+class TestMistypedRequests:
+    """A wrong-typed line gets ``ok: false``; the daemon keeps serving."""
+
+    def test_mistyped_missions_are_refused_by_name(self):
+        valid = tiny_mission(seed=7)
+        out = run_protocol(
+            [{"op": "submit", "mission": m} for m in MISTYPED_MISSIONS.values()]
+            + [{"op": "submit", "mission": valid.payload()}]
+        )
+        *refused, accepted = responses(out)
+        for field, response in zip(MISTYPED_MISSIONS, refused, strict=True):
+            assert not response["ok"]
+            assert field in response["error"]
+        assert accepted["ok"] and accepted["mission_id"] == "m0001"
+        assert any(line["event"] == "MissionCompleted" for line in events(out))
+
+    def test_cutoff_at_or_below_t_is_refused_at_submit(self):
+        # Once accepted, then MissionFailed in the first epoch
+        # ("connectivity cutoff 1 would not resolve k > t").
+        mission = MissionSpec(
+            trajectory=TrajectorySpec(n=8, epochs=2), t=2
+        ).payload()
+        out = run_protocol(
+            [{"op": "submit", "mission": {**mission, "connectivity_cutoff": 1}}]
+        )
+        (response,) = responses(out)
+        assert not response["ok"]
+        assert "connectivity cutoff 1 must exceed t=2" in response["error"]
+        assert events(out) == []
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "status", "mission_id": ["m0001"]},
+            {"op": "submit", "mission": tiny_mission().payload(), "artifact": 5},
+            {"op": "submit", "mission": tiny_mission().payload(), "label": ["x"]},
+        ],
+        ids=["unhashable-mission-id", "artifact-int", "label-list"],
+    )
+    def test_mistyped_request_fields_are_refused(self, request_):
+        # The first raised TypeError in handle_request; the second was
+        # accepted and ended the serve loop when the mission completed.
+        out = run_protocol([request_, {"op": "ping"}])
+        refused, ping = responses(out)
+        assert not refused["ok"] and ping["ok"]
+        assert not any(line["event"] == "MissionAccepted" for line in events(out))
+
+    @pytest.mark.parametrize(
+        "line", ["[" * 100_000, '{"op": ' + "9" * 5000 + "}"], ids=["deep", "long-int"]
+    )
+    def test_undecodable_json_is_survivable(self, line):
+        # json.loads raises RecursionError and a digit-limit ValueError
+        # that is no JSONDecodeError; both escaped the serve loop.
+        out = run_protocol([line, {"op": "ping"}])
+        refused, ping = responses(out)
+        assert not refused["ok"] and "bad JSON" in refused["error"]
+        assert ping["ok"]
