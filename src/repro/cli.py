@@ -682,6 +682,26 @@ def _render_figure(figure: FigureData, spark: bool = False) -> None:
         print(figure_sparklines(figure))
 
 
+def _run_local(
+    resolved: ResolvedSweep, args: argparse.Namespace
+) -> FigureData | None:
+    """Run a sweep on the local pool (``repro figure``, ``sweep`` and
+    ``mission``).  After ^C it prints the resumable alternative and
+    returns None, which the caller turns into exit code 130."""
+    try:
+        return SWEEP_ENGINE.run(
+            resolved, workers=args.workers, artifact_store=args.artifact_store
+        )
+    except KeyboardInterrupt:
+        print()
+        print(
+            "interrupted: local-backend progress is lost; rerun as "
+            f"repro sweep {resolved.spec.figure_id} --backend queue --queue DIR "
+            "(same options) for a resumable sweep"
+        )
+        return None
+
+
 def _run_figure(args: argparse.Namespace) -> int:
     spec = FIGURE_SPECS[args.name]
     if args.full and "paper-scale" not in spec.capabilities:
@@ -691,9 +711,9 @@ def _run_figure(args: argparse.Namespace) -> int:
         scale="paper" if args.full else "auto",
         overrides=_parse_overrides(args.overrides),
     )
-    figure = SWEEP_ENGINE.run(
-        resolved, workers=args.workers, artifact_store=args.artifact_store
-    )
+    figure = _run_local(resolved, args)
+    if figure is None:
+        return 130
     _render_figure(figure, spark=args.spark)
     metadata = _report_artifacts()
     if args.out:
@@ -828,9 +848,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             # must never fail a sweep the local path could run (§13.4).
             print(f"warning: queue unreachable ({exc})")
             print("warning: degrading to local serial execution")
-            figure = SWEEP_ENGINE.run(
-                resolved, workers=args.workers, artifact_store=args.artifact_store
-            )
+            figure = _run_local(resolved, args)
         except KeyboardInterrupt:
             _print_fabric_interrupt(queue_root, resolved)
             return 130
@@ -839,17 +857,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
             figure = run.figure
             fabric_stats = run.stats_payload()
     else:
-        try:
-            figure = SWEEP_ENGINE.run(
-                resolved, workers=args.workers, artifact_store=args.artifact_store
-            )
-        except KeyboardInterrupt:
-            print()
-            print(
-                "interrupted: local-backend progress is lost; rerun with "
-                "--backend queue --queue DIR for a resumable sweep"
-            )
-            return 130
+        figure = _run_local(resolved, args)
+    if figure is None:
+        return 130
     _render_figure(figure)
     metadata = _report_artifacts()
     if fabric_stats is not None:
@@ -949,9 +959,9 @@ def _run_mission_cmd(args: argparse.Namespace) -> int:
     )
     print(f"mission : {args.name} ({resolved.scale} scale, seeds={resolved.seed_mode})")
     print(f"spec    : {spec_digest(resolved.payload())[:12]}")
-    figure = SWEEP_ENGINE.run(
-        resolved, workers=args.workers, artifact_store=args.artifact_store
-    )
+    figure = _run_local(resolved, args)
+    if figure is None:
+        return 130
     _render_figure(figure)
     metadata = _report_artifacts()
     if args.timeline or args.events or args.mission_out or args.mission_spec:

@@ -580,37 +580,51 @@ def absorb_shard(values: list, indices: Sequence[int], result: dict) -> None:
         ARTIFACTS.merge_delta(result["delta"])
 
 
+#: The Sec. V-D attack matrix behind Fig. 8, in group order: (series
+#: label, protocol, attack, drone deployment).  NECTAR and MtGv2 face
+#: two-faced bridges on the bridged drone partition; MtG faces filter
+#: saturation on the partitioned drone deployment.
+_ATTACK_MATRIX: tuple[tuple[str, str, str, str], ...] = (
+    ("Nectar", "nectar", "two-faced", "bridged-drone"),
+    ("MtGv2", "mtgv2", "two-faced", "bridged-drone"),
+    ("MtG", "mtg", "saturating", "partitioned-drone"),
+)
+
+
+def _attack_cell(
+    protocol: str,
+    adversary: str,
+    seed: int,
+    env: EnvironmentSpec = DEFAULT_ENVIRONMENT,
+    **topology,
+) -> TrialSpec:
+    """One success-rate cell: ``protocol`` under ``adversary`` on the
+    deployment ``TopologySpec(seed=seed, **topology)``."""
+    return TrialSpec(
+        topology=TopologySpec(seed=seed, **topology),
+        protocol=protocol,
+        adversary=adversary,
+        seed=seed,
+        measure="success-rate",
+        env=env,
+    )
+
+
 def attack_rates(
     n: int, t: int, radius: float = 1.2, seed: int = 0
 ) -> dict[str, float]:
-    """Success rates of all three protocols under the Fig. 8 attacks.
-
-    The public replacement for the private per-protocol helpers the
-    CLI used to import: NECTAR and MtGv2 face the two-faced bridge
-    attack on the bridged drone partition; MtG faces filter saturation
-    on the partitioned drone deployment.
+    """Success rates of all three protocols under the Fig. 8 attacks
+    (:data:`_ATTACK_MATRIX`).
 
     Returns:
         ``{"nectar": rate, "mtgv2": rate, "mtg": rate}``.
     """
-    rates = {}
-    for protocol, adversary, kind in (
-        ("nectar", "two-faced", "bridged-drone"),
-        ("mtgv2", "two-faced", "bridged-drone"),
-        ("mtg", "saturating", "partitioned-drone"),
-    ):
-        rates[protocol] = execute_trial(
-            TrialSpec(
-                topology=TopologySpec(
-                    kind=kind, n=n, t=t, radius=radius, seed=seed
-                ),
-                protocol=protocol,
-                adversary=adversary,
-                seed=seed,
-                measure="success-rate",
-            )
+    return {
+        protocol: execute_trial(
+            _attack_cell(protocol, adversary, seed, kind=kind, n=n, t=t, radius=radius)
         )
-    return rates
+        for _, protocol, adversary, kind in _ATTACK_MATRIX
+    }
 
 
 # ----------------------------------------------------------------------
@@ -813,11 +827,11 @@ def _new_figure(
 # ----------------------------------------------------------------------
 # Plan builders, one per figure shape
 # ----------------------------------------------------------------------
-def _harary_cost_cell(n: int, k: int, profile: str) -> TrialSpec:
+def _harary_cell(n: int, k: int, **fields) -> TrialSpec:
+    """A NECTAR trial on the Harary graph H(n, k); ``fields`` set the
+    other :class:`TrialSpec` fields."""
     return TrialSpec(
-        topology=TopologySpec(kind="family", family="harary", n=n, k=k),
-        protocol="nectar",
-        profile=profile,
+        topology=TopologySpec(kind="family", family="harary", n=n, k=k), **fields
     )
 
 
@@ -840,9 +854,7 @@ def _plan_fig3(params: dict) -> FigurePlan:
             if k >= n:
                 continue
             plan.groups.append(
-                CellGroup(
-                    f"Nectar: k = {k}", n, (_harary_cost_cell(n, k, profile),)
-                )
+                CellGroup(f"Nectar: k = {k}", n, (_harary_cell(n, k, profile=profile),))
             )
     return plan
 
@@ -980,12 +992,7 @@ def _plan_fig7(params: dict) -> FigurePlan:
 
 
 def _plan_fig8(params: dict) -> FigurePlan:
-    n, ts, radius, trials = (
-        params["n"],
-        params["ts"],
-        params["radius"],
-        params["trials"],
-    )
+    n, radius = params["n"], params["radius"]
     figure = _new_figure(
         "fig8",
         f"Decision success rate under attack (drone scenario, n={n})",
@@ -997,48 +1004,15 @@ def _plan_fig8(params: dict) -> FigurePlan:
     for series in ("Nectar (ours)", "MtG", "MtGv2"):
         figure.series_named(series)
     plan = FigurePlan(figure)
-    seeds = _seeds(params, trials)
-
-    def scenario_cell(protocol: str, adversary: str, kind: str, t: int, seed: int):
-        return TrialSpec(
-            topology=TopologySpec(kind=kind, n=n, t=t, radius=radius, seed=seed),
-            protocol=protocol,
-            adversary=adversary,
-            seed=seed,
-            measure="success-rate",
-        )
-
-    for t in ts:
-        plan.groups.append(
-            CellGroup(
-                "Nectar (ours)",
-                t,
-                tuple(
-                    scenario_cell("nectar", "two-faced", "bridged-drone", t, s)
-                    for s in seeds
-                ),
+    seeds = _seeds(params, params["trials"])
+    for t in params["ts"]:
+        for label, protocol, adversary, kind in _ATTACK_MATRIX:
+            cells = tuple(
+                _attack_cell(protocol, adversary, s, kind=kind, n=n, t=t, radius=radius)
+                for s in seeds
             )
-        )
-        plan.groups.append(
-            CellGroup(
-                "MtGv2",
-                t,
-                tuple(
-                    scenario_cell("mtgv2", "two-faced", "bridged-drone", t, s)
-                    for s in seeds
-                ),
-            )
-        )
-        plan.groups.append(
-            CellGroup(
-                "MtG",
-                t,
-                tuple(
-                    scenario_cell("mtg", "saturating", "partitioned-drone", t, s)
-                    for s in seeds
-                ),
-            )
-        )
+            series = "Nectar (ours)" if protocol == "nectar" else label
+            plan.groups.append(CellGroup(series, t, cells))
     return plan
 
 
@@ -1117,39 +1091,13 @@ def _plan_connectivity_resilience(params: dict) -> FigurePlan:
             )
             if not feasible:
                 continue
-
-            def scenario_cell(protocol: str, adversary: str, seed: int):
-                return TrialSpec(
-                    topology=TopologySpec(
-                        kind="split", family=family, n=n, t=t, k=k, seed=seed
-                    ),
-                    protocol=protocol,
-                    adversary=adversary,
-                    seed=seed,
-                    measure="success-rate",
+            # The Fig. 8 attack matrix, every row on the split deployment.
+            split = {"kind": "split", "family": family, "n": n, "t": t, "k": k}
+            for label, protocol, adversary, _ in _ATTACK_MATRIX:
+                cells = tuple(
+                    _attack_cell(protocol, adversary, s, **split) for s in feasible
                 )
-
-            plan.groups.append(
-                CellGroup(
-                    f"Nectar [{family}]",
-                    t,
-                    tuple(scenario_cell("nectar", "two-faced", s) for s in feasible),
-                )
-            )
-            plan.groups.append(
-                CellGroup(
-                    f"MtGv2 [{family}]",
-                    t,
-                    tuple(scenario_cell("mtgv2", "two-faced", s) for s in feasible),
-                )
-            )
-            plan.groups.append(
-                CellGroup(
-                    f"MtG [{family}]",
-                    t,
-                    tuple(scenario_cell("mtg", "saturating", s) for s in feasible),
-                )
-            )
+                plan.groups.append(CellGroup(f"{label} [{family}]", t, cells))
     return plan
 
 
@@ -1174,131 +1122,126 @@ def _feasible_seed_prefix(seeds, build, on_skip) -> list[int]:
     return feasible
 
 
+def _plan_ablation(
+    params: dict,
+    figure_id: str,
+    title: str,
+    labels: tuple[str, str],
+    series: str,
+    points: Iterable[tuple[float, dict]],
+    note: str = "",
+) -> FigurePlan:
+    """One Harary ablation (DESIGN.md §5): per ``(x, fields)`` point, a
+    one-cell group of ``series`` running NECTAR on H(n, k) with those
+    :class:`TrialSpec` fields; ``note`` states the figure's finding."""
+    figure = _new_figure(figure_id, title, *labels, params)
+    if note:
+        figure.notes.append(note)
+    plan = FigurePlan(figure)
+    for x, fields in points:
+        cell = _harary_cell(params["n"], params["k"], **fields)
+        plan.groups.append(CellGroup(series, x, (cell,)))
+    return plan
+
+
 def _plan_ablation_rounds(params: dict) -> FigurePlan:
     n, k = params["n"], params["k"]
-    graph = build_topology("harary", n, k)
-    diam = diameter(graph)
+    diam = diameter(build_topology("harary", n, k))
     if diam is None:  # pragma: no cover - Harary graphs are connected
         raise ExperimentError("disconnected topology in the rounds ablation")
-    figure = _new_figure(
+    return _plan_ablation(
+        params,
         "ablation-rounds",
         f"NECTAR cost vs round budget (Harary k={k}, n={n}, diam={diam})",
-        "rounds",
-        "KB sent per node",
-        params,
+        ("rounds", "KB sent per node"),
+        "Nectar",
+        [
+            (rounds, {"rounds": rounds})
+            for rounds in sorted({diam, diam + 1, (n - 1 + diam) // 2, n - 1})
+        ],
+        "cost is flat beyond the diameter: correct nodes go silent",
     )
-    plan = FigurePlan(figure)
-    for rounds in sorted({diam, diam + 1, (n - 1 + diam) // 2, n - 1}):
-        plan.groups.append(
-            CellGroup(
-                "Nectar",
-                rounds,
-                (
-                    TrialSpec(
-                        topology=TopologySpec(kind="family", family="harary", n=n, k=k),
-                        protocol="nectar",
-                        rounds=rounds,
-                    ),
-                ),
-            )
-        )
-    figure.notes.append(
-        "cost is flat beyond the diameter: correct nodes go silent"
-    )
-    return plan
 
 
 def _plan_ablation_spam(params: dict) -> FigurePlan:
     n, k = params["n"], params["k"]
-    figure = _new_figure(
+    return _plan_ablation(
+        params,
         "ablation-spam",
         f"Announcement spam vs dedup (Harary k={k}, n={n})",
-        "spammers",
-        "KB sent per node (correct nodes only)",
-        params,
-    )
-    plan = FigurePlan(figure)
-    for spammers in params["spammers"]:
-        plan.groups.append(
-            CellGroup(
-                "Nectar under spam",
-                spammers,
-                (
-                    TrialSpec(
-                        topology=TopologySpec(kind="family", family="harary", n=n, k=k),
-                        protocol="nectar",
-                        adversary="spam",
-                        spammers=spammers,
-                        measure="correct-kb-sent",
-                    ),
-                ),
-            )
-        )
-    figure.notes.append(
+        ("spammers", "KB sent per node (correct nodes only)"),
+        "Nectar under spam",
+        [
+            (s, {"adversary": "spam", "spammers": s, "measure": "correct-kb-sent"})
+            for s in params["spammers"]
+        ],
         "dedup caps the damage: correct-node traffic stays flat because "
-        "duplicates are dropped before relay"
+        "duplicates are dropped before relay",
     )
-    return plan
 
 
 def _plan_ablation_batching(params: dict) -> FigurePlan:
     n, k = params["n"], params["k"]
-    figure = _new_figure(
+    return _plan_ablation(
+        params,
         "ablation-batching",
         f"Envelope batching (Harary k={k}, n={n})",
-        "batched",
-        "KB sent per node",
-        params,
+        ("batched", "KB sent per node"),
+        "Nectar",
+        [(0, {"batching": True}), (1, {"batching": False})],
+        "x=0: batched (default); x=1: one envelope per edge",
     )
-    plan = FigurePlan(figure)
-    for index, batching in enumerate((True, False)):
-        plan.groups.append(
-            CellGroup(
-                "Nectar",
-                index,
-                (
-                    TrialSpec(
-                        topology=TopologySpec(kind="family", family="harary", n=n, k=k),
-                        protocol="nectar",
-                        batching=batching,
-                    ),
-                ),
-            )
-        )
-    figure.notes.append("x=0: batched (default); x=1: one envelope per edge")
-    return plan
 
 
 def _plan_ablation_sigsize(params: dict) -> FigurePlan:
     n, k = params["n"], params["k"]
-    figure = _new_figure(
+    return _plan_ablation(
+        params,
         "ablation-sigsize",
         f"Signature size profiles (Harary k={k}, n={n})",
-        "signature bytes",
-        "KB sent per node",
-        params,
+        ("signature bytes", "KB sent per node"),
+        "Nectar",
+        [
+            (_resolve_profile(profile).signature_bytes, {"profile": profile})
+            for profile in params["profiles"]
+        ],
     )
-    plan = FigurePlan(figure)
-    for profile in params["profiles"]:
-        plan.groups.append(
-            CellGroup(
-                "Nectar",
-                _resolve_profile(profile).signature_bytes,
-                (
-                    TrialSpec(
-                        topology=TopologySpec(kind="family", family="harary", n=n, k=k),
-                        protocol="nectar",
-                        profile=profile,
-                    ),
-                ),
-            )
-        )
-    return plan
 
 
 # ----------------------------------------------------------------------
 # Off-model scenarios (DESIGN.md §8): environment-layer workloads
 # ----------------------------------------------------------------------
+def _plan_bridge_attack(
+    params: dict,
+    figure_id: str,
+    setting: str,
+    x_label: str,
+    note: str,
+    envs: Iterable[tuple[float, EnvironmentSpec]],
+) -> FigurePlan:
+    """NECTAR against the Fig. 8 bridges (the ``adversary`` axis:
+    ``two-faced`` or the ``mixed`` coalition) off-model: one group per
+    ``(x, env)``, every cell on the bridged drone partition in ``env``."""
+    n, t, adversary = params["n"], params["t"], params["adversary"]
+    figure = _new_figure(
+        figure_id,
+        f"NECTAR vs {adversary} bridges {setting} (n={n}, t={t})",
+        x_label,
+        "success rate of correct decision",
+        params,
+    )
+    figure.notes.append(note)
+    plan = FigurePlan(figure)
+    bridged = {"kind": "bridged-drone", "n": n, "t": t, "radius": params["radius"]}
+    seeds = _seeds(params, params["trials"])
+    for x, env in envs:
+        cells = tuple(
+            _attack_cell("nectar", adversary, seed, env, **bridged) for seed in seeds
+        )
+        plan.groups.append(CellGroup("Nectar", x, cells))
+    return plan
+
+
 def _plan_nectar_under_loss(params: dict) -> FigurePlan:
     """NECTAR's bridge-attack resilience when channels drop messages.
 
@@ -1307,47 +1250,22 @@ def _plan_nectar_under_loss(params: dict) -> FigurePlan:
     NECTAR off-model: the Fig. 8 two-faced bridge attack (or the
     ``mixed`` coalition) under i.i.d. per-message loss.
     """
-    n, t, radius, loss_rates, trials, adversary = (
-        params["n"],
-        params["t"],
-        params["radius"],
-        params["loss_rates"],
-        params["trials"],
-        params["adversary"],
-    )
-    figure = _new_figure(
-        "nectar-under-loss",
-        f"NECTAR vs {adversary} bridges under message loss (n={n}, t={t})",
-        "loss rate",
-        "success rate of correct decision",
+    return _plan_bridge_attack(
         params,
-    )
-    figure.notes.append(
-        "off-model: the paper's model assumes reliable channels (Sec. II)"
-    )
-    plan = FigurePlan(figure)
-    seeds = _seeds(params, trials)
-    for loss_rate in loss_rates:
-        env = (
-            EnvironmentSpec(channel="lossy", loss_rate=loss_rate)
-            if loss_rate > 0.0
-            else DEFAULT_ENVIRONMENT
-        )
-        cells = tuple(
-            TrialSpec(
-                topology=TopologySpec(
-                    kind="bridged-drone", n=n, t=t, radius=radius, seed=seed
-                ),
-                protocol="nectar",
-                adversary=adversary,
-                seed=seed,
-                measure="success-rate",
-                env=env,
+        "nectar-under-loss",
+        "under message loss",
+        "loss rate",
+        "off-model: the paper's model assumes reliable channels (Sec. II)",
+        [
+            (
+                loss_rate,
+                EnvironmentSpec(channel="lossy", loss_rate=loss_rate)
+                if loss_rate > 0.0
+                else DEFAULT_ENVIRONMENT,
             )
-            for seed in seeds
-        )
-        plan.groups.append(CellGroup("Nectar", loss_rate, cells))
-    return plan
+            for loss_rate in params["loss_rates"]
+        ],
+    )
 
 
 def _plan_backend_comparison(params: dict) -> FigurePlan:
@@ -1376,21 +1294,7 @@ def _plan_backend_comparison(params: dict) -> FigurePlan:
             else EnvironmentSpec(backend=backend)
         )
         for n in ns:
-            plan.groups.append(
-                CellGroup(
-                    backend,
-                    n,
-                    (
-                        TrialSpec(
-                            topology=TopologySpec(
-                                kind="family", family="harary", n=n, k=k
-                            ),
-                            protocol="nectar",
-                            env=env,
-                        ),
-                    ),
-                )
-            )
+            plan.groups.append(CellGroup(backend, n, (_harary_cell(n, k, env=env),)))
 
     def finalize(figure: FigureData) -> None:
         by_name = {series.name: series for series in figure.series}
@@ -1413,49 +1317,26 @@ def _plan_mobility_resilience(params: dict) -> FigurePlan:
     endpoints are within radio reach on a random-waypoint trajectory.
     Faster missions mean more churn in which links function.
     """
-    n, t, radius, speeds, trials, adversary = (
-        params["n"],
-        params["t"],
-        params["radius"],
-        params["speeds"],
-        params["trials"],
-        params["adversary"],
-    )
-    figure = _new_figure(
-        "mobility-resilience",
-        f"NECTAR vs {adversary} bridges on a mobile substrate (n={n}, t={t})",
-        "node speed per round",
-        "success rate of correct decision",
+    return _plan_bridge_attack(
         params,
-    )
-    figure.notes.append(
+        "mobility-resilience",
+        "on a mobile substrate",
+        "node speed per round",
         "off-model: per-round link availability from a random-waypoint "
-        "mission (footnote 2 assumes topology stability)"
-    )
-    plan = FigurePlan(figure)
-    seeds = _seeds(params, trials)
-    for speed in speeds:
-        env = EnvironmentSpec(
-            channel="mobility",
-            speed=speed,
-            reach=params["reach"],
-            arena=params["arena"],
-        )
-        cells = tuple(
-            TrialSpec(
-                topology=TopologySpec(
-                    kind="bridged-drone", n=n, t=t, radius=radius, seed=seed
+        "mission (footnote 2 assumes topology stability)",
+        [
+            (
+                speed,
+                EnvironmentSpec(
+                    channel="mobility",
+                    speed=speed,
+                    reach=params["reach"],
+                    arena=params["arena"],
                 ),
-                protocol="nectar",
-                adversary=adversary,
-                seed=seed,
-                measure="success-rate",
-                env=env,
             )
-            for seed in seeds
-        )
-        plan.groups.append(CellGroup("Nectar", speed, cells))
-    return plan
+            for speed in params["speeds"]
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1476,6 +1357,21 @@ _SPLIT_FAMILIES = (
     "k-diamond",
     "generalized-wheel",
     "multipartite-wheel",
+)
+
+#: the axes of the twin drone figures: Figs. 4/5 (cost vs barycenter
+#: distance) and Figs. 6/7 (cost vs n).
+_DRONE_DISTANCE_AXES = (
+    AxisSpec("distances", (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+    AxisSpec("radii", (1.2, 1.8, 2.4)),
+    AxisSpec("n", 20),
+    AxisSpec("trials", 3, 50),
+)
+_DRONE_SCALING_AXES = (
+    AxisSpec("ns", (10, 20, 30), (10, 20, 30, 40, 50)),
+    AxisSpec("distances", (0.0, 2.5, 5.0)),
+    AxisSpec("radius", 1.2),
+    AxisSpec("trials", 2, 50),
 )
 
 #: figure id -> spec; the single source of truth for the CLI,
@@ -1507,45 +1403,25 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
         SweepSpec(
             figure_id="fig4",
             title="Drone scenario, NECTAR cost vs barycenter distance (Fig. 4)",
-            axes=(
-                AxisSpec("distances", (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
-                AxisSpec("radii", (1.2, 1.8, 2.4)),
-                AxisSpec("n", 20),
-                AxisSpec("trials", 3, 50),
-            ),
+            axes=_DRONE_DISTANCE_AXES,
             plan=_plan_fig4,
         ),
         SweepSpec(
             figure_id="fig5",
             title="Drone scenario, MtGv2 cost vs barycenter distance (Fig. 5)",
-            axes=(
-                AxisSpec("distances", (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
-                AxisSpec("radii", (1.2, 1.8, 2.4)),
-                AxisSpec("n", 20),
-                AxisSpec("trials", 3, 50),
-            ),
+            axes=_DRONE_DISTANCE_AXES,
             plan=_plan_fig5,
         ),
         SweepSpec(
             figure_id="fig6",
             title="Drone scenario, NECTAR cost vs n (Fig. 6)",
-            axes=(
-                AxisSpec("ns", (10, 20, 30), (10, 20, 30, 40, 50)),
-                AxisSpec("distances", (0.0, 2.5, 5.0)),
-                AxisSpec("radius", 1.2),
-                AxisSpec("trials", 2, 50),
-            ),
+            axes=_DRONE_SCALING_AXES,
             plan=_plan_fig6,
         ),
         SweepSpec(
             figure_id="fig7",
             title="Drone scenario, MtGv2 cost vs n (Fig. 7)",
-            axes=(
-                AxisSpec("ns", (10, 20, 30), (10, 20, 30, 40, 50)),
-                AxisSpec("distances", (0.0, 2.5, 5.0)),
-                AxisSpec("radius", 1.2),
-                AxisSpec("trials", 2, 50),
-            ),
+            axes=_DRONE_SCALING_AXES,
             plan=_plan_fig7,
         ),
         SweepSpec(

@@ -409,6 +409,9 @@ class FabricQueue:
         try:
             _chaos_op("cells")
             return pickle.loads(self._cells_path(job_id).read_bytes())
+        except FileNotFoundError as exc:
+            # One job's missing file, not an unreachable queue.
+            raise ExperimentError(f"no cell list for job {job_id}") from exc
         except OSError as exc:
             raise QueueUnreachable(f"cannot read cells of {job_id}: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 - corrupt pickle
@@ -827,64 +830,53 @@ class FabricQueue:
     # ------------------------------------------------------------------
     def heartbeat(self, worker_id: str, payload: dict) -> None:
         """Record one worker liveness beat.  Best-effort, never fatal."""
-        record = dict(payload)
-        record["worker"] = worker_id
-        record["pid"] = os.getpid()
-        record["at"] = time.time()
-        try:
-            self.heartbeats_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
-                self.heartbeats_dir / f"{worker_id}.json",
-                json.dumps(record, sort_keys=True) + "\n",
-            )
-        except OSError:
-            pass  # liveness reporting must never kill the worker
+        record = {**payload, "pid": os.getpid()}
+        self._write_record(self.heartbeats_dir, "worker", worker_id, record)
 
     def read_heartbeats(self) -> dict[str, dict]:
         """Every worker's latest heartbeat, keyed by worker id."""
-        beats: dict[str, dict] = {}
-        try:
-            paths = sorted(self.heartbeats_dir.glob("*.json"))
-        except OSError:
-            return beats
-        for path in paths:
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if isinstance(record, dict) and record.get("worker"):
-                beats[str(record["worker"])] = record
-        return beats
+        return self._read_records(self.heartbeats_dir, "worker")
 
     def write_supervisor_state(self, supervisor_id: str, payload: dict) -> None:
         """Persist one supervisor's restart/crash-loop counters."""
-        record = dict(payload)
-        record["supervisor"] = supervisor_id
-        record["at"] = time.time()
-        try:
-            self.supervisors_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
-                self.supervisors_dir / f"{supervisor_id}.json",
-                json.dumps(record, sort_keys=True) + "\n",
-            )
-        except OSError:
-            pass  # observability, not correctness
+        self._write_record(self.supervisors_dir, "supervisor", supervisor_id, payload)
 
     def read_supervisor_state(self) -> dict[str, dict]:
         """Every supervisor's latest state, keyed by supervisor id."""
-        states: dict[str, dict] = {}
+        return self._read_records(self.supervisors_dir, "supervisor")
+
+    @staticmethod
+    def _write_record(
+        directory: pathlib.Path, key: str, name: str, payload: dict
+    ) -> None:
+        """Atomically replace ``directory/<name>.json`` with ``payload``
+        plus ``key: name`` and a timestamp.  Best-effort: liveness and
+        supervisor reporting must never kill the process reporting."""
+        record = {**payload, key: name, "at": time.time()}
         try:
-            paths = sorted(self.supervisors_dir.glob("*.json"))
+            directory.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(
+                directory / f"{name}.json", json.dumps(record, sort_keys=True) + "\n"
+            )
         except OSError:
-            return states
+            pass
+
+    @staticmethod
+    def _read_records(directory: pathlib.Path, key: str) -> dict[str, dict]:
+        """Every readable record under ``directory``, keyed by its ``key``."""
+        records: dict[str, dict] = {}
+        try:
+            paths = sorted(directory.glob("*.json"))
+        except OSError:
+            return records
         for path in paths:
             try:
                 record = json.loads(path.read_text())
             except (OSError, json.JSONDecodeError, UnicodeDecodeError):
                 continue
-            if isinstance(record, dict) and record.get("supervisor"):
-                states[str(record["supervisor"])] = record
-        return states
+            if isinstance(record, dict) and record.get(key):
+                records[str(record[key])] = record
+        return records
 
 
 __all__ = [

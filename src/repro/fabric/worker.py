@@ -22,13 +22,16 @@ work.
 Failure semantics: a cell that raises publishes an *error result* (the
 serial path would have raised the same error; retrying a deterministic
 failure is useless churn), while a worker that dies mid-shard leaves a
-stale lease that any peer breaks and re-runs.  Transient queue I/O
-errors are retried with jittered backoff (DESIGN.md §14.2) before the
-worker degrades; a persistent ``QueueUnreachable`` ends the loop with a
-reported reason, never a traceback.  Fault injection (stalls,
-SIGKILLs, errno bursts, result rot — see :mod:`repro.fabric.chaos`)
-activates from the environment at loop start, so a committed plan
-steers spawned workers deterministically.
+stale lease that any peer breaks and re-runs.  A job the worker cannot
+load (its cell list missing or corrupt) is journaled as ``skipped``,
+left alone for the rest of the loop, and every other job is served.
+Transient queue I/O errors are retried with jittered backoff
+(DESIGN.md §14.2) before the worker degrades; a persistent
+``QueueUnreachable`` ends the loop with a reported reason, never a
+traceback.  Fault injection (stalls, SIGKILLs, errno bursts, result
+rot — see :mod:`repro.fabric.chaos`) activates from the environment at
+loop start, so a committed plan steers spawned workers
+deterministically.
 """
 
 from __future__ import annotations
@@ -182,7 +185,8 @@ def run_worker(
         # clobber an injector a test installed directly.
         chaos.activate("worker", identity=me, queue_root=queue.root)
     stats = WorkerStats(worker_id=me)
-    contexts: dict[str, _JobContext] = {}
+    # None marks a job this worker cannot load: skipped until it exits.
+    contexts: dict[str, _JobContext | None] = {}
     jobs_seen: list[str] = []
     last_progress = time.monotonic()
     try:
@@ -195,13 +199,22 @@ def run_worker(
                 stats.worker_id, {"shards": stats.shards, "cells": stats.cells}
             )
             for job_id in queue.list_jobs():
-                context = contexts.get(job_id)
-                if context is None:
+                if job_id not in contexts:
                     record = queue.load_job(job_id)
                     if record is None:
                         continue
-                    context = _JobContext(queue, record)
-                    contexts[job_id] = context
+                    try:
+                        contexts[job_id] = _JobContext(queue, record)
+                    except QueueUnreachable:
+                        raise
+                    except ExperimentError as exc:  # a missing or corrupt cells.pkl
+                        contexts[job_id] = None
+                        queue.journal(
+                            job_id, me, {"event": "skipped", "error": str(exc)}
+                        )
+                context = contexts[job_id]
+                if context is None:
+                    continue
                 record = context.record
                 completed = queue.completed_shards(job_id)
                 for shard_index in range(record.total_shards):

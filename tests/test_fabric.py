@@ -328,6 +328,29 @@ class TestQueueEqualsSerial:
         assert dump_figure_json(run.figure) == _serial_json()
         _assert_no_double_execution(queue, job_id, cells)
 
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            (lambda path: path.write_bytes(b"garbage"), "corrupt cell list"),
+            (lambda path: path.unlink(), "no cell list"),
+        ],
+        ids=["corrupt", "missing"],
+    )
+    def test_worker_skips_a_job_it_cannot_load(self, tmp_path, damage, error):
+        queue = FabricQueue(tmp_path / "q")
+        bad, *_ = _submit_only(queue, _resolve(TINY))
+        good, _, _, shards = _submit_only(queue, _resolve())
+        damage(queue.job_dir(bad) / "cells.pkl")
+        stats = run_worker(queue, worker_id="w-test", once=True)
+        assert not stats.unreachable
+        assert stats.jobs == (good,)
+        assert queue.completed_shards(good) == set(range(len(shards)))
+        assert queue.completed_shards(bad) == set()
+        (skipped,) = [
+            entry for entry in queue.read_journal(bad) if entry["event"] == "skipped"
+        ]
+        assert error in skipped["error"]
+
 
 class TestCrashResume:
     def test_worker_death_after_n_cells_then_restart(self, tmp_path):
@@ -542,15 +565,24 @@ class TestFabricCli:
         assert "1/2 shard(s) complete" in out
         assert "rerun the same command to resume" in out
 
-    def test_local_interrupt_mentions_queue_backend(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "fig3", "--set", "ns=8", "--set", "ks=2"],
+            ["figure", "fig3", "--set", "ns=8", "--set", "ks=2"],
+            ["mission", "partition-detection", "--set", "trials=1"],
+        ],
+        ids=["sweep", "figure", "mission"],
+    )
+    def test_local_interrupt_mentions_queue_backend(self, argv, capsys, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli.SWEEP_ENGINE, "run", interrupted)
-        code = cli.main(["sweep", "fig3", "--set", "ns=8", "--set", "ks=2"])
+        code = cli.main(argv)
         out = capsys.readouterr().out
         assert code == 130
-        assert "--backend queue" in out
+        assert f"repro sweep {argv[1]} --backend queue --queue DIR" in out
 
     def test_fabric_worker_and_status(self, tmp_path, capsys):
         queue = FabricQueue(tmp_path / "q")
