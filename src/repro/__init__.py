@@ -5,10 +5,10 @@ The package implements NECTAR, the first t-Byzantine-resilient,
 2t-sensitive network partition detection algorithm for arbitrary
 graphs, together with every substrate it needs — chained signatures
 and neighborhood proofs, a synchronous network (lock-step simulator
-and asyncio byte-level transport), a graph library with exact vertex
-connectivity, the MtG and MtGv2 baselines, the Byzantine attack
-library of the paper's evaluation, and the experiment harness that
-regenerates every figure.
+and an asyncio byte-level transport that loads asyncio on first use),
+a graph library with exact vertex connectivity, the MtG and MtGv2
+baselines, the Byzantine attack library of the paper's evaluation,
+and the experiment harness that regenerates every figure.
 
 Quickstart::
 

@@ -41,8 +41,8 @@ processes, resumable after any interruption and row-identical to the
 local path; ``fabric status`` inspects it.  ``diff`` compares two
 archived artefacts row by row — or two whole artefact directories —
 with exit 1 on divergence.  ``topologies`` describes every built-in
-family.  ``attack`` replays the Fig. 8 scenario once and prints who
-got fooled.
+family.  ``attack`` replays each protocol's Fig. 8 attack once and
+prints its success rate, with the attack and deployment it faced.
 
 Both ``figure`` and ``sweep`` are thin shells over the declarative
 spec registry (:data:`repro.experiments.spec.FIGURE_SPECS`): every
@@ -87,6 +87,7 @@ from repro.experiments.spec import (
     FIGURE_SPECS,
     SWEEP_ENGINE,
     ResolvedSweep,
+    attack_conditions,
     attack_rates,
     environment_axis_names,
 )
@@ -558,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     topologies.add_argument("--k", type=int, default=4)
 
     attack = commands.add_parser(
-        "attack", help="replay the Fig. 8 bridge attack once"
+        "attack", help="replay each protocol's Fig. 8 attack once"
     )
     attack.add_argument("--n", type=int, default=21)
     attack.add_argument("--t", type=int, default=2)
@@ -1042,15 +1043,15 @@ def _run_topologies(args: argparse.Namespace) -> int:
     return 0
 
 
+_PROTOCOL_NAMES = {"nectar": "NECTAR", "mtgv2": "MtGv2", "mtg": "MtG"}
+
+
 def _run_attack(args: argparse.Namespace) -> int:
     rates = attack_rates(args.n, args.t, radius=1.2, seed=args.seed)
-    print(
-        f"bridge attack: n={args.n}, t={args.t} two-faced bridges "
-        f"between two islands"
-    )
-    print(f"NECTAR success rate: {rates['nectar']:.0%}")
-    print(f"MtGv2 success rate : {rates['mtgv2']:.0%}")
-    print(f"MtG success rate   : {rates['mtg']:.0%}")
+    print(f"Fig. 8 attacks: n={args.n}, t={args.t} Byzantine")
+    for protocol, condition in attack_conditions().items():
+        name = f"{_PROTOCOL_NAMES[protocol]} success rate"
+        print(f"{name:<19}: {rates[protocol]:.0%} under {condition}")
     return 0
 
 

@@ -589,6 +589,15 @@ _ATTACK_MATRIX: tuple[tuple[str, str, str, str], ...] = (
     ("MtGv2", "mtgv2", "two-faced", "bridged-drone"),
     ("MtG", "mtg", "saturating", "partitioned-drone"),
 )
+#: The matrix's attacks and drone deployments in words (``repro attack``).
+_ATTACK_WORDS = {
+    "two-faced": "two-faced bridges",
+    "saturating": "filter saturation",
+}
+_DEPLOYMENT_WORDS = {
+    "bridged-drone": "the bridged drone partition",
+    "partitioned-drone": "the partitioned drone deployment",
+}
 
 
 def _attack_cell(
@@ -623,6 +632,16 @@ def attack_rates(
         protocol: execute_trial(
             _attack_cell(protocol, adversary, seed, kind=kind, n=n, t=t, radius=radius)
         )
+        for _, protocol, adversary, kind in _ATTACK_MATRIX
+    }
+
+
+def attack_conditions() -> dict[str, str]:
+    """What each protocol of :func:`attack_rates` faces, in words, e.g.
+    ``"filter saturation on the partitioned drone deployment"`` for
+    ``"mtg"``."""
+    return {
+        protocol: f"{_ATTACK_WORDS[adversary]} on {_DEPLOYMENT_WORDS[kind]}"
         for _, protocol, adversary, kind in _ATTACK_MATRIX
     }
 
@@ -1863,6 +1882,7 @@ __all__ = [
     "TrialSpec",
     "absorb_shard",
     "artifact_scope",
+    "attack_conditions",
     "attack_rates",
     "environment_axis_names",
     "execute_cells",

@@ -1,5 +1,6 @@
 """Network substrate: envelopes, codec, channel models, and the
-lock-step / asyncio execution backends."""
+lock-step / asyncio execution backends.  The asyncio transport loads
+:mod:`asyncio` on its first run, not on import."""
 
 from repro.net.asyncio_net import AsyncCluster, frame, unframe
 from repro.net.channel import (

@@ -16,11 +16,16 @@ the round without ever violating the bound.
 The same :class:`repro.net.simulator.RoundProtocol` instances run
 unchanged on either backend; an integration test checks both backends
 produce identical verdicts and byte counts.
+
+:mod:`asyncio` loads on first use: the :class:`AsyncCluster` methods
+that run it import it, not this module, so a process that never runs
+the async backend (a sync sweep, a mission, a fabric worker) starts
+without the async stack (DESIGN.md §6.5).  Annotations naming asyncio
+types are never evaluated (``from __future__ import annotations``).
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 from typing import Any, Mapping
 
@@ -114,6 +119,8 @@ class AsyncCluster:
                 there instead; the fleet service (DESIGN.md §12) steps
                 missions on worker threads for exactly this reason.
         """
+        import asyncio
+
         try:
             asyncio.get_running_loop()
         except RuntimeError:
@@ -126,6 +133,8 @@ class AsyncCluster:
 
     async def run_async(self, rounds: int) -> dict[NodeId, Any]:
         """Execute ``rounds`` rounds; returns per-node verdicts."""
+        import asyncio
+
         if rounds < 1:
             raise ProtocolError("at least one round is required")
         for u, neighbors in self._graph.iter_adjacency():
@@ -155,6 +164,8 @@ class AsyncCluster:
         barrier: asyncio.Barrier,
         verdicts: dict[NodeId, Any],
     ) -> None:
+        import asyncio
+
         protocol = self._protocols[node_id]
         for round_number in range(1, rounds + 1):
             # Send phase.

@@ -374,6 +374,17 @@ class TestAttack:
         assert "NECTAR success rate: 100%" in out
         assert "MtG success rate   : 0%" in out
 
+    def test_each_rate_names_its_own_attack(self, capsys):
+        assert main(["attack", "--n", "13", "--t", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rates = [line for line in lines if "success rate" in line]
+        assert [line.split()[0] for line in rates] == ["NECTAR", "MtGv2", "MtG"]
+        assert "filter saturation" in rates[2]
+        # Two-faced bridges attack NECTAR and MtGv2 only: no header or
+        # MtG line may attribute them to MtG.
+        two_faced = [line for line in lines if "two-faced" in line]
+        assert two_faced == rates[:2]
+
 
 class TestMalformedInput:
     """Bad input exits 2 with an ``error:`` line, never a traceback

@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.artifacts import clear_artifact_cache
-from repro.experiments.envspec import EnvironmentSpec
+from repro.experiments.envspec import DEFAULT_ENVIRONMENT, EnvironmentSpec
 from repro.experiments.mission import (
     MissionSession,
     MissionSpec,
@@ -58,10 +58,13 @@ def _fresh_caches():
     clear_artifact_cache()
 
 
-def tiny_mission(seed=0, epochs=3, n=8):
+def tiny_mission(seed=0, epochs=3, n=8, env=DEFAULT_ENVIRONMENT):
     """A small, fast mission spec (distinct per seed)."""
     return MissionSpec(
-        trajectory=TrajectorySpec(n=n, epochs=epochs, seed=seed), t=1, seed=seed
+        trajectory=TrajectorySpec(n=n, epochs=epochs, seed=seed),
+        t=1,
+        seed=seed,
+        env=env,
     )
 
 
@@ -141,8 +144,11 @@ class TestSessionEquivalence:
 
 
 class TestFleetService:
-    def test_single_mission_streams_batch_events(self):
-        spec = tiny_mission(seed=1, epochs=4)
+    # On the async backend every epoch's AsyncCluster.run starts its own
+    # event loop on a worker thread while the service loop runs.
+    @pytest.mark.parametrize("backend", ["sync", "async"])
+    def test_single_mission_streams_batch_events(self, backend):
+        spec = tiny_mission(seed=1, epochs=4, env=EnvironmentSpec(backend=backend))
 
         async def fly():
             service = FleetService()
